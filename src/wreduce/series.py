@@ -23,12 +23,13 @@ arithmetic, so each evaluator is an assembly of audited pieces rather than
 a bespoke estimate.
 
 The triple-sum evaluator picks a strategy from the zero pattern of the
-composite exponents: ``s5 = 0`` collapses (m1, m2) to their sum by
-convolution, ``s6 = 0`` splits over m2 into two shifted sums, and the
-general case uses a boxed lattice sum with face, edge and corner
-enclosures.  The slot order given is the slot order summed; relabeling
-twins are computed by genuinely different loops, which is what makes the
-symmetry check in ``verify`` meaningful.
+composite exponents: ``s5 = 0`` collapses (m1, m2) to their sum u, whose
+pair sum has a closed form in prefix power sums (the partial fractions of
+Huard, Williams and Zhang, eq. 3), ``s6 = 0`` splits over m2 into two
+shifted sums, and the general case uses a boxed lattice sum with face,
+edge and corner enclosures.  The slot order given is the slot order
+summed; relabeling twins are computed by genuinely different loops, which
+is what makes the symmetry check in ``verify`` meaningful.
 """
 
 from __future__ import annotations
@@ -66,14 +67,11 @@ class SummationConfig:
 
     ``max_terms`` caps 1-D cutoffs (and the collapsed outer sums);
     ``max_terms_3d`` caps the per-axis cutoff of boxed triple sums.
-    ``precision_bits`` is fixed at native float64; other values are
-    rejected rather than silently approximated.
     """
 
     tolerance: float = 1e-6
     max_terms: int = 10**6
     max_terms_3d: int = 400
-    precision_bits: int = 53
 
     def validated(self) -> "SummationConfig":
         if not (self.tolerance > 0):
@@ -81,10 +79,6 @@ class SummationConfig:
         if self.tolerance < TOLERANCE_FLOOR:
             raise ToleranceUnreachable(
                 f"tolerance {self.tolerance} is below the float64 floor {TOLERANCE_FLOOR}"
-            )
-        if self.precision_bits != 53:
-            raise UnsupportedParams(
-                f"precision_bits={self.precision_bits}; only native float64 (53) is supported"
             )
         if self.max_terms < 1024:
             raise UnsupportedParams("max_terms below 1024 leaves no room for any ladder")
@@ -161,7 +155,8 @@ def _em_tail(N: float, p: float) -> Interval:
     with per-cell error at most f''/24, whose sum is bounded by
     (|f'| + f'')(N+1/2)/24.
     """
-    assert p > 1 and N >= 8
+    if not (p > 1 and N >= 8):
+        raise ConvergenceUnverified(f"midpoint tail needs p > 1 and N >= 8, got p={p}, N={N}")
     c = N + 0.5
     integral = c ** (1.0 - p) / (p - 1.0)
     correction = (p * c ** (-p - 1.0) + p * (p + 1.0) * c ** (-p - 2.0)) / 24.0
@@ -227,18 +222,6 @@ def _logint(U: float, p: float, k: int) -> float:
     if k == 1:
         return base * (L / q + 1.0 / q**2)
     return base * (L * L / q + 2.0 * L / q**2 + 2.0 / q**3)
-
-
-def _lp_point(lp: LogPower, u: float) -> Interval:
-    """Pointwise enclosure of the LP form at one u."""
-    L = math.log(u)
-    mid = 0.0
-    rad = 0.0
-    for (p, k), (cm, cr) in lp.items():
-        g = u**-p * L**k
-        mid += cm * g
-        rad += cr * g
-    return (mid, rad + EPS * (abs(mid) + rad) * (len(lp) + 2))
 
 
 def _lp_tail(lp: LogPower, U: int) -> Interval:
@@ -312,33 +295,16 @@ def _lp_harmonic() -> LogPower:
     }
 
 
-def _lp_harmonic_prev() -> LogPower:
-    """H_{u-1} = H_u - 1/u."""
-    lp = _lp_harmonic()
-    _lp_add(lp, 1.0, 0, -1.0, 0.0)
-    return lp
-
-
-def _lp_pair_sum_upper(a: int, b: int, zeta_of) -> LogPower:
-    """Upper bound of S_{a,b}(u) = sum_{m1+m2=u} m1^-a m2^-b as [0, X].
-
-    Splitting at u/2: the far variable is at least u/2, the near prefix is
-    bounded by its full sum (or a log cap).  Valid for u >= 2.
-    """
-    out: LogPower = {}
-    for near, far in ((a, b), (b, a)):
-        scale = float(2**far)
-        if near == 0:
-            # prefix count <= u/2
-            _lp_add(out, float(far - 1), 0, scale / 4.0, scale / 4.0)
-        elif near == 1:
-            _lp_add(out, float(far), 0, scale / 2.0, scale / 2.0)
-            _lp_add(out, float(far), 1, scale / 2.0, scale / 2.0)
-        else:
-            z = zeta_of(near)
-            hi = (z.midpoint + z.radius) * scale
-            _lp_add(out, float(far), 0, hi / 2.0, hi / 2.0)
-    return out
+def _lp_prefix_prev(j: int, cfg: SummationConfig) -> LogPower:
+    """P_j(u-1) = sum_{m<u} m^-j as an LP form in u, j >= 0."""
+    if j == 0:
+        return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
+    if j == 1:
+        lp = _lp_harmonic()
+        _lp_add(lp, 1.0, 0, -1.0, 0.0)  # H_{u-1} = H_u - 1/u
+        return lp
+    z = _zeta_getter(cfg)(j)
+    return _lp_sum(_lp_const(z.midpoint, z.radius), _lp_scale(_lp_tailzeta_prev(j), (-1.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +356,21 @@ def _cached_atom(key: tuple, tol: float, compute) -> Evaluation:
     return out
 
 
+def _cutoff(tail_at, budget: float, start: int, cap: int) -> tuple[int, Interval]:
+    """The first cutoff of start, 2 start, 4 start, ... whose tail fits budget.
+
+    The ladder is clamped to ``cap``; when the cap itself misses the
+    budget it is returned anyway, and the caller's radius check refuses.
+    Returns the cutoff and ``tail_at`` of it.
+    """
+    n = start
+    while True:
+        tail = tail_at(n)
+        if tail[1] <= budget or n >= cap:
+            return n, tail
+        n = min(2 * n, cap)
+
+
 # ---------------------------------------------------------------------------
 # single zeta
 
@@ -398,28 +379,26 @@ def eval_zeta(s: int, cfg: SummationConfig) -> Evaluation:
 
     def compute() -> Evaluation:
         tol = cfg.tolerance
-        N = 32
-        while True:
-            tail = _em_tail(N, float(s))
-            if tail[1] + _sum_err(2.0, N) <= tol / 2.0 or N >= cfg.max_terms:
-                break
-            N *= 2
-        tail = _em_tail(N, float(s))
-        rounding = _sum_err(2.0, N)
-        if tail[1] + rounding > tol:
+
+        def tail_at(n: int) -> Interval:
+            mid, rad = _em_tail(n, float(s))
+            return (mid, rad + _sum_err(2.0, n))  # plus the partial sum's rounding
+
+        N, (tmid, radius) = _cutoff(tail_at, tol / 2.0, 32, cfg.max_terms)
+        if radius > tol:
             raise ToleranceUnreachable(
-                f"zeta({s}): certified radius {tail[1] + rounding:.3e} exceeds {tol:.3e}"
+                f"zeta({s}): certified radius {radius:.3e} exceeds {tol:.3e}"
             )
         n = np.arange(1, N + 1, dtype=float)
         part = float(np.sum(n ** float(-s)))
-        return Evaluation(part + tail[0], tail[1] + rounding, N)
+        return Evaluation(part + tmid, radius, N)
 
     return _cached_atom(("Z", s), cfg.tolerance, compute)
 
 
 def _zeta_getter(cfg: SummationConfig):
     inner = SummationConfig(
-        tolerance=max(min(cfg.tolerance * 1e-2, 1e-13), TOLERANCE_FLOOR),
+        tolerance=TOLERANCE_FLOOR,
         max_terms=cfg.max_terms,
         max_terms_3d=cfg.max_terms_3d,
     )
@@ -430,6 +409,21 @@ def _zeta_getter(cfg: SummationConfig):
     return zeta_of
 
 
+def _prefix_table(j: int, U: int) -> tuple[np.ndarray, float]:
+    """P_j[u] = sum_{m<=u} m^-j for u = 0..U, with a uniform radius."""
+    key = ("P", j, U)
+    hit = _WS.tables.get(key)
+    if hit is not None:
+        return hit
+    if j == 0:
+        out = (np.arange(U + 1, dtype=float), 0.0)  # integers, exact
+    else:
+        pref, coeff = _cumsum(np.arange(1, U + 1, dtype=float) ** float(-j))
+        out = (np.concatenate(([0.0], pref)), coeff * EPS * float(pref[-1]))
+    _WS.tables[key] = out
+    return out
+
+
 def _tailzeta_table(j: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray, float]:
     """t[u] = sum_{m>u} m^-j for u = 0..U, with a uniform radius."""
     key = ("tz", j, U)
@@ -437,23 +431,8 @@ def _tailzeta_table(j: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray, f
     if hit is not None:
         return hit
     z = _zeta_getter(cfg)(j)
-    pref, coeff = _cumsum(np.arange(1, U + 1, dtype=float) ** float(-j))
-    t = z.midpoint - np.concatenate(([0.0], pref))
-    rad = z.radius + coeff * EPS * z.midpoint
-    out = (t, rad)
-    _WS.tables[key] = out
-    return out
-
-
-def _harmonic_table(U: int) -> tuple[np.ndarray, float]:
-    """H[u] for u = 0..U with a uniform rounding radius."""
-    key = ("H", U)
-    hit = _WS.tables.get(key)
-    if hit is not None:
-        return hit
-    Hsum, coeff = _cumsum(1.0 / np.arange(1, U + 1, dtype=float))
-    H = np.concatenate(([0.0], Hsum))
-    out = (H, coeff * EPS * float(H[-1]))
+    P, prad = _prefix_table(j, U)
+    out = (z.midpoint - P, z.radius + prad + EPS * z.midpoint)
     _WS.tables[key] = out
     return out
 
@@ -499,7 +478,7 @@ def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray,
     u = np.arange(0, U + 1, dtype=float)
     u[0] = 1.0  # avoid 0^-k warnings; slot 0 is unused
     A, B = _g_pf_coeffs(c, f)
-    H, Hrad = _harmonic_table(U)
+    H, Hrad = _prefix_table(1, U)
     zeta_of = _zeta_getter(cfg)
 
     mid = np.zeros(U + 1)
@@ -571,13 +550,7 @@ def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
         # outer sum over m2 of m2^-b G_{a,c}(m2); the LP bracket of G gives
         # a two-sided parametric tail
         lp = _lp_shift(_lp_g_bracket(a, c, cfg), float(b))
-        M = 1024
-        while True:
-            tail = _lp_tail(lp, M)
-            if tail[1] <= tol / 3.0 or M >= cfg.max_terms:
-                break
-            M *= 2
-        tail = _lp_tail(lp, M)
+        M, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 1024, cfg.max_terms)
 
         gmid, grad = _g_tables(a, c, M, cfg)
         m2pow = _power_array(M, b)
@@ -607,12 +580,7 @@ def _scaled(cfg: SummationConfig, factor: float) -> SummationConfig:
 
 def _euler2_tail_lp(s1: int, s2: int, cfg: SummationConfig) -> LogPower:
     """LP form (in x) of x^-s1 * P_{s2}(x-1), the double-sum tail summand."""
-    if s2 == 1:
-        inner = _lp_harmonic_prev()
-    else:
-        z = _zeta_getter(cfg)(s2)
-        inner = _lp_sum(_lp_const(z.midpoint, z.radius), _lp_scale(_lp_tailzeta_prev(s2), (-1.0, 0.0)))
-    return _lp_shift(inner, float(s1))
+    return _lp_shift(_lp_prefix_prev(s2, cfg), float(s1))
 
 
 def eval_euler(atom: EulerSum, cfg: SummationConfig) -> Evaluation:
@@ -630,20 +598,12 @@ def eval_euler(atom: EulerSum, cfg: SummationConfig) -> Evaluation:
 def _euler2(s1: int, s2: int, cfg: SummationConfig) -> Evaluation:
     tol = cfg.tolerance
     lp = _euler2_tail_lp(s1, s2, cfg)
-    X = 1024
-    while True:
-        tail = _lp_tail(lp, X)
-        if tail[1] <= tol / 3.0 or X >= cfg.max_terms:
-            break
-        X *= 2
-    tail = _lp_tail(lp, X)
+    X, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 1024, cfg.max_terms)
 
-    n = np.arange(1, X + 1, dtype=float)
-    pref, coeff = _cumsum(n ** float(-s2))
-    inner = np.concatenate(([0.0], pref))
-    outer = n ** float(-s1)
+    inner, irad = _prefix_table(s2, X)
+    outer = np.arange(1, X + 1, dtype=float) ** float(-s1)
     part = float(np.dot(outer[1:], inner[1:-1]))
-    rounding = coeff * EPS * float(inner[-1]) * float(np.sum(outer[1:])) + _sum_err(part, X)
+    rounding = irad * float(np.sum(outer[1:])) + _sum_err(part, X)
 
     radius = tail[1] + rounding
     if radius > tol:
@@ -651,12 +611,8 @@ def _euler2(s1: int, s2: int, cfg: SummationConfig) -> Evaluation:
     return Evaluation(part + tail[0], radius, X)
 
 
-def _euler3_tail_lp(s1: int, s2: int, s3: int, cfg: SummationConfig) -> tuple[LogPower, int]:
-    """LP form (in x) of x^-s1 * D(x-1) where D(n) = sum_{y<=n} y^-s2 P_{s3}(y-1).
-
-    Returns the form and the cutoff floor it requires (from any recursive
-    evaluation folded into constants).
-    """
+def _euler3_tail_lp(s1: int, s2: int, s3: int, cfg: SummationConfig) -> LogPower:
+    """LP form (in x) of x^-s1 * D(x-1) where D(n) = sum_{y<=n} y^-s2 P_{s3}(y-1)."""
     zeta_of = _zeta_getter(cfg)
     if s2 >= 2:
         # D(x-1) = D_inf - sum_{y>=x} y^-s2 P_{s3}(y-1)
@@ -664,7 +620,7 @@ def _euler3_tail_lp(s1: int, s2: int, s3: int, cfg: SummationConfig) -> tuple[Lo
         summand = _euler2_tail_lp(s2, s3, cfg)  # y^-s2 P_{s3}(y-1) in y
         ge_x = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x} + at x
         d_lp = _lp_sum(_lp_const(dinf.midpoint, dinf.radius), _lp_scale(ge_x, (-1.0, 0.0)))
-        return _lp_shift(d_lp, float(s1)), dinf.terms
+        return _lp_shift(d_lp, float(s1))
     if s3 >= 2:
         # D(n) = zeta(s3) H_n - kappa + sum_{y>n} y^-1 tailzeta(y-1, s3)
         # with kappa = sum_m m^-s3 H_m = E(s3,1) + zeta(s3+1)
@@ -675,33 +631,25 @@ def _euler3_tail_lp(s1: int, s2: int, s3: int, cfg: SummationConfig) -> tuple[Lo
         summand = _lp_shift(_lp_tailzeta_prev(s3), 1.0)  # y^-1 tailzeta(y-1,s3)
         gt_prev = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x-1}
         d_lp = _lp_sum(
-            _lp_scale(_lp_harmonic_prev(), (z3.midpoint, z3.radius)),
+            _lp_scale(_lp_prefix_prev(1, cfg), (z3.midpoint, z3.radius)),
             _lp_const(-kappa[0], kappa[1]),
             gt_prev,
         )
-        return _lp_shift(d_lp, float(s1)), e_part.terms
+        return _lp_shift(d_lp, float(s1))
     # s2 = s3 = 1: D(n) = (H_n^2 - H_n^(2)) / 2 exactly
-    z2 = zeta_of(2)
-    h_prev = _lp_harmonic_prev()
-    h2_prev = _lp_sum(_lp_const(z2.midpoint, z2.radius), _lp_scale(_lp_tailzeta_prev(2), (-1.0, 0.0)))
+    h_prev = _lp_prefix_prev(1, cfg)
+    h2_prev = _lp_prefix_prev(2, cfg)
     d_lp = _lp_scale(_lp_sum(_lp_mul(h_prev, h_prev), _lp_scale(h2_prev, (-1.0, 0.0))), (0.5, 0.0))
-    return _lp_shift(d_lp, float(s1)), 0
+    return _lp_shift(d_lp, float(s1))
 
 
 def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
     tol = cfg.tolerance
-    lp, _floor = _euler3_tail_lp(s1, s2, s3, cfg)
-    X = 1024
-    while True:
-        tail = _lp_tail(lp, X)
-        if tail[1] <= tol / 3.0 or X >= cfg.max_terms:
-            break
-        X *= 2
-    tail = _lp_tail(lp, X)
+    lp = _euler3_tail_lp(s1, s2, s3, cfg)
+    X, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 1024, cfg.max_terms)
 
     n = np.arange(1, X + 1, dtype=float)
-    qsum, qcoeff = _cumsum(n ** float(-s3))
-    q = np.concatenate(([0.0], qsum))
+    q, qrad = _prefix_table(s3, X)
     middle = n ** float(-s2) * q[:-1]
     dsum, dcoeff = _cumsum(middle)
     d = np.concatenate(([0.0], dsum))
@@ -712,7 +660,7 @@ def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
     s_mid = float(np.sum(n ** float(-s2)))
     s_out = float(np.sum(outer))
     rounding = (
-        qcoeff * EPS * float(q[-1]) * s_mid * s_out
+        qrad * s_mid * s_out
         + dcoeff * EPS * float(d[-1]) * s_out
         + _sum_err(abs(part), X)
     )
@@ -728,67 +676,65 @@ def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
 # ---------------------------------------------------------------------------
 # triple sums: the collapsed path (s5 = 0)
 #
-# With u = m1 + m2 the sum factors through the convolution
-#   S_{s1,s2}(u) = sum_{m1+m2=u} m1^-s1 m2^-s2
+# With u = m1 + m2 the sum factors through the pair sum
+#   S_{a,b}(u) = sum_{m1+m2=u} m1^-a m2^-b
 # and the shifted pair sum over m3:
 #   W = sum_u S(u) u^-s4 G_{s3,s6}(u).
+# Partial fractions of m1^-a (u-m1)^-b give S in closed form,
+#   S_{a,b}(u) = sum_j w_j u^-(a+b-j) P_j(u-1),   P_j(n) = sum_{m<=n} m^-j,
+# with w_j = C(a+b-j-1, b-1) [j<=a] + C(a+b-j-1, a-1) [j<=b]: the unsigned
+# G weights, since both halves of the split sum to the same prefix.
 
-def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, float, float]:
-    """S_{a,b}(u) for u = 0..U.
 
-    Returns (values, rel, abserr): the error of entry u is bounded by
-    rel * S(u) + abserr.
-    """
+def _pair_sum_weights(a: int, b: int) -> dict[int, int]:
+    """{j: w_j} of the closed form of S_{a,b}; a zero exponent leaves P_{a+b}."""
+    if a == 0 or b == 0:
+        return {a + b: 1}
+    A, B = _g_pf_coeffs(a, b)
+    weights: dict[int, int] = {}
+    for coeffs in (A, B):
+        for j, (coef, _pw) in enumerate(coeffs, start=1):
+            weights[j] = weights.get(j, 0) + abs(coef)
+    return weights
+
+
+def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mid, rad) arrays of S_{a,b}(u) for u = 0..U; S(0) = S(1) = 0 exactly."""
     key = ("S", a, b, U)
     hit = _WS.tables.get(key)
     if hit is not None:
         return hit
-    out = np.zeros(U + 1)
-    rel = 0.0
-    abserr = 0.0
-    if a == 0 and b == 0:
-        out[2:] = np.arange(2, U + 1, dtype=float) - 1.0
-    elif a == 0 or b == 0:
-        e = a + b
-        pref, coeff = _cumsum(np.arange(1, U + 1, dtype=float) ** float(-e))
-        out[2:] = pref[: U - 1]
-        abserr = coeff * EPS * float(pref[-1])
-    else:
-        x = np.arange(1, U, dtype=float) ** float(-a)
-        y = np.arange(1, U, dtype=float) ** float(-b)
-        if U <= 8192:
-            conv = np.convolve(x, y)
-            rel = EPS * (U + 4)
-        else:
-            size = 1 << ((2 * U - 2).bit_length())
-            conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)
-            abserr = EPS * 16 * (math.log2(size) + 4) * float(np.sum(x)) * float(np.sum(y))
-        out[2:] = conv[: U - 1]
-        out[out < 0] = 0.0
-    _WS.tables[key] = (out, rel, abserr)
-    return out, rel, abserr
+    u = np.arange(2, U + 1, dtype=float)
+    mid = np.zeros(U + 1)
+    rad = np.zeros(U + 1)
+    weights = _pair_sum_weights(a, b)
+    for j, w in weights.items():
+        P, prad = _prefix_table(j, U)
+        scale = w * u ** float(j - a - b)
+        mid[2:] += scale * P[1:-1]
+        rad[2:] += scale * prad
+    # every summand is nonnegative, so mid bounds their absolute sum
+    rad += EPS * (mid + rad) * (len(weights) + 4)
+    _WS.tables[key] = (mid, rad)
+    return mid, rad
 
 
 def _collapsed_s12_lp(a: int, b: int, cfg: SummationConfig) -> LogPower:
-    """LP enclosure of S_{a,b}(u); two-sided whenever a closed form exists.
+    """Two-sided LP enclosure of S_{a,b}(u): the closed form, term by term."""
+    return _lp_sum(*(
+        _lp_scale(_lp_shift(_lp_prefix_prev(j, cfg), float(a + b - j)), (float(w), 0.0))
+        for j, w in _pair_sum_weights(a, b).items()
+    ))
 
-    With one exponent zero the pair sum is a plain prefix sum, so an exact
-    two-sided form keeps the parametric tail radius at the sandwich width
-    instead of the tail value.  Otherwise the split-at-u/2 upper bound is
-    used as a [0, X] interval.
-    """
-    if a == 0 and b == 0:
-        return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
-    if a == 0 or b == 0:
-        e = a + b
-        if e == 1:
-            return _lp_harmonic_prev()
-        z = _zeta_getter(cfg)(e)
-        return _lp_sum(
-            _lp_const(z.midpoint, z.radius),
-            _lp_scale(_lp_tailzeta_prev(e), (-1.0, 0.0)),
-        )
-    return _lp_pair_sum_upper(a, b, _zeta_getter(cfg))
+
+def _weighted_product_sum(w: np.ndarray, x: tuple, y: tuple) -> Interval:
+    """Enclosure of sum_u w[u] x(u) y(u) for (mid, rad) tables x, y and w >= 0."""
+    (xm, xr), (ym, yr) = x, y
+    prod_mid = xm * ym
+    prod_rad = np.abs(xm) * yr + np.abs(ym) * xr + xr * yr
+    box = float(np.dot(w, prod_mid))
+    absbox = float(np.dot(w, np.abs(prod_mid)))
+    return box, float(np.dot(w, prod_rad)) + _sum_err(absbox, w.size)
 
 
 def _eval_w4_collapsed(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
@@ -803,29 +749,11 @@ def _eval_w4_collapsed(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
         _lp_shift(_collapsed_s12_lp(s1, s2, cfg), float(s4)),
         _lp_g_bracket(c, f, cfg),
     )
+    U, tail = _cutoff(lambda n: _lp_tail(lp_outer, n), tol / 2.0, 1024, cfg.max_terms)
 
-    U = 1024
-    while True:
-        tail = _lp_tail(lp_outer, U)
-        if tail[1] <= tol / 2.0 or U >= cfg.max_terms:
-            break
-        U *= 2
-    tail = _lp_tail(lp_outer, U)
-
-    svals, srel, sabs = _pair_sum_table(s1, s2, U)
-    gmid, grad = _g_tables(c, f, U, cfg)
-    upow = _power_array(U, s4)
-    weights = svals * upow
-    box = float(np.dot(weights[2:], gmid[2:]))
-    absbox = float(np.dot(weights[2:], np.abs(gmid[2:])))
-    gsum = float(np.dot(upow[2:], np.abs(gmid[2:])))
-    boxrad = (
-        float(np.dot(weights[2:], grad[2:]))
-        + srel * absbox
-        + sabs * gsum
-        + _sum_err(absbox, U)
+    box, boxrad = _weighted_product_sum(
+        _power_array(U, s4), _pair_sum_table(s1, s2, U), _g_tables(c, f, U, cfg)
     )
-
     radius = tail[1] + boxrad
     if radius > tol:
         raise ToleranceUnreachable(f"W{s}: certified radius {radius:.3e} exceeds {tol:.3e}")
@@ -849,23 +777,11 @@ def _eval_w4_hub(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
         _lp_shift(_lp_g_bracket(s1, s4, cfg), float(s2)),
         _lp_g_bracket(s3, s5, cfg),
     )
+    M, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 2.0, 1024, cfg.max_terms)
 
-    M = 1024
-    while True:
-        tail = _lp_tail(lp, M)
-        if tail[1] <= tol / 2.0 or M >= cfg.max_terms:
-            break
-        M *= 2
-    tail = _lp_tail(lp, M)
-
-    g1m, g1r = _g_tables(s1, s4, M, cfg)
-    g2m, g2r = _g_tables(s3, s5, M, cfg)
-    m2pow = _power_array(M, s2)
-    prod_mid = g1m * g2m
-    prod_rad = np.abs(g1m) * g2r + np.abs(g2m) * g1r + g1r * g2r
-    box = float(np.dot(m2pow[1:], prod_mid[1:]))
-    boxrad = float(np.dot(m2pow[1:], prod_rad[1:])) + _sum_err(abs(box), M)
-
+    box, boxrad = _weighted_product_sum(
+        _power_array(M, s2), _g_tables(s1, s4, M, cfg), _g_tables(s3, s5, M, cfg)
+    )
     radius = tail[1] + boxrad
     if radius > tol:
         raise ToleranceUnreachable(f"W{s}: certified radius {radius:.3e} exceeds {tol:.3e}")
@@ -1166,4 +1082,9 @@ def eval_lincomb(lc: LinearCombination, cfg: SummationConfig) -> Evaluation:
         rad += abs(c) * ev.radius + EPS * abs(c * ev.midpoint) * 2
         max_terms_used = max(max_terms_used, ev.terms)
     rad += _sum_err(abs(mid) + rad, n)
+    if rad > cfg.tolerance:
+        # shares clamped at the floor can add up past the request
+        raise ToleranceUnreachable(
+            f"combination of {n} terms: certified radius {rad:.3e} exceeds {cfg.tolerance:.3e}"
+        )
     return Evaluation(mid, rad, max_terms_used)

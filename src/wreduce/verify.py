@@ -2,8 +2,9 @@
 
 Each catalog entry pairs two expressions that are provably equal, built
 so that the two sides travel through different code: a triple-sum
-evaluation against its symbolic reduction, a convolution against a
-partial-fraction product, a constrained-region lattice sum against the
+evaluation against its symbolic reduction, a double sum taken along its
+diagonals m1 + m2 = u against the same sum taken along its columns (the
+factorization check), a constrained-region lattice sum against the
 engine's own dispatch.  ``check`` evaluates both sides with certified
 radii and compares:
 

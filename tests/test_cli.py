@@ -75,6 +75,14 @@ def test_eval_divergence_gate_exits_three(capsys):
     assert "CONVERGENCE_UNVERIFIED" in capsys.readouterr().err
 
 
+def test_eval_radius_above_tolerance_exits_three(capsys):
+    # every share is clamped at the 1e-12 floor, so three terms weighted
+    # by 1000 cannot add up to a radius within 1e-11
+    argv = ["eval", "1000 * Z(2) + 1000 * Z(3) + 1000 * Z(4)", "--tol", "1e-11"]
+    assert main(argv) == 3
+    assert "TOLERANCE_UNREACHABLE" in capsys.readouterr().err
+
+
 def test_eval_parse_error_exits_two(capsys):
     assert main(["eval", "Q(3)"]) == 2
     assert "INADMISSIBLE_INDEX" in capsys.readouterr().err
@@ -209,7 +217,8 @@ def test_verify_probe_variant_flag_selects_validated_one(capsys):
 
 
 def test_verify_inconclusive_exit_logic(capsys):
-    argv = ["verify", "FACTOR_EQ12", "2", "1", "2", "1"]
+    # the general box path cannot reach 1e-8 for this tuple within its cap
+    argv = ["verify", "SYMMETRY_EQ6", "2", "1", "1", "1", "1", "1", "--tol", "1e-8"]
     assert main(argv) == 1
     assert "|INCONCLUSIVE|" in capsys.readouterr().out
     assert main(argv + ["--allow-inconclusive"]) == 0

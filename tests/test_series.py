@@ -39,8 +39,6 @@ def test_config_validation():
         SummationConfig(tolerance=1e-18).validated()
     with pytest.raises(UnsupportedParams):
         SummationConfig(max_terms=100).validated()
-    with pytest.raises(UnsupportedParams):
-        SummationConfig(precision_bits=64).validated()
     SummationConfig().validated()
 
 
@@ -52,6 +50,37 @@ def test_evaluation_coerces_numpy_scalars():
     assert type(ev.radius) is float
     assert type(ev.terms) is int
     assert repr(ev.midpoint) == "1.5"
+
+
+def test_em_tail_refuses_divergent_exponent():
+    from wreduce.series import _em_tail
+
+    with pytest.raises(ConvergenceUnverified):
+        _em_tail(1024, 1.0)
+
+
+def test_cutoff_ladder_stops_at_max_terms():
+    # 3000 is not a power of two, so a plain doubling ladder overshoots it
+    cfg = SummationConfig(tolerance=1e-6, max_terms=3000)
+    clear_caches()
+    for atom in (EulerSum((2, 1)), MordellTornheim3(1, 1, 1)):
+        ev = eval_atom(atom, cfg)
+        assert ev.radius <= cfg.tolerance
+        assert ev.terms <= cfg.max_terms, atom
+    clear_caches()
+
+
+def test_pair_sum_table_contains_direct_convolution():
+    from wreduce.series import _pair_sum_table
+
+    for a in range(6):
+        for b in range(6):
+            mid, rad = _pair_sum_table(a, b, 300)
+            for u in (2, 3, 7, 50, 299, 300):
+                # int / int rounds correctly: each summand and the fsum are
+                # off by at most half an ulp of the total
+                direct = math.fsum(1 / (m**a * (u - m) ** b) for m in range(1, u))
+                assert abs(mid[u] - direct) <= rad[u] + 2.0**-52 * direct, (a, b, u)
 
 
 def test_zeta_against_reference(cfg8):
@@ -158,7 +187,8 @@ def test_collapsed_gate_rejects_unit_row_sums(cfg6):
 
 
 def test_tolerance_unreachable_reports_certified_radius():
-    cfg = SummationConfig(tolerance=1e-6)
+    # the first-order tail of the collapsed path stops short of the floor
+    cfg = SummationConfig(tolerance=1e-12)
     with pytest.raises(ToleranceUnreachable) as exc:
         eval_atom(WittenSl4((2, 1, 2, 1, 0, 0)), cfg)
     assert "certified radius" in str(exc.value)

@@ -143,10 +143,10 @@ def test_check_pass_on_validated_transcription(cfg6):
     assert rep.verdict == "PASS"
 
 
-def test_check_turns_evaluation_errors_into_inconclusive(cfg6):
-    # the slowly decaying pair sum cannot be certified to 1e-6 within the
-    # configured budget, which must surface as a verdict, not a crash
-    rep = check(build_identity("FACTOR_EQ12", (2, 1, 2, 1)), cfg6)
+def test_check_turns_evaluation_errors_into_inconclusive(cfg8):
+    # the general box path cannot certify this tuple to 1e-8 within its
+    # per-axis cap, which must surface as a verdict, not a crash
+    rep = check(build_identity("SYMMETRY_EQ6", (2, 1, 1, 1, 1, 1)), cfg8)
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.detail.startswith("TOLERANCE_UNREACHABLE:")
     assert math.isnan(rep.gap) and math.isnan(rep.budget)
