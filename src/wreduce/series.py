@@ -8,19 +8,18 @@ that the true value of the series provably lies inside
 * floating-point rounding, bounded by coarse but safe models of pairwise
   and sequential accumulation error.
 
-Tail machinery comes in two flavors.  Fixed-cutoff tails use the midpoint
-integral with a curvature correction (``_em_tail``).  Parametric tails are
-carried as "log-power" (LP) forms: dictionaries mapping ``(p, k)`` to an
-interval coefficient, denoting ``sum coeff * u^-p * ln(u)^k``.  Summing an
-LP form over ``u > U`` uses the elementary sandwich
-
-    integral_U^inf g  - g(U)  <=  sum_{u>U} g(u)  <=  integral_U^inf g
-
-valid for decreasing ``g``, whose closed forms exist for k in {0, 1, 2}.
-All bracketing facts used here (harmonic numbers, zeta tails, prefix power
-sums) are encoded once as small LP builders and composed with interval
-arithmetic, so each evaluator is an assembly of audited pieces rather than
-a bespoke estimate.
+Every tail is carried as a "log-power" (LP) form: a dictionary mapping
+``(p, k)`` to an interval coefficient, denoting ``sum coeff * u^-p * ln(u)^k``.
+One tail engine sums such a form over ``u > U``, or turns it into the LP
+form of ``u |-> sum_{y>u}``: Euler-Maclaurin of order ``EM_ORDER`` = 3
+applied to each entry ``y^-p ln(y)^k`` (p > 1), with the integral, ``-f/2``,
+the B_2, B_4 and B_6 derivative terms and the remainder bound
+``|B_6|/6! * integral_u^inf |f^(6)|``, each in closed form and derived once
+per entry.  The remainder is bounded entry by entry with ``ln >= 0``, so the
+engine holds for integer ``u >= 1``.  All bracketing facts used here
+(harmonic numbers, zeta tails, prefix power sums) are encoded once as small
+LP builders and composed with interval arithmetic, so each evaluator is an
+assembly of audited pieces rather than a bespoke estimate.
 
 The triple-sum evaluator picks a strategy from the zero pattern of the
 composite exponents: ``s5 = 0`` collapses (m1, m2) to their sum u, whose
@@ -35,7 +34,9 @@ is what makes the symmetry check in ``verify`` meaningful.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -146,35 +147,17 @@ def _cumsum(x: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# fixed-cutoff tail: midpoint integral with curvature correction
-
-def _em_tail(N: float, p: float) -> Interval:
-    """Enclosure of sum_{n>N} n^-p for p > 1.
-
-    Midpoint rule on unit cells: the tail is integral_{N+1/2}^inf x^-p dx
-    with per-cell error at most f''/24, whose sum is bounded by
-    (|f'| + f'')(N+1/2)/24.
-    """
-    if not (p > 1 and N >= 8):
-        raise ConvergenceUnverified(f"midpoint tail needs p > 1 and N >= 8, got p={p}, N={N}")
-    c = N + 0.5
-    integral = c ** (1.0 - p) / (p - 1.0)
-    correction = (p * c ** (-p - 1.0) + p * (p + 1.0) * c ** (-p - 2.0)) / 24.0
-    return (integral, correction)
-
-
-# ---------------------------------------------------------------------------
 # log-power (LP) forms: {(p, k): (center, radius)} meaning
 #     sum over entries of  coeff * u^-p * ln(u)^k
 # valid pointwise for every u in the domain the builder states (u >= 2
-# unless noted).  k is capped at 2; exponents may be any float.
+# unless noted).  Exponents are integers stored as floats, so p + 1 is
+# exact; the entry functions are nonnegative for u >= 1, which is what lets
+# an interval coefficient be charged against them.
 
 LogPower = dict[tuple[float, int], Interval]
 
 
 def _lp_add(lp: LogPower, p: float, k: int, cm: float, cr: float) -> None:
-    if k > 2:
-        raise UnsupportedParams("log-power order above ln^2 is never needed here")
     old = lp.get((p, k), (0.0, 0.0))
     lp[(p, k)] = (old[0] + cm, old[1] + cr)
 
@@ -182,8 +165,7 @@ def _lp_add(lp: LogPower, p: float, k: int, cm: float, cr: float) -> None:
 def _lp_scale(lp: LogPower, coef: Interval) -> LogPower:
     out: LogPower = {}
     for (p, k), c in lp.items():
-        m, r = _imul(c, coef)
-        _lp_add(out, p, k, m, r)
+        _lp_add(out, p, k, *_imul(c, coef))
     return out
 
 
@@ -195,8 +177,7 @@ def _lp_mul(lp1: LogPower, lp2: LogPower) -> LogPower:
     out: LogPower = {}
     for (p1, k1), c1 in lp1.items():
         for (p2, k2), c2 in lp2.items():
-            m, r = _imul(c1, c2)
-            _lp_add(out, p1 + p2, k1 + k2, m, r)
+            _lp_add(out, p1 + p2, k1 + k2, *_imul(c1, c2))
     return out
 
 
@@ -212,63 +193,112 @@ def _lp_const(cm: float, cr: float = 0.0) -> LogPower:
     return {(0.0, 0): (cm, cr)}
 
 
-def _logint(U: float, p: float, k: int) -> float:
-    """integral_U^inf x^-p ln(x)^k dx, p > 1, k in {0, 1, 2}."""
-    q = p - 1.0
-    L = math.log(U)
-    base = U**-q
-    if k == 0:
-        return base / q
-    if k == 1:
-        return base * (L / q + 1.0 / q**2)
-    return base * (L * L / q + 2.0 * L / q**2 + 2.0 / q**3)
+def _lp_eval(lp: LogPower, u: float) -> Interval:
+    """Enclosure of the LP form's value at u >= 1."""
+    L = math.log(u)
+    mid = absmid = rad = 0.0
+    for (p, k), (cm, cr) in lp.items():
+        g = u**-p * L**k
+        mid += cm * g
+        absmid += abs(cm * g)
+        rad += cr * g
+    # pow, log^k and the products cost a few ulps per entry
+    return (mid, rad + EPS * (absmid + rad) * (len(lp) + 8))
+
+
+# ---------------------------------------------------------------------------
+# the tail engine: Euler-Maclaurin of order EM_ORDER
+#
+# For f(y) = y^-p ln(y)^k with p > 1 and integer u >= 1 (DLMF 2.10.1, 24.4),
+#   sum_{y>u} f(y) = int_u^inf f - f(u)/2 - sum_{j<=m} B_2j/(2j)! f^(2j-1)(u) + R,
+#   R = -int_u^inf f^(2m)(x) B_2m(x - floor x) dx / (2m)!,
+#   |R| <= |B_2m|/(2m)! int_u^inf |f^(2m)|,
+# since the periodic Bernoulli function never exceeds |B_2m|.  (Dropping the
+# B_2m term instead would need up to twice that bound.)  Every derivative of f is
+# a sum of y^-(p+i) ln(y)^(k-l) terms, so the whole right side is an LP form
+# in u.  It is derived once per (p, k) in exact rational arithmetic;
+# |f^(2m)| is bounded entry by entry (ln >= 0), so the remainder is a set of
+# radius-only entries.
+
+EM_ORDER = 3
+_B2J = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66))
+
+Exact = dict[tuple[int, int], Fraction]  # an LP form with exact coefficients
+
+
+def _lp_deriv(f: Exact) -> Exact:
+    """d/du of an exact LP form."""
+    out: Exact = defaultdict(int)
+    for (p, k), c in f.items():
+        out[(p + 1, k)] -= p * c
+        if k:
+            out[(p + 1, k - 1)] += k * c
+    return out
+
+
+def _lp_integral(f: Exact) -> Exact:
+    """u |-> int_u^inf of an exact LP form, entry by entry, with q = p - 1 > 0:
+
+        int_u^inf y^-p ln(y)^k dy = u^-q sum_{i<=k} k!/(k-i)! ln(u)^(k-i) / q^(i+1)
+    """
+    out: Exact = defaultdict(int)
+    for (p, k), c in f.items():
+        if p <= 1:
+            raise ConvergenceUnverified(f"tail exponent {p} (ln^{k}) is not summable")
+        coef = Fraction(c, p - 1)
+        for i in range(k + 1):
+            out[(p - 1, k - i)] += coef
+            coef = coef * (k - i) / (p - 1)
+    return out
+
+
+def _unit_resum(p: float, k: int) -> LogPower:
+    """u |-> sum_{y>u} y^-p ln(y)^k as an LP form, valid for integer u >= 1."""
+
+    def build() -> LogPower:
+        if p != int(p):
+            raise UnsupportedParams(f"tail exponent {p} is not an integer")
+        derivs = [{(int(p), k): 1}]  # f, f', ..., f^(2m)
+        for _ in range(2 * EM_ORDER):
+            derivs.append(_lp_deriv(derivs[-1]))
+        exact = _lp_integral(derivs[0])
+        exact[(int(p), k)] -= Fraction(1, 2)
+        for j in range(1, EM_ORDER + 1):
+            for key, c in derivs[2 * j - 1].items():
+                exact[key] -= _B2J[j - 1] / math.factorial(2 * j) * c
+        w = abs(_B2J[EM_ORDER - 1]) / math.factorial(2 * EM_ORDER)
+        rem = _lp_integral({key: w * abs(c) for key, c in derivs[-1].items()})
+        # one correctly rounded conversion per coefficient, covered by EPS
+        out: LogPower = {}
+        for key in sorted(exact.keys() | rem.keys()):
+            c, r = exact[key], rem[key]
+            out[(float(key[0]), key[1])] = (float(c), float(r) + EPS * float(abs(c) + r))
+        return out
+
+    return _memo(("R", p, k), build)
 
 
 def _lp_tail(lp: LogPower, U: int) -> Interval:
-    """Enclosure of sum_{u>U} of the LP form.
-
-    Per entry the sandwich [integral - g(U), integral] applies (the entry
-    functions are decreasing for u >= 3 at the exponents used here); an
-    entry with p <= 1 means the tail cannot be certified.
-    """
-    mid = 0.0
-    rad = 0.0
-    L = math.log(U)
-    for (p, k), (cm, cr) in lp.items():
-        if p <= 1.0:
-            raise ConvergenceUnverified(
-                f"tail exponent {p} (ln^{k}) is not summable past the box"
-            )
-        integral = _logint(U, p, k)
-        width = U**-p * L**k
-        lo = max(0.0, integral - width)
-        mid += cm * (lo + integral) / 2.0
-        rad += abs(cm) * (integral - lo) / 2.0 + cr * integral
-    return (mid, rad + EPS * (abs(mid) + rad) * (len(lp) + 2))
+    """Enclosure of sum_{u>U} of the LP form, U >= 1."""
+    unit_tails = _memo(("T", U), dict)  # (p, k) -> sum_{u>U} u^-p ln(u)^k
+    mid = absmid = rad = 0.0
+    for key, c in lp.items():
+        t = unit_tails.get(key)
+        if t is None:
+            t = unit_tails[key] = _lp_eval(_unit_resum(*key), U)
+        m, r = _imul(c, t)
+        mid += m
+        absmid += abs(m)
+        rad += r
+    return (mid, rad + EPS * (absmid + rad) * (len(lp) + 2))
 
 
 def _lp_resum(lp: LogPower) -> LogPower:
-    """The LP form of u |-> sum_{y>u} f(y), where f is the given LP form.
-
-    Uses the same sandwich entrywise: sum_{y>u} y^-p ln^k y equals the
-    closed-form integral minus an interval [0, u^-p ln^k u].
-    """
+    """The LP form of u |-> sum_{y>u} f(y), where f is the given LP form."""
     out: LogPower = {}
     for (p, k), c in lp.items():
-        if p <= 1.0:
-            raise ConvergenceUnverified(f"resummed exponent {p} is not summable")
-        q = p - 1.0
-        if k == 0:
-            parts = [(q, 0, 1.0 / q)]
-        elif k == 1:
-            parts = [(q, 1, 1.0 / q), (q, 0, 1.0 / q**2)]
-        else:
-            parts = [(q, 2, 1.0 / q), (q, 1, 2.0 / q**2), (q, 0, 2.0 / q**3)]
-        for pp, kk, coef in parts:
-            m, r = _imul(c, (coef, 0.0))
-            _lp_add(out, pp, kk, m, r)
-        m, r = _imul(c, (-0.5, 0.5))  # the [-g, 0] sandwich width
-        _lp_add(out, p, k, m, r)
+        for (pp, kk), t in _unit_resum(p, k).items():
+            _lp_add(out, pp, kk, *_imul(c, t))
     return out
 
 
@@ -276,22 +306,26 @@ def _lp_resum(lp: LogPower) -> LogPower:
 
 def _lp_tailzeta(j: int) -> LogPower:
     """tailzeta(u, j) = sum_{n>u} n^-j as an LP form in u, j >= 2."""
-    return {(float(j - 1), 0): (1.0 / (j - 1), 0.0), (float(j), 0): (-0.5, 0.5)}
+    return _lp_resum({(float(j), 0): (1.0, 0.0)})
 
 
 def _lp_tailzeta_prev(j: int) -> LogPower:
     """tailzeta(u-1, j) = tailzeta(u, j) + u^-j."""
-    lp = _lp_tailzeta(j)
-    _lp_add(lp, float(j), 0, 1.0, 0.0)
-    return lp
+    return _lp_sum(_lp_tailzeta(j), {(float(j), 0): (1.0, 0.0)})
 
 
 def _lp_harmonic() -> LogPower:
-    """H_u = ln u + gamma + [0, 1/(2u)]."""
+    """H_u = ln u + gamma + 1/(2u) - 1/(12u^2) + [0, 1/(120u^4)], u >= 1.
+
+    The asymptotic series of H_u encloses: the error of a truncation has
+    the sign of the first omitted term and is smaller in size.
+    """
     return {
         (0.0, 1): (1.0, 0.0),
-        (0.0, 0): (EULER_GAMMA, 2e-16),
-        (1.0, 0): (0.25, 0.25),
+        (0.0, 0): (EULER_GAMMA, EPS),
+        (1.0, 0): (0.5, 0.0),
+        (2.0, 0): (-1.0 / 12.0, EPS),
+        (4.0, 0): (1.0 / 240.0, 1.0 / 240.0 + EPS),
     }
 
 
@@ -300,11 +334,14 @@ def _lp_prefix_prev(j: int, cfg: SummationConfig) -> LogPower:
     if j == 0:
         return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
     if j == 1:
-        lp = _lp_harmonic()
-        _lp_add(lp, 1.0, 0, -1.0, 0.0)  # H_{u-1} = H_u - 1/u
-        return lp
+        return _lp_sum(_lp_harmonic(), {(1.0, 0): (-1.0, 0.0)})  # H_{u-1} = H_u - 1/u
+    return _lp_sum(_lp_zeta(j, cfg), _lp_scale(_lp_tailzeta_prev(j), (-1.0, 0.0)))
+
+
+def _lp_zeta(j: int, cfg: SummationConfig) -> LogPower:
+    """The constant zeta(j), certified at the floor."""
     z = _zeta_getter(cfg)(j)
-    return _lp_sum(_lp_const(z.midpoint, z.radius), _lp_scale(_lp_tailzeta_prev(j), (-1.0, 0.0)))
+    return _lp_const(z.midpoint, z.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +357,14 @@ def _power_array(U: int, e: int) -> np.ndarray:
 class _Workspace:
     """Per-process cache of atom evaluations and certified tables.
 
-    Keys include the tolerance bucket so a looser request can reuse a
-    tighter cached result but never the other way around.
+    Atom keys include the caps and the tolerance bucket, so a looser request
+    can reuse a tighter cached result under the same caps, but never the
+    other way around.
     """
 
     def __init__(self):
         self.atoms: dict[tuple, Evaluation] = {}
-        self.tables: dict[tuple, tuple] = {}
+        self.tables: dict[tuple, object] = {}
 
     def clear(self):
         self.atoms.clear()
@@ -343,6 +381,24 @@ def clear_caches() -> None:
 
 def _bucket(tol: float) -> int:
     return max(0, math.ceil(-math.log10(tol) - 1e-9))
+
+
+def _memo(key: tuple, build):
+    """The cached table under ``key``, built on first use."""
+    hit = _WS.tables.get(key)
+    if hit is None:
+        hit = _WS.tables[key] = build()
+    return hit
+
+
+def _with_tol(cfg: SummationConfig, tol: float) -> SummationConfig:
+    """``cfg`` with its caps and the tolerance ``tol``, clamped at the floor."""
+    return SummationConfig(max(tol, TOLERANCE_FLOOR), cfg.max_terms, cfg.max_terms_3d)
+
+
+def _caps(cfg: SummationConfig) -> tuple[int, int]:
+    """The atom-key part that keeps results computed under other caps apart."""
+    return (cfg.max_terms, cfg.max_terms_3d)
 
 
 def _cached_atom(key: tuple, tol: float, compute) -> Evaluation:
@@ -363,7 +419,7 @@ def _cutoff(tail_at, budget: float, start: int, cap: int) -> tuple[int, Interval
     budget it is returned anyway, and the caller's radius check refuses.
     Returns the cutoff and ``tail_at`` of it.
     """
-    n = start
+    n = min(start, cap)
     while True:
         tail = tail_at(n)
         if tail[1] <= budget or n >= cap:
@@ -381,7 +437,7 @@ def eval_zeta(s: int, cfg: SummationConfig) -> Evaluation:
         tol = cfg.tolerance
 
         def tail_at(n: int) -> Interval:
-            mid, rad = _em_tail(n, float(s))
+            mid, rad = _lp_tail({(float(s), 0): (1.0, 0.0)}, n)
             return (mid, rad + _sum_err(2.0, n))  # plus the partial sum's rounding
 
         N, (tmid, radius) = _cutoff(tail_at, tol / 2.0, 32, cfg.max_terms)
@@ -393,15 +449,11 @@ def eval_zeta(s: int, cfg: SummationConfig) -> Evaluation:
         part = float(np.sum(n ** float(-s)))
         return Evaluation(part + tmid, radius, N)
 
-    return _cached_atom(("Z", s), cfg.tolerance, compute)
+    return _cached_atom(("Z", s) + _caps(cfg), cfg.tolerance, compute)
 
 
 def _zeta_getter(cfg: SummationConfig):
-    inner = SummationConfig(
-        tolerance=TOLERANCE_FLOOR,
-        max_terms=cfg.max_terms,
-        max_terms_3d=cfg.max_terms_3d,
-    )
+    inner = _with_tol(cfg, TOLERANCE_FLOOR)
 
     def zeta_of(j: int) -> Evaluation:
         return eval_zeta(j, inner)
@@ -411,30 +463,25 @@ def _zeta_getter(cfg: SummationConfig):
 
 def _prefix_table(j: int, U: int) -> tuple[np.ndarray, float]:
     """P_j[u] = sum_{m<=u} m^-j for u = 0..U, with a uniform radius."""
-    key = ("P", j, U)
-    hit = _WS.tables.get(key)
-    if hit is not None:
-        return hit
-    if j == 0:
-        out = (np.arange(U + 1, dtype=float), 0.0)  # integers, exact
-    else:
+
+    def build() -> tuple[np.ndarray, float]:
+        if j == 0:
+            return (np.arange(U + 1, dtype=float), 0.0)  # integers, exact
         pref, coeff = _cumsum(np.arange(1, U + 1, dtype=float) ** float(-j))
-        out = (np.concatenate(([0.0], pref)), coeff * EPS * float(pref[-1]))
-    _WS.tables[key] = out
-    return out
+        return (np.concatenate(([0.0], pref)), coeff * EPS * float(pref[-1]))
+
+    return _memo(("P", j, U), build)
 
 
 def _tailzeta_table(j: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray, float]:
     """t[u] = sum_{m>u} m^-j for u = 0..U, with a uniform radius."""
-    key = ("tz", j, U)
-    hit = _WS.tables.get(key)
-    if hit is not None:
-        return hit
-    z = _zeta_getter(cfg)(j)
-    P, prad = _prefix_table(j, U)
-    out = (z.midpoint - P, z.radius + prad + EPS * z.midpoint)
-    _WS.tables[key] = out
-    return out
+
+    def build() -> tuple[np.ndarray, float]:
+        z = _zeta_getter(cfg)(j)
+        P, prad = _prefix_table(j, U)
+        return (z.midpoint - P, z.radius + prad + EPS * z.midpoint)
+
+    return _memo(("tz", j, U), build)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +512,7 @@ def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray,
         if f < 2:
             raise ConvergenceUnverified("inner pair sum needs f >= 2 when c = 0")
         t, rad = _tailzeta_table(f, U, cfg)
-        mid = t.copy()
-        return mid, np.full(U + 1, rad)
+        return t.copy(), np.full(U + 1, rad)
     if f == 0:
         if c < 2:
             raise ConvergenceUnverified("inner pair sum needs c >= 2 when f = 0")
@@ -495,10 +541,7 @@ def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray,
         scale = coef * u ** float(-pw)
         mid += scale * z.midpoint
         rad += np.abs(scale) * z.radius
-    for idx, (coef, pw) in enumerate(B):
-        j = idx + 1
-        if j == 1:
-            continue  # paired into A_1 H_u
+    for j, (coef, pw) in enumerate(B[1:], start=2):  # B_1 is paired into A_1 H_u
         t, trad = _tailzeta_table(j, U, cfg)
         scale = coef * u ** float(-pw)
         mid += scale * t
@@ -508,28 +551,23 @@ def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray,
 
 
 def _lp_g_bracket(c: int, f: int, cfg: SummationConfig) -> LogPower:
-    """Two-sided LP enclosure of G_{c,f}(u), valid for u >= 2."""
-    zeta_of = _zeta_getter(cfg)
-    if c == 0:
-        return _lp_tailzeta(f)
-    if f == 0:
-        z = zeta_of(c)
-        return _lp_const(z.midpoint, z.radius)
-    out: LogPower = {}
-    A, B = _g_pf_coeffs(c, f)
-    coefA1, powA1 = A[0]
-    for (p, k), (cm, cr) in _lp_harmonic().items():
-        _lp_add(out, p + powA1, k, coefA1 * cm, abs(coefA1) * cr)
-    for coef, pw in A[1:]:
-        z = zeta_of(c + f - pw)
-        _lp_add(out, float(pw), 0, coef * z.midpoint, abs(coef) * z.radius)
-    for idx, (coef, pw) in enumerate(B):
-        j = idx + 1
-        if j == 1:
-            continue
-        for (p, k), (cm, cr) in _lp_tailzeta(j).items():
-            _lp_add(out, p + pw, k, coef * cm, abs(coef) * cr)
-    return out
+    """Two-sided LP enclosure of G_{c,f}(u), valid for u >= 2 (shared: do not mutate)."""
+
+    def build() -> LogPower:
+        if c == 0:
+            return _lp_tailzeta(f)
+        if f == 0:
+            return _lp_zeta(c, cfg)
+        A, B = _g_pf_coeffs(c, f)
+        # A_1 H_u absorbs the divergent B_1 piece; the rest are zetas and zeta tails
+        parts = [(A[0], _lp_harmonic())]
+        parts += [((coef, pw), _lp_zeta(c + f - pw, cfg)) for coef, pw in A[1:]]
+        parts += [(B[j - 1], _lp_tailzeta(j)) for j in range(2, f + 1)]
+        return _lp_sum(*(
+            _lp_scale(_lp_shift(lp, float(pw)), (float(coef), 0.0)) for (coef, pw), lp in parts
+        ))
+
+    return _memo(("G", c, f) + _caps(cfg), build)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +580,8 @@ def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
         a, b, c = atom.a, atom.b, atom.c
         tol = cfg.tolerance
         if c == 0:
-            za = eval_zeta(a, _scaled(cfg, 0.25))
-            zb = eval_zeta(b, _scaled(cfg, 0.25))
+            za = eval_zeta(a, _with_tol(cfg, 0.25 * cfg.tolerance))
+            zb = eval_zeta(b, _with_tol(cfg, 0.25 * cfg.tolerance))
             m, r = _imul((za.midpoint, za.radius), (zb.midpoint, zb.radius))
             return Evaluation(m, r, max(za.terms, zb.terms))
 
@@ -564,15 +602,7 @@ def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
             )
         return Evaluation(box + tail[0], radius, M)
 
-    return _cached_atom(("MT", atom.a, atom.b, atom.c), cfg.tolerance, compute)
-
-
-def _scaled(cfg: SummationConfig, factor: float) -> SummationConfig:
-    return SummationConfig(
-        tolerance=max(cfg.tolerance * factor, TOLERANCE_FLOOR),
-        max_terms=cfg.max_terms,
-        max_terms_3d=cfg.max_terms_3d,
-    )
+    return _cached_atom(("MT", atom.a, atom.b, atom.c) + _caps(cfg), cfg.tolerance, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +622,7 @@ def eval_euler(atom: EulerSum, cfg: SummationConfig) -> Evaluation:
             return _euler2(idx[0], idx[1], cfg)
         return _euler3(idx[0], idx[1], idx[2], cfg)
 
-    return _cached_atom(("E",) + idx, cfg.tolerance, compute)
+    return _cached_atom(("E",) + idx + _caps(cfg), cfg.tolerance, compute)
 
 
 def _euler2(s1: int, s2: int, cfg: SummationConfig) -> Evaluation:
@@ -613,10 +643,9 @@ def _euler2(s1: int, s2: int, cfg: SummationConfig) -> Evaluation:
 
 def _euler3_tail_lp(s1: int, s2: int, s3: int, cfg: SummationConfig) -> LogPower:
     """LP form (in x) of x^-s1 * D(x-1) where D(n) = sum_{y<=n} y^-s2 P_{s3}(y-1)."""
-    zeta_of = _zeta_getter(cfg)
     if s2 >= 2:
         # D(x-1) = D_inf - sum_{y>=x} y^-s2 P_{s3}(y-1)
-        dinf = eval_euler(EulerSum((s2, s3)), _scaled(cfg, 0.1))
+        dinf = eval_euler(EulerSum((s2, s3)), _with_tol(cfg, 0.1 * cfg.tolerance))
         summand = _euler2_tail_lp(s2, s3, cfg)  # y^-s2 P_{s3}(y-1) in y
         ge_x = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x} + at x
         d_lp = _lp_sum(_lp_const(dinf.midpoint, dinf.radius), _lp_scale(ge_x, (-1.0, 0.0)))
@@ -624,15 +653,13 @@ def _euler3_tail_lp(s1: int, s2: int, s3: int, cfg: SummationConfig) -> LogPower
     if s3 >= 2:
         # D(n) = zeta(s3) H_n - kappa + sum_{y>n} y^-1 tailzeta(y-1, s3)
         # with kappa = sum_m m^-s3 H_m = E(s3,1) + zeta(s3+1)
-        z3 = zeta_of(s3)
-        e_part = eval_euler(EulerSum((s3, 1)), _scaled(cfg, 0.1))
-        z_next = zeta_of(s3 + 1)
-        kappa = (e_part.midpoint + z_next.midpoint, e_part.radius + z_next.radius)
+        e_part = eval_euler(EulerSum((s3, 1)), _with_tol(cfg, 0.1 * cfg.tolerance))
         summand = _lp_shift(_lp_tailzeta_prev(s3), 1.0)  # y^-1 tailzeta(y-1,s3)
         gt_prev = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x-1}
         d_lp = _lp_sum(
-            _lp_scale(_lp_prefix_prev(1, cfg), (z3.midpoint, z3.radius)),
-            _lp_const(-kappa[0], kappa[1]),
+            _lp_mul(_lp_prefix_prev(1, cfg), _lp_zeta(s3, cfg)),
+            _lp_const(-e_part.midpoint, e_part.radius),
+            _lp_scale(_lp_zeta(s3 + 1, cfg), (-1.0, 0.0)),
             gt_prev,
         )
         return _lp_shift(d_lp, float(s1))
@@ -700,31 +727,30 @@ def _pair_sum_weights(a: int, b: int) -> dict[int, int]:
 
 def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     """(mid, rad) arrays of S_{a,b}(u) for u = 0..U; S(0) = S(1) = 0 exactly."""
-    key = ("S", a, b, U)
-    hit = _WS.tables.get(key)
-    if hit is not None:
-        return hit
-    u = np.arange(2, U + 1, dtype=float)
-    mid = np.zeros(U + 1)
-    rad = np.zeros(U + 1)
-    weights = _pair_sum_weights(a, b)
-    for j, w in weights.items():
-        P, prad = _prefix_table(j, U)
-        scale = w * u ** float(j - a - b)
-        mid[2:] += scale * P[1:-1]
-        rad[2:] += scale * prad
-    # every summand is nonnegative, so mid bounds their absolute sum
-    rad += EPS * (mid + rad) * (len(weights) + 4)
-    _WS.tables[key] = (mid, rad)
-    return mid, rad
+
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        u = np.arange(2, U + 1, dtype=float)
+        mid = np.zeros(U + 1)
+        rad = np.zeros(U + 1)
+        weights = _pair_sum_weights(a, b)
+        for j, w in weights.items():
+            P, prad = _prefix_table(j, U)
+            scale = w * u ** float(j - a - b)
+            mid[2:] += scale * P[1:-1]
+            rad[2:] += scale * prad
+        # every summand is nonnegative, so mid bounds their absolute sum
+        rad += EPS * (mid + rad) * (len(weights) + 4)
+        return mid, rad
+
+    return _memo(("S", a, b, U), build)
 
 
 def _collapsed_s12_lp(a: int, b: int, cfg: SummationConfig) -> LogPower:
-    """Two-sided LP enclosure of S_{a,b}(u): the closed form, term by term."""
-    return _lp_sum(*(
+    """Two-sided LP enclosure of S_{a,b}(u), term by term (shared: do not mutate)."""
+    return _memo(("S12", a, b) + _caps(cfg), lambda: _lp_sum(*(
         _lp_scale(_lp_shift(_lp_prefix_prev(j, cfg), float(a + b - j)), (float(w), 0.0))
         for j, w in _pair_sum_weights(a, b).items()
-    ))
+    )))
 
 
 def _weighted_product_sum(w: np.ndarray, x: tuple, y: tuple) -> Interval:
@@ -809,9 +835,7 @@ def _face_tail(
     for q, cmat in corrections:
         A += q * cmat
         B2 += q * cmat * cmat
-    t0 = _em_tail(N, float(p))
-    t1 = _em_tail(N, float(p + 1))
-    t2 = _em_tail(N, float(p + 2))
+    t0, t1, t2 = (_lp_tail({(float(p + i), 0): (1.0, 0.0)}, N) for i in range(3))
     lo_cells = np.maximum(0.0, (t0[0] - t0[1]) - A * (t1[0] + t1[1]))
     hi_cells = (t0[0] + t0[1]) - A * np.maximum(0.0, t1[0] - t1[1]) + 0.5 * (B2 + A * A) * (
         t2[0] + t2[1]
@@ -880,42 +904,37 @@ def _routed_region_bound(s: tuple[int, ...], N: int, big: tuple[int, ...]) -> fl
     return best
 
 
-def _general_tail_budget(s: tuple[int, ...], N: int) -> tuple[Interval, bool]:
+def _general_tail_budget(s: tuple[int, ...], N: int) -> Interval:
     """Total enclosure of everything outside the [1,N]^3 box."""
     s1, s2, s3, s4, s5, s6 = s
     m = np.arange(1, N + 1, dtype=float)
     col = m[:, None]
     row = m[None, :]
 
-    mid = 0.0
-    rad = 0.0
-    # face m1 > N: small grid (m2, m3)
-    w = col ** float(-s2) * row ** float(-s3) * (col + row) ** float(-s5)
-    fmid, frad = _face_tail(N, s1 + s4 + s6, w, [(s4, col + 0 * row), (s6, col + row)])
-    mid += fmid
-    rad += frad
-    # face m3 > N: small grid (m1, m2)
-    w = col ** float(-s1) * row ** float(-s2) * (col + row) ** float(-s4)
-    fmid, frad = _face_tail(N, s3 + s5 + s6, w, [(s5, 0 * col + row), (s6, col + row)])
-    mid += fmid
-    rad += frad
-    # face m2 > N: small grid (m1, m3)
-    w = col ** float(-s1) * row ** float(-s3)
-    fmid, frad = _face_tail(
-        N, s2 + s4 + s5 + s6, w, [(s4, col + 0 * row), (s5, 0 * col + row), (s6, col + row)]
-    )
-    mid += fmid
-    rad += frad
+    faces = [
+        # m1 > N over the small grid (m2, m3)
+        (s1 + s4 + s6, col ** float(-s2) * row ** float(-s3) * (col + row) ** float(-s5),
+         [(s4, col + 0 * row), (s6, col + row)]),
+        # m3 > N over (m1, m2)
+        (s3 + s5 + s6, col ** float(-s1) * row ** float(-s2) * (col + row) ** float(-s4),
+         [(s5, 0 * col + row), (s6, col + row)]),
+        # m2 > N over (m1, m3)
+        (s2 + s4 + s5 + s6, col ** float(-s1) * row ** float(-s3),
+         [(s4, col + 0 * row), (s5, 0 * col + row), (s6, col + row)]),
+    ]
+    mid = rad = 0.0
+    for p, w, corrections in faces:
+        fmid, frad = _face_tail(N, p, w, corrections)
+        mid += fmid
+        rad += frad
 
-    ok = True
     for big in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
         bound = _routed_region_bound(s, N, big)
         if not math.isfinite(bound):
-            ok = False
-            break
+            raise ConvergenceUnverified(f"W{s}: outer regions cannot be certified")
         mid += bound / 2.0
         rad += bound / 2.0
-    return (mid, rad), ok
+    return (mid, rad)
 
 
 def _general_box(s: tuple[int, ...], N: int) -> tuple[float, float]:
@@ -931,44 +950,29 @@ def _general_box(s: tuple[int, ...], N: int) -> tuple[float, float]:
     idx3 = np.arange(0, 3 * N + 1, dtype=float)
     idx3[0] = 1.0
     tab6 = idx3 ** float(-s6)
+    # hankel[j] = tab6[j:j+N]: rows i2+2 .. i2+N+1 are (i1+i2+i3)^-s6, no index gather
+    hankel = np.lib.stride_tricks.sliding_window_view(tab6, N)
     ints = np.arange(1, N + 1)
 
     total = 0.0
     for i2 in range(1, N + 1):
         colv = v1 * tab4[ints + i2]
         roww = v3 * tab5[i2 + ints]
-        m6 = tab6[np.add.outer(ints + i2, ints)]
+        m6 = np.ascontiguousarray(hankel[i2 + 2 : i2 + 2 + N])
         total += v2[i2 - 1] * float(colv @ (m6 @ roww))
     err = _sum_err(total, N * N * N) + EPS * total * (math.log2(N) + 8)
     return total, err
 
 
 def _eval_w4_general(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
-    s1, s2, s3, s4, s5, s6 = s
+    """The boxed sum; the dispatcher has already applied the directional gate."""
     tol = cfg.tolerance
-    sigma1 = s1 + s4 + s6
-    sigma2 = s2 + s4 + s5 + s6
-    sigma3 = s3 + s5 + s6
-    if min(sigma1, sigma2, sigma3) < 3 or sum(s) < 4:
-        raise ConvergenceUnverified(
-            f"W{s}: directional exponents {(sigma1, sigma2, sigma3)} below the certifiable range"
-        )
-
-    ladder = [n for n in (64, 128, 256, 400, 512) if n < cfg.max_terms_3d]
-    ladder.append(cfg.max_terms_3d)
-    chosen = None
-    for N in ladder:
-        tail, ok = _general_tail_budget(s, N)
-        if not ok:
-            raise ConvergenceUnverified(f"W{s}: outer regions cannot be certified")
-        if tail[1] <= tol / 2.0:
-            chosen = (N, tail)
-            break
-    if chosen is None:
+    N, tail = _cutoff(lambda n: _general_tail_budget(s, n), tol / 2.0, 64, cfg.max_terms_3d)
+    if tail[1] > tol / 2.0:
+        # refuse before paying for the box at the cap
         raise ToleranceUnreachable(
             f"W{s}: tail radius {tail[1]:.3e} exceeds {tol / 2:.3e} at the box cap"
         )
-    N, tail = chosen
     box, boxerr = _general_box(s, N)
     radius = tail[1] + boxerr
     if radius > tol:
@@ -994,7 +998,7 @@ def eval_witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
             result = (1.0, 0.0)
             terms = 0
             for e in (s1, s2, s3):
-                z = eval_zeta(e, _scaled(cfg, 0.2))
+                z = eval_zeta(e, _with_tol(cfg, 0.2 * cfg.tolerance))
                 result = _imul(result, (z.midpoint, z.radius))
                 terms = max(terms, z.terms)
             return Evaluation(result[0], result[1], terms)
@@ -1019,7 +1023,7 @@ def eval_witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
             return _eval_w4_hub(s, cfg)
         return _eval_w4_general(s, cfg)
 
-    return _cached_atom(("W",) + s, cfg.tolerance, compute)
+    return _cached_atom(("W",) + s + _caps(cfg), cfg.tolerance, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,20 +1050,15 @@ def eval_term(term: Term, cfg: SummationConfig) -> Evaluation:
         return eval_atom(factors[0], cfg)
 
     # coarse magnitudes decide how the tolerance splits across factors
-    coarse_cfg = SummationConfig(
-        tolerance=1e-3, max_terms=cfg.max_terms, max_terms_3d=cfg.max_terms_3d
-    )
+    coarse_cfg = _with_tol(cfg, 1e-3)
     mags = [abs(eval_atom(f, coarse_cfg).midpoint) + 1e-3 for f in factors]
     k = len(factors)
     result = (1.0, 0.0)
     max_terms_used = 0
     for i, factor in enumerate(factors):
-        others = 1.0
-        for j, mg in enumerate(mags):
-            if j != i:
-                others *= mg
-        f_tol = max(cfg.tolerance / (2.0 * k * max(others, 1e-9)), TOLERANCE_FLOOR)
-        ev = eval_atom(factor, SummationConfig(f_tol, cfg.max_terms, cfg.max_terms_3d))
+        others = math.prod(mags[:i] + mags[i + 1:])
+        f_tol = cfg.tolerance / (2.0 * k * max(others, 1e-9))
+        ev = eval_atom(factor, _with_tol(cfg, f_tol))
         result = _imul(result, (ev.midpoint, ev.radius))
         max_terms_used = max(max_terms_used, ev.terms)
     return Evaluation(result[0], result[1], max_terms_used)
@@ -1076,8 +1075,8 @@ def eval_lincomb(lc: LinearCombination, cfg: SummationConfig) -> Evaluation:
     max_terms_used = 0
     for term, coef in entries:
         c = float(coef)
-        share = max(cfg.tolerance / (2.0 * n * max(1.0, abs(c))), TOLERANCE_FLOOR)
-        ev = eval_term(term, SummationConfig(share, cfg.max_terms, cfg.max_terms_3d))
+        share = cfg.tolerance / (2.0 * n * max(1.0, abs(c)))
+        ev = eval_term(term, _with_tol(cfg, share))
         mid += c * ev.midpoint
         rad += abs(c) * ev.radius + EPS * abs(c * ev.midpoint) * 2
         max_terms_used = max(max_terms_used, ev.terms)

@@ -1,0 +1,59 @@
+"""Closed-form oracles for the Euler-Maclaurin tail engine and its consumers.
+
+Reference values come from mpmath at 40 digits, independent of every code
+path in ``series``.
+"""
+
+import math
+
+import pytest
+
+from wreduce.exact import EulerSum, MordellTornheim3, SingleZeta
+from wreduce.series import SummationConfig, _lp_eval, _lp_harmonic, _lp_tail, eval_atom
+
+mp = pytest.importorskip("mpmath").mp
+mp.dps = 40
+
+
+@pytest.mark.parametrize("U", [32, 1024])
+@pytest.mark.parametrize("p,k", [(2, 0), (3, 1), (2, 2), (7, 2)])
+def test_one_entry_tail_against_hurwitz(p, k, U):
+    mid, rad = _lp_tail({(float(p), k): (1.0, 0.0)}, U)
+    # d^k/ds^k zeta(s, a) = (-1)^k sum_n ln(n + a)^k (n + a)^-s
+    ref = (-1) ** k * mp.zeta(p, U + 1, k)
+    assert abs(mp.mpf(mid) - ref) <= rad
+    assert rad <= 1e-3 * U**-p * math.log(U) ** k
+
+
+def _closed_forms():
+    z = mp.zeta
+    return [
+        (EulerSum((2, 1)), z(3)),
+        (EulerSum((3, 1)), mp.pi**4 / 360),
+        (EulerSum((2, 1, 1)), z(4)),
+        (EulerSum((2, 2)), (z(2) ** 2 - z(4)) / 2),
+        (EulerSum((3, 3)), (z(3) ** 2 - z(6)) / 2),
+        (EulerSum((4, 1)), 2 * z(5) - z(2) * z(3)),
+        (EulerSum((3, 1, 1)), 2 * z(5) - z(2) * z(3)),
+        (MordellTornheim3(1, 1, 1), 2 * z(3)),
+        (MordellTornheim3(2, 2, 0), z(2) ** 2),
+        (SingleZeta(2), mp.pi**2 / 6),
+    ]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_atoms_contain_closed_forms(tol):
+    cfg = SummationConfig(tolerance=tol)
+    for atom, ref in _closed_forms():
+        ev = eval_atom(atom, cfg)
+        assert ev.radius <= tol, atom.render()
+        assert abs(mp.mpf(ev.midpoint) - ref) <= ev.radius, atom.render()
+
+
+def test_harmonic_form_contains_harmonic_numbers():
+    lp = _lp_harmonic()
+    for u in range(2, 2001):
+        h = math.fsum(1.0 / m for m in range(1, u + 1))
+        mid, rad = _lp_eval(lp, u)
+        # each 1/m and the fsum round once: half an ulp of h apiece
+        assert abs(mid - h) <= rad + 2.0**-52 * h, u

@@ -53,13 +53,15 @@ def test_evaluation_coerces_numpy_scalars():
 
 
 def test_em_tail_refuses_divergent_exponent():
-    from wreduce.series import _em_tail
+    from wreduce.series import _lp_tail
 
     with pytest.raises(ConvergenceUnverified):
-        _em_tail(1024, 1.0)
+        _lp_tail({(1.0, 0): (1.0, 0.0)}, 1024)
 
 
 def test_cutoff_ladder_stops_at_max_terms():
+    from wreduce.series import _cutoff
+
     # 3000 is not a power of two, so a plain doubling ladder overshoots it
     cfg = SummationConfig(tolerance=1e-6, max_terms=3000)
     clear_caches()
@@ -67,6 +69,33 @@ def test_cutoff_ladder_stops_at_max_terms():
         ev = eval_atom(atom, cfg)
         assert ev.radius <= cfg.tolerance
         assert ev.terms <= cfg.max_terms, atom
+    clear_caches()
+    # a tail that never fits its budget ends on the clamp itself
+    n, tail = _cutoff(lambda n: (0.0, 1.0), 1e-6, 1024, 3000)
+    assert n == 3000
+    assert tail == (0.0, 1.0)
+
+
+def test_atom_cache_keys_on_caps():
+    clear_caches()
+    atom = WittenSl4((1, 1, 1, 1, 1, 1))
+    assert eval_atom(atom, SummationConfig(tolerance=1e-6)).terms == 400
+    try:
+        ev = eval_atom(atom, SummationConfig(tolerance=1e-6, max_terms_3d=64))
+    except ToleranceUnreachable:
+        pass
+    else:
+        assert ev.terms <= 64
+    clear_caches()
+
+
+def test_inner_zetas_certify_under_a_small_cap():
+    # inner zetas are asked for at the 1e-12 floor whatever the caller's
+    # tolerance, so they must get there well inside max_terms
+    clear_caches()
+    ev = eval_atom(EulerSum((2, 1, 1)), SummationConfig(tolerance=1e-6, max_terms=3000))
+    assert ev.radius <= 1e-6
+    assert ev.terms <= 3000
     clear_caches()
 
 
