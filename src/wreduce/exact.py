@@ -187,8 +187,15 @@ class Term:
     factors: tuple[Atom, ...] = ()
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.factors, key=atom_key))
-        object.__setattr__(self, "factors", ordered)
+        factors = tuple(self.factors)
+        if len(factors) > 1:
+            factors = tuple(sorted(factors, key=atom_key))
+        object.__setattr__(self, "factors", factors)
+        # terms are the dict keys of every accumulation: hash them once
+        object.__setattr__(self, "_hash", hash(factors))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def weight(self) -> int:
@@ -203,12 +210,23 @@ class Term:
         return (self.weight, len(self.factors), tuple(atom_key(f) for f in self.factors))
 
 
+def _accumulate(acc: dict, term: Term, coef: Fraction) -> None:
+    """acc[term] += coef, deleting the entry when it cancels to zero."""
+    total = acc.get(term)
+    total = coef if total is None else total + coef
+    if total:
+        acc[term] = total
+    else:
+        acc.pop(term, None)
+
+
 class LinearCombination:
     """A finite rational linear combination of terms.
 
     Behaves like an immutable value: arithmetic returns new instances and
     zero coefficients are dropped eagerly, so equality is exact equality of
-    the represented expression.
+    the represented expression.  Each operation accumulates its result in
+    one fresh dict and never mutates an operand.
     """
 
     __slots__ = ("_entries",)
@@ -218,12 +236,15 @@ class LinearCombination:
         if entries:
             pairs = entries.items() if isinstance(entries, dict) else entries
             for term, coef in pairs:
-                coef = Fraction(coef)
-                if coef:
-                    acc[term] = acc.get(term, Fraction(0)) + coef
-                    if not acc[term]:
-                        del acc[term]
+                _accumulate(acc, term, coef if type(coef) is Fraction else Fraction(coef))
         self._entries = acc
+
+    @classmethod
+    def _wrap(cls, entries: dict) -> "LinearCombination":
+        """Adopt ``entries`` as is: Fraction coefficients, none of them zero."""
+        out = object.__new__(cls)
+        out._entries = entries
+        return out
 
     # constructors -----------------------------------------------------
 
@@ -238,6 +259,19 @@ class LinearCombination:
     @staticmethod
     def from_atom(atom: Atom, coef: RationalLike = 1) -> "LinearCombination":
         return LinearCombination([(Term((atom,)), coef)])
+
+    @staticmethod
+    def combine(
+        parts: Iterable[tuple["LinearCombination", RationalLike]]
+    ) -> "LinearCombination":
+        """The sum of ``coef * lc`` over ``parts``, accumulated in one dict."""
+        acc: dict[Term, Fraction] = {}
+        for lc, coef in parts:
+            coef = Fraction(coef)
+            unit = coef == 1
+            for term, c in lc._entries.items():
+                _accumulate(acc, term, c if unit else c * coef)
+        return LinearCombination._wrap(acc)
 
     # inspection -------------------------------------------------------
 
@@ -260,17 +294,16 @@ class LinearCombination:
     # algebra ----------------------------------------------------------
 
     def __add__(self, other: "LinearCombination") -> "LinearCombination":
-        out = dict(self._entries)
-        for term, coef in other._entries.items():
-            out[term] = out.get(term, Fraction(0)) + coef
-        return LinearCombination(out)
+        return LinearCombination.combine([(self, 1), (other, 1)])
 
     def __sub__(self, other: "LinearCombination") -> "LinearCombination":
-        return self + other.scale(-1)
+        return LinearCombination.combine([(self, 1), (other, -1)])
 
     def scale(self, coef: RationalLike) -> "LinearCombination":
         coef = Fraction(coef)
-        return LinearCombination({t: c * coef for t, c in self._entries.items()})
+        if not coef:
+            return LinearCombination()
+        return LinearCombination._wrap({t: c * coef for t, c in self._entries.items()})
 
     def __mul__(self, coef: RationalLike) -> "LinearCombination":
         return self.scale(coef)
@@ -285,9 +318,8 @@ class LinearCombination:
         out: dict[Term, Fraction] = {}
         for t1, c1 in self._entries.items():
             for t2, c2 in other._entries.items():
-                merged = Term(t1.factors + t2.factors)
-                out[merged] = out.get(merged, Fraction(0)) + c1 * c2
-        return LinearCombination(out)
+                _accumulate(out, Term(t1.factors + t2.factors), c1 * c2)
+        return LinearCombination._wrap(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearCombination) and self._entries == other._entries
@@ -319,7 +351,7 @@ def canonicalize(lc: LinearCombination) -> LinearCombination:
 # parsing
 
 _ATOM_RE = re.compile(r"^(Z|E|MT|W4|W)\((\d+(?:,\d+)*)\)$")
-_COEF_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_COEF_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 _ARITY = {"Z": (1, 1), "E": (2, 3), "MT": (3, 3), "W": (6, 6)}
 

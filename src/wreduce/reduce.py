@@ -26,6 +26,7 @@ and is checked as an identity in its own right.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .errors import (
     InadmissibleIndex,
@@ -93,24 +94,22 @@ def reduce_mt(atom: MordellTornheim3) -> LinearCombination:
     """
     a, b, c = atom.a, atom.b, atom.c
     if c == 0:
-        return LinearCombination.from_term(
-            Term((SingleZeta(a), SingleZeta(b))), Fraction(1)
-        )
+        return LinearCombination.from_term(Term((SingleZeta(a), SingleZeta(b))))
     if a == 0 and b == 0:
-        out = LinearCombination.from_atom(SingleZeta(c - 1))
-        return out + LinearCombination.from_atom(SingleZeta(c)).scale(Fraction(-1))
+        return LinearCombination(
+            [(Term((SingleZeta(c - 1),)), 1), (Term((SingleZeta(c),)), -1)]
+        )
     if a == 0:
         return LinearCombination.from_atom(_euler((c, b)))
-    out = LinearCombination.zero()
-    for j in range(1, a + 1):
-        out = out + LinearCombination.from_atom(_euler((a + b + c - j, j))).scale(
-            Fraction(binomial(a + b - j - 1, b - 1))
-        )
-    for j in range(1, b + 1):
-        out = out + LinearCombination.from_atom(_euler((a + b + c - j, j))).scale(
-            Fraction(binomial(a + b - j - 1, a - 1))
-        )
-    return out
+    pairs = [
+        (Term((_euler((a + b + c - j, j)),)), binomial(a + b - j - 1, b - 1))
+        for j in range(1, a + 1)
+    ]
+    pairs += [
+        (Term((_euler((a + b + c - j, j)),)), binomial(a + b - j - 1, a - 1))
+        for j in range(1, b + 1)
+    ]
+    return LinearCombination(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +122,14 @@ def reduce_mt(atom: MordellTornheim3) -> LinearCombination:
 
 def four_term_lhs(a: int, b: int, s: tuple[int, int, int]) -> LinearCombination:
     s1, s2, s3 = s
-    sign_a = Fraction((-1) ** a)
-    sign_b = Fraction((-1) ** b)
-    out = LinearCombination.from_atom(WittenSl4((s1, s2, a, s3, 0, b))).scale(sign_a)
-    out = out + LinearCombination.from_atom(WittenSl4((s1, s2, b, s3, 0, a))).scale(sign_b)
-    out = out + LinearCombination.from_atom(WittenSl4((a, 0, s2, s1, b, s3)))
-    out = out + LinearCombination.from_atom(WittenSl4((b, 0, s1, s2, a, s3)))
-    return out
+    return LinearCombination(
+        [
+            (Term((WittenSl4((s1, s2, a, s3, 0, b)),)), (-1) ** a),
+            (Term((WittenSl4((s1, s2, b, s3, 0, a)),)), (-1) ** b),
+            (Term((WittenSl4((a, 0, s2, s1, b, s3)),)), 1),
+            (Term((WittenSl4((b, 0, s1, s2, a, s3)),)), 1),
+        ]
+    )
 
 
 def four_term_rhs(a: int, b: int, s: tuple[int, int, int]) -> LinearCombination:
@@ -142,55 +142,36 @@ def four_term_rhs(a: int, b: int, s: tuple[int, int, int]) -> LinearCombination:
     s1, s2, s3 = s
     if a < 1 or b < 1:
         raise InadmissibleIndex("exchange relation needs positive exponents to move")
-    out = LinearCombination.zero()
+    pairs: list[tuple[Term, int]] = []
     stray: dict = {}  # would-be zeta(1) coefficients, keyed by companion atom
 
-    def add_stray(mt: MordellTornheim3, coeff: Fraction) -> None:
-        stray[mt] = stray.get(mt, Fraction(0)) + coeff
+    def add_column(i: int, coeff: int) -> None:
+        mt = MordellTornheim3(s1, s2, s3 + a + b - i)
+        if i == 1:
+            stray[mt] = stray.get(mt, 0) + coeff
+        else:
+            pairs.append((Term((SingleZeta(i), mt)), coeff))
 
     for i in range(1, max(a, b) + 1):
-        coeff = Fraction(
-            (binomial(a + b - i - 1, a - 1) + binomial(a + b - i - 1, b - 1)) * (-1) ** i
+        add_column(
+            i, (binomial(a + b - i - 1, a - 1) + binomial(a + b - i - 1, b - 1)) * (-1) ** i
         )
-        mt = MordellTornheim3(s1, s2, s3 + a + b - i)
-        if i == 1:
-            add_stray(mt, coeff)
-        else:
-            out = out + LinearCombination.from_term(
-                Term((SingleZeta(i), mt)), coeff
-            )
     for i in range(1, a + 1):
-        coeff = Fraction(binomial(a + b - i - 1, b - 1))
-        mt = MordellTornheim3(s1, s2, s3 + a + b - i)
-        if i == 1:
-            add_stray(mt, coeff)
-        else:
-            out = out + LinearCombination.from_term(Term((SingleZeta(i), mt)), coeff)
-        out = out + LinearCombination.from_atom(
-            MordellTornheim3(s1 + i, s2, s3 + a + b - i)
-        ).scale(-coeff)
-        out = out + LinearCombination.from_atom(
-            MordellTornheim3(s1, s2, s3 + a + b)
-        ).scale(-coeff)
+        coeff = binomial(a + b - i - 1, b - 1)
+        add_column(i, coeff)
+        pairs.append((Term((MordellTornheim3(s1 + i, s2, s3 + a + b - i),)), -coeff))
+        pairs.append((Term((MordellTornheim3(s1, s2, s3 + a + b),)), -coeff))
     for i in range(1, b + 1):
-        coeff = Fraction(binomial(a + b - i - 1, a - 1))
-        mt = MordellTornheim3(s1, s2, s3 + a + b - i)
-        if i == 1:
-            add_stray(mt, coeff)
-        else:
-            out = out + LinearCombination.from_term(Term((SingleZeta(i), mt)), coeff)
-        out = out + LinearCombination.from_atom(
-            MordellTornheim3(s2 + i, s1, s3 + a + b - i)
-        ).scale(-coeff)
-        out = out + LinearCombination.from_atom(
-            MordellTornheim3(s1, s2, s3 + a + b)
-        ).scale(-coeff)
+        coeff = binomial(a + b - i - 1, a - 1)
+        add_column(i, coeff)
+        pairs.append((Term((MordellTornheim3(s2 + i, s1, s3 + a + b - i),)), -coeff))
+        pairs.append((Term((MordellTornheim3(s1, s2, s3 + a + b),)), -coeff))
     for mt, coeff in stray.items():
         if coeff != 0:
             raise InternalNoncancellation(
                 f"divergent piece {coeff} * zeta(1) * {mt.render()} survived the exchange"
             )
-    return out
+    return LinearCombination(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +199,9 @@ def unit_tail_expand(alpha: int, cap: int) -> LinearCombination:
     """
     if alpha < 1 or cap < 2:
         raise InadmissibleIndex("unit tail expansion needs alpha >= 1 and cap >= 2")
-    out = LinearCombination.from_atom(_euler((cap, alpha, 1)))
-    for i in range(1, alpha + 1):
-        out = out + LinearCombination.from_atom(_euler((cap, alpha + 1 - i, i)))
-    return out
+    pairs = [(Term((_euler((cap, alpha, 1)),)), 1)]
+    pairs += [(Term((_euler((cap, alpha + 1 - i, i)),)), 1) for i in range(1, alpha + 1)]
+    return LinearCombination(pairs)
 
 
 def unit_pair_split(alpha: int, delta: int) -> tuple[WittenSl4, LinearCombination]:
@@ -234,9 +214,9 @@ def unit_pair_split(alpha: int, delta: int) -> tuple[WittenSl4, LinearCombinatio
     if alpha < 1 or delta < 1:
         raise InadmissibleIndex("unit pair split needs alpha >= 1 and delta >= 1")
     tail = WittenSl4((alpha, 0, 1, 0, 0, delta + 1))
-    rest = LinearCombination.zero()
-    for i in range(1, delta + 1):
-        rest = rest + LinearCombination.from_atom(_euler((delta + 2 - i, i, alpha)))
+    rest = LinearCombination(
+        [(Term((_euler((delta + 2 - i, i, alpha)),)), 1) for i in range(1, delta + 1)]
+    )
     return tail, rest
 
 
@@ -251,18 +231,19 @@ def reduce_unit_witten(a: int, b: int, d: int) -> LinearCombination:
     if a < 0 or b < 0 or d < 0 or a + b < 1:
         raise InadmissibleIndex("unit reduction needs a+b >= 1 and no negative exponents")
 
-    def expand_row(alpha: int, delta: int) -> LinearCombination:
+    def expand_row(alpha: int, delta: int) -> tuple[LinearCombination, LinearCombination]:
         _tail, rest = unit_pair_split(alpha, delta)
-        return rest + unit_tail_expand(alpha, delta + 1)
+        return rest, unit_tail_expand(alpha, delta + 1)
 
     if a == 0 or b == 0:
         if d < 1:
             raise InadmissibleIndex("unit reduction with a boundary row needs d >= 1")
-        return expand_row(a + b, d)
-    out = LinearCombination.zero()
-    for i, wgt in exchange_weights(a, b):
-        out = out + expand_row(i, a + b + d - i).scale(wgt)
-    return out
+        return LinearCombination.combine((piece, 1) for piece in expand_row(a + b, d))
+    return LinearCombination.combine(
+        (piece, wgt)
+        for i, wgt in exchange_weights(a, b)
+        for piece in expand_row(i, a + b + d - i)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +282,8 @@ def reduce_witten(
     if c < 1 or f < 1:
         if f == 0 and c >= 2:
             # no total-sum factor: the third variable separates off
-            out = LinearCombination.from_term(
-                Term((SingleZeta(c), MordellTornheim3(a, b, d))), Fraction(1)
-            )
-            return _expand_mt(out) if expand_mt else out
+            out = LinearCombination.from_term(Term((SingleZeta(c), MordellTornheim3(a, b, d))))
+            return _substitute(out, _mt_rewrite) if expand_mt else out
         raise UnsupportedParams(
             "reduction needs positive exponents on the third variable and the total sum"
         )
@@ -316,52 +295,60 @@ def reduce_witten(
 
     w = a + b + c + d + f
     sign_c = (-1) ** c
-    out = LinearCombination.zero()
-    for i in range(2, c + 1):
-        coeff = Fraction(binomial(c + f - i - 1, f - 1) * sign_c * (-1) ** i)
-        out = out + LinearCombination.from_term(
-            Term((SingleZeta(i), MordellTornheim3(a, b, c + d + f - i))), coeff
+    pairs: list[tuple[Term, int]] = [
+        (
+            Term((SingleZeta(i), MordellTornheim3(a, b, c + d + f - i))),
+            binomial(c + f - i - 1, f - 1) * sign_c * (-1) ** i,
         )
+        for i in range(2, c + 1)
+    ]
     for i in range(2, f + 1):
-        outer = Fraction(binomial(c + f - i - 1, c - 1) * sign_c)
+        outer = binomial(c + f - i - 1, c - 1) * sign_c
         for j in range(1, a + 1):
             inner = _variant_binomial(a, b, j, b - 1, variant)
-            out = out + LinearCombination.from_atom(_euler((i, w - i - j, j))).scale(
-                outer * inner
-            )
+            pairs.append((Term((_euler((i, w - i - j, j)),)), outer * inner))
         for j in range(1, b + 1):
             inner = _variant_binomial(a, b, j, a - 1, variant)
-            out = out + LinearCombination.from_atom(_euler((i, w - i - j, j))).scale(
-                outer * inner
-            )
-    rem_coeff = Fraction(-sign_c * binomial(c + f - 2, c - 1))
+            pairs.append((Term((_euler((i, w - i - j, j)),)), outer * inner))
+    rem_coeff = -sign_c * binomial(c + f - 2, c - 1)
     if expand_remainder:
-        out = out + reduce_unit_witten(a, b, c + d + f - 2).scale(rem_coeff)
+        remainder = reduce_unit_witten(a, b, c + d + f - 2)
     else:
-        out = out + LinearCombination.from_atom(
-            WittenSl4((a, b, 1, c + d + f - 2, 0, 1))
-        ).scale(rem_coeff)
-    return _expand_mt(out) if expand_mt else out
+        remainder = LinearCombination.from_atom(WittenSl4((a, b, 1, c + d + f - 2, 0, 1)))
+    out = LinearCombination.combine([(LinearCombination(pairs), 1), (remainder, rem_coeff)])
+    return _substitute(out, _mt_rewrite) if expand_mt else out
 
 
-def _variant_binomial(a: int, b: int, j: int, lower: int, variant: str) -> Fraction:
+def _variant_binomial(a: int, b: int, j: int, lower: int, variant: str) -> int:
     if variant == "eq22":
-        return Fraction(binomial(a + b - j - 1, lower))
-    return Fraction(binomial(a + b + j - 1, lower))
+        return binomial(a + b - j - 1, lower)
+    return binomial(a + b + j - 1, lower)
 
 
-def _expand_mt(lc: LinearCombination) -> LinearCombination:
-    """Rewrite every double-sum factor through its Euler-sum reduction."""
-    out = LinearCombination.zero()
+def _mt_rewrite(atom) -> Optional[LinearCombination]:
+    """The double-sum expansion, as a rewrite for ``_substitute``."""
+    return reduce_mt(atom) if isinstance(atom, MordellTornheim3) else None
+
+
+def _substitute(lc: LinearCombination, rewrite) -> LinearCombination:
+    """Replace, term by term, every atom that ``rewrite`` maps to a combination.
+
+    ``rewrite(atom)`` returns the combination that replaces ``atom``, or
+    ``None`` to keep it; each term becomes the product of its rewritten
+    factors.  All terms are collected into one combination.
+    """
+    pairs: list[tuple[Term, Fraction]] = []
     for term, coeff in lc.items():
-        pieces = LinearCombination.from_term(Term(()), coeff)
+        partial: list[tuple[tuple, Fraction]] = [((), coeff)]
         for factor in term.factors:
-            if isinstance(factor, MordellTornheim3):
-                pieces = pieces.product(reduce_mt(factor))
+            sub = rewrite(factor)
+            if sub is None:
+                partial = [(fs + (factor,), c) for fs, c in partial]
             else:
-                pieces = pieces.product(LinearCombination.from_atom(factor))
-        out = out + pieces
-    return out
+                subs = sub.items()
+                partial = [(fs + t.factors, c * k) for fs, c in partial for t, k in subs]
+        pairs += [(Term(fs), c) for fs, c in partial]
+    return LinearCombination(pairs)
 
 
 def reduce_any(
@@ -376,22 +363,12 @@ def reduce_any(
     ``reduce_mt`` when ``expand_mt`` is set (and stay put otherwise);
     Euler sums and single zetas are already terminal.
     """
-    out = LinearCombination.zero()
-    for term, coeff in lc.items():
-        pieces = LinearCombination.from_term(Term(()), coeff)
-        for factor in term.factors:
-            if isinstance(factor, WittenSl4):
-                pieces = pieces.product(
-                    reduce_witten(
-                        factor,
-                        variant=variant,
-                        expand_remainder=expand_remainder,
-                        expand_mt=expand_mt,
-                    )
-                )
-            elif isinstance(factor, MordellTornheim3) and expand_mt:
-                pieces = pieces.product(reduce_mt(factor))
-            else:
-                pieces = pieces.product(LinearCombination.from_atom(factor))
-        out = out + pieces
-    return out
+
+    def rewrite(atom) -> Optional[LinearCombination]:
+        if isinstance(atom, WittenSl4):
+            return reduce_witten(
+                atom, variant=variant, expand_remainder=expand_remainder, expand_mt=expand_mt
+            )
+        return _mt_rewrite(atom) if expand_mt else None
+
+    return _substitute(lc, rewrite)

@@ -252,30 +252,35 @@ def _lp_integral(f: Exact) -> Exact:
     return out
 
 
+# (p, k) -> the form of _unit_resum; it depends on nothing else, so it
+# outlives clear_caches().  Callers only read the forms.
+_EM_FORMS: dict[tuple[float, int], LogPower] = {}
+
+
 def _unit_resum(p: float, k: int) -> LogPower:
     """u |-> sum_{y>u} y^-p ln(y)^k as an LP form, valid for integer u >= 1."""
-
-    def build() -> LogPower:
-        if p != int(p):
-            raise UnsupportedParams(f"tail exponent {p} is not an integer")
-        derivs = [{(int(p), k): 1}]  # f, f', ..., f^(2m)
-        for _ in range(2 * EM_ORDER):
-            derivs.append(_lp_deriv(derivs[-1]))
-        exact = _lp_integral(derivs[0])
-        exact[(int(p), k)] -= Fraction(1, 2)
-        for j in range(1, EM_ORDER + 1):
-            for key, c in derivs[2 * j - 1].items():
-                exact[key] -= _B2J[j - 1] / math.factorial(2 * j) * c
-        w = abs(_B2J[EM_ORDER - 1]) / math.factorial(2 * EM_ORDER)
-        rem = _lp_integral({key: w * abs(c) for key, c in derivs[-1].items()})
-        # one correctly rounded conversion per coefficient, covered by EPS
-        out: LogPower = {}
-        for key in sorted(exact.keys() | rem.keys()):
-            c, r = exact[key], rem[key]
-            out[(float(key[0]), key[1])] = (float(c), float(r) + EPS * float(abs(c) + r))
-        return out
-
-    return _memo(("R", p, k), build)
+    hit = _EM_FORMS.get((p, k))
+    if hit is not None:
+        return hit
+    if p != int(p):
+        raise UnsupportedParams(f"tail exponent {p} is not an integer")
+    derivs = [{(int(p), k): 1}]  # f, f', ..., f^(2m)
+    for _ in range(2 * EM_ORDER):
+        derivs.append(_lp_deriv(derivs[-1]))
+    exact = _lp_integral(derivs[0])
+    exact[(int(p), k)] -= Fraction(1, 2)
+    for j in range(1, EM_ORDER + 1):
+        for key, c in derivs[2 * j - 1].items():
+            exact[key] -= _B2J[j - 1] / math.factorial(2 * j) * c
+    w = abs(_B2J[EM_ORDER - 1]) / math.factorial(2 * EM_ORDER)
+    rem = _lp_integral({key: w * abs(c) for key, c in derivs[-1].items()})
+    # one correctly rounded conversion per coefficient, covered by EPS
+    out: LogPower = {}
+    for key in sorted(exact.keys() | rem.keys()):
+        c, r = exact[key], rem[key]
+        out[(float(key[0]), key[1])] = (float(c), float(r) + EPS * float(abs(c) + r))
+    _EM_FORMS[(p, k)] = out
+    return out
 
 
 def _lp_tail(lp: LogPower, U: int) -> Interval:
@@ -375,7 +380,11 @@ _WS = _Workspace()
 
 
 def clear_caches() -> None:
-    """Drop all memoized evaluations (used for cold timing runs)."""
+    """Drop memoized evaluations and tables (used for cold timing runs).
+
+    The Euler-Maclaurin forms of ``_unit_resum`` depend on (p, k) alone and
+    are kept.
+    """
     _WS.clear()
 
 

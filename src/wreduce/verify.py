@@ -331,15 +331,10 @@ def _build_lemma21(params: tuple[int, ...]) -> IdentityRecord:
             )
         lhs = _atom_lc(WittenSl4((a, 0, s2, s1, b, s3)))
         left, right = pair_recurrence_weights(a, b, Fraction(1), Fraction(1))
-        rhs = LinearCombination.zero()
-        for j, w in right:
-            rhs = rhs + _atom_lc(
-                WittenSl4((j, 0, s2, s1, 0, s3 + a + b - j))
-            ).scale(w)
-        for j, w in left:
-            rhs = rhs + _atom_lc(
-                WittenSl4((0, 0, s2, s1, j, s3 + a + b - j))
-            ).scale(w)
+        rhs = LinearCombination(
+            [(Term((WittenSl4((j, 0, s2, s1, 0, s3 + a + b - j)),)), w) for j, w in right]
+            + [(Term((WittenSl4((0, 0, s2, s1, j, s3 + a + b - j)),)), w) for j, w in left]
+        )
         _check_homogeneous(lhs, rhs, "summed telescoping instance")
         return IdentityRecord(
             "LEMMA21_INSTANCE",
@@ -395,11 +390,10 @@ def _build_lemma24_18(params: tuple[int, ...]) -> IdentityRecord:
         raise UnsupportedParams("boundary exchange needs positive (a, b, d)")
     lhs = _atom_lc(WittenSl4((a, b, 1, d, 0, 1)))
     left, right = pair_recurrence_weights(a, b, Fraction(1), Fraction(1))
-    rhs = LinearCombination.zero()
-    for j, w in right:
-        rhs = rhs + _atom_lc(WittenSl4((j, 0, 1, a + b + d - j, 0, 1))).scale(w)
-    for j, w in left:
-        rhs = rhs + _atom_lc(WittenSl4((0, j, 1, a + b + d - j, 0, 1))).scale(w)
+    rhs = LinearCombination(
+        [(Term((WittenSl4((j, 0, 1, a + b + d - j, 0, 1)),)), w) for j, w in right]
+        + [(Term((WittenSl4((0, j, 1, a + b + d - j, 0, 1)),)), w) for j, w in left]
+    )
     _check_homogeneous(lhs, rhs, "boundary exchange")
     return IdentityRecord(
         "LEMMA24_EQ18",

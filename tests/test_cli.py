@@ -88,6 +88,11 @@ def test_eval_parse_error_exits_two(capsys):
     assert "INADMISSIBLE_INDEX" in capsys.readouterr().err
 
 
+def test_eval_zero_denominator_exits_two(capsys):
+    assert main(["eval", "1/0 * Z(2)"]) == 2
+    assert "INADMISSIBLE_INDEX" in capsys.readouterr().err
+
+
 def test_eval_malformed_env_tol_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("WREDUCE_TOL", "abc")
     assert main(["eval", "Z(2)"]) == 2

@@ -120,7 +120,7 @@ def test_parse_bare_term_gets_unit_coefficient():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["Q(3)", "W(1,2)", "Z()", "E(2,1,1,1)", "MT(1,2)", "Z(2) *"]:
+    for bad in ["Q(3)", "W(1,2)", "Z()", "E(2,1,1,1)", "MT(1,2)", "Z(2) *", "1/0 * Z(2)"]:
         with pytest.raises(InadmissibleIndex):
             parse(bad)
 

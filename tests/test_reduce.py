@@ -6,6 +6,8 @@ at every finite truncation, not just in the limit, so a single wrong
 binomial coefficient shows up as a nonzero rational difference.
 """
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -328,3 +330,34 @@ def test_reduce_any_distributes_over_terms():
         Fraction(3)
     )
     assert out == direct
+
+
+def test_expand_mt_keeps_the_unexpanded_remainder():
+    atom = WittenSl4((2, 1, 2, 1, 0, 2))
+    out = reduce_witten(atom, expand_remainder=False, expand_mt=True)
+    atoms = [fac for term, _ in out.items() for fac in term.factors]
+    assert not any(isinstance(fac, MordellTornheim3) for fac in atoms)
+    assert [fac for fac in atoms if isinstance(fac, WittenSl4)] == [
+        WittenSl4((2, 1, 1, 3, 0, 1))
+    ]
+    # substituting the remainder afterwards gives the complete reduction
+    full = reduce_witten(atom, expand_remainder=True, expand_mt=True)
+    assert reduce_any(out, expand_remainder=True, expand_mt=True) == full
+
+
+# sha256 of the 792 renders below, joined by newlines, as produced by the
+# term-by-term reference implementation; any change in a coefficient, a
+# term or the rendering order changes it
+FULL_REDUCTION_DIGEST = "ef0a6e6627c89d4ff0befd7a9833a4ee39eef4c067004e81c889dac5a694ef0d"
+
+
+def test_full_reductions_render_golden():
+    renders = [
+        reduce_witten(
+            WittenSl4((a, b, c, d, 0, f)), expand_remainder=True, expand_mt=True
+        ).render()
+        for a, b, c, d, f in itertools.product(range(1, 9), repeat=5)
+        if a + b + c + d + f <= 12
+    ]
+    assert len(renders) == 792
+    assert hashlib.sha256("\n".join(renders).encode()).hexdigest() == FULL_REDUCTION_DIGEST

@@ -266,3 +266,20 @@ def test_product_term_evaluation(cfg8):
     prod_mid = z3[0] * mt[0]
     prod_rad = z3[1] * abs(mt[0]) + mt[1] * abs(z3[0]) + z3[1] * mt[1]
     assert abs(ev.midpoint - prod_mid) <= ev.radius + prod_rad
+
+
+def test_em_forms_survive_clear_caches():
+    from wreduce import series
+    from wreduce.reduce import reduce_witten
+
+    form = series._unit_resum(3.0, 1)
+    snapshot = dict(form)
+    clear_caches()
+    assert series._unit_resum(3.0, 1) is form
+    # one full-reduction request reads the forms and must leave them as they were
+    cfg = SummationConfig(tolerance=1e-8)
+    atom = WittenSl4((2, 1, 2, 1, 0, 2))
+    eval_atom(atom, cfg)
+    eval_lincomb(reduce_witten(atom, expand_remainder=True, expand_mt=True), cfg)
+    assert series._unit_resum(3.0, 1) is form
+    assert form == snapshot
