@@ -29,10 +29,21 @@ shifted sums, and the general case uses a boxed lattice sum with face,
 edge and corner enclosures.  The slot order given is the slot order
 summed; relabeling twins are computed by genuinely different loops, which
 is what makes the symmetry check in ``verify`` meaningful.
+
+In the general case, each m2 slice of the box is a Hankel matrix in
+m1 + m3, summed by ``np.correlate`` on a slice of one 1-D table; its
+rounding is charged with the order-agnostic ``EPS * total * (3N + 8)``,
+since numpy promises no summation order.  The edge and corner regions use
+separable majorants from a grid of exponent splits, whose admissible
+routed vectors are tabulated once per exponent tuple.  The face weights
+are outer products of 1-D tables with a Hankel view.  Every rung of the
+cutoff ladder (tail enclosure and box) is memoized in the workspace, so a
+refusal or a tighter re-request reuses it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -832,8 +843,9 @@ def _face_tail(
     weights: np.ndarray,
     corrections: list[tuple[int, np.ndarray]],
 ) -> Interval:
-    """Enclosure of sum over (big > N) x (small grid) with weight matrices.
+    """Enclosure of sum over (big > N) x (small grid) with a weight matrix.
 
+    Each correction c_j is an array that broadcasts against ``weights``.
     The big-variable sum is sum_{m>N} m^-p prod_j (1 + c_j/m)^-q_j; the
     product is sandwiched by 1 - A/m <= prod <= 1 - A/m + (B2 + A^2)/(2 m^2)
     with A = sum q_j c_j and B2 = sum q_j c_j^2 (from ln(1+x) bounds), so
@@ -868,113 +880,172 @@ _SPLIT3 = [
 ]
 
 _MEMBERS = {0: (0,), 1: (1,), 2: (2,), 3: (0, 1), 4: (1, 2), 5: (0, 1, 2)}
+_BIG_SETS = ((0, 1), (0, 2), (1, 2), (0, 1, 2))
 
 
-def _routed_region_bound(s: tuple[int, ...], N: int, big: tuple[int, ...]) -> float:
-    """One-sided bound for the region where variables in ``big`` exceed N.
+def _routed_splits(s: tuple[int, ...]) -> dict[tuple[int, ...], list[tuple[float, ...]]]:
+    """For each set in ``_BIG_SETS``, the distinct routed exponent vectors
+    (m1, m2, m3) of the splits that route more than 1 to every big variable.
+
+    They depend on ``s`` alone, so the split grid is walked once per ``s``.
+    """
+
+    def build() -> dict[tuple[int, ...], list[tuple[float, ...]]]:
+        active = [(k, _MEMBERS[k]) for k in range(6) if s[k] > 0]
+        options = []
+        for _k, members in active:
+            if len(members) == 1:
+                options.append([(1.0,)])
+            elif len(members) == 2:
+                options.append(_SPLIT2)
+            else:
+                options.append(_SPLIT3)
+        vectors: dict[tuple[float, ...], None] = {}
+        for combo in itertools.product(*options):
+            routed = [0.0, 0.0, 0.0]
+            for (k, members), weightvec in zip(active, combo):
+                for v, wfrac in zip(members, weightvec):
+                    routed[v] += s[k] * wfrac
+            vectors[tuple(routed)] = None
+        return {
+            big: [r for r in vectors if all(r[v] > 1.0 for v in big)] for big in _BIG_SETS
+        }
+
+    return _memo(("routed", s), build)
+
+
+def _routed_region_bounds(s: tuple[int, ...], N: int) -> list[float]:
+    """One-sided bounds for the regions where the variables of each set in
+    ``_BIG_SETS`` exceed N (the others range over [1, N]).
 
     Composite denominators dominate each member, so any convex split of an
-    exponent across members gives a valid separable majorant; a small grid
-    of splits is searched and the best certate bound returned.
+    exponent across members gives a valid separable majorant; the grid of
+    splits ``_SPLIT2``/``_SPLIT3`` is searched and the best certified bound
+    returned.  The admissible routed vectors come from ``_routed_splits``
+    (built once per s); per N, each one-variable factor is computed once
+    per (big or not, routed exponent).
     """
-    import itertools
+    factors: dict[tuple[bool, float], float] = {}
 
-    active = [(k, _MEMBERS[k]) for k in range(6) if s[k] > 0]
-    options = []
-    for _k, members in active:
-        if len(members) == 1:
-            options.append([(1.0,)])
-        elif len(members) == 2:
-            options.append(_SPLIT2)
-        else:
-            options.append(_SPLIT3)
-    best = math.inf
-    for combo in itertools.product(*options):
-        routed = [0.0, 0.0, 0.0]
-        for (k, members), weightvec in zip(active, combo):
-            for v, wfrac in zip(members, weightvec):
-                routed[v] += s[k] * wfrac
-        if not all(routed[v] > 1.0 for v in big):
-            continue
-        bound = 1.0
-        for v in range(3):
-            r = routed[v]
-            if v in big:
-                bound *= N ** (1.0 - r) / (r - 1.0)
+    def factor(is_big: bool, r: float) -> float:
+        hit = factors.get((is_big, r))
+        if hit is None:
+            if is_big:
+                hit = N ** (1.0 - r) / (r - 1.0)
             elif r > 1.0:
-                bound *= 1.0 + 1.0 / (r - 1.0)
+                hit = 1.0 + 1.0 / (r - 1.0)
             elif r == 1.0:
-                bound *= 1.0 + math.log(N)
+                hit = 1.0 + math.log(N)
             elif r > 0.0:
-                bound *= 1.0 + (N ** (1.0 - r) - 1.0) / (1.0 - r)
+                hit = 1.0 + (N ** (1.0 - r) - 1.0) / (1.0 - r)
             else:
-                bound *= float(N)
-        best = min(best, bound)
-    return best
+                hit = float(N)
+            factors[(is_big, r)] = hit
+        return hit
+
+    splits = _routed_splits(s)
+    bounds = []
+    for big in _BIG_SETS:
+        best = math.inf
+        for routed in splits[big]:
+            bound = 1.0
+            for v in range(3):
+                bound *= factor(v in big, routed[v])
+            best = min(best, bound)
+        bounds.append(best)
+    return bounds
 
 
 def _general_tail_budget(s: tuple[int, ...], N: int) -> Interval:
-    """Total enclosure of everything outside the [1,N]^3 box."""
-    s1, s2, s3, s4, s5, s6 = s
-    m = np.arange(1, N + 1, dtype=float)
-    col = m[:, None]
-    row = m[None, :]
+    """Total enclosure of everything outside the [1,N]^3 box (memoized per rung)."""
 
-    faces = [
-        # m1 > N over the small grid (m2, m3)
-        (s1 + s4 + s6, col ** float(-s2) * row ** float(-s3) * (col + row) ** float(-s5),
-         [(s4, col + 0 * row), (s6, col + row)]),
-        # m3 > N over (m1, m2)
-        (s3 + s5 + s6, col ** float(-s1) * row ** float(-s2) * (col + row) ** float(-s4),
-         [(s5, 0 * col + row), (s6, col + row)]),
-        # m2 > N over (m1, m3)
-        (s2 + s4 + s5 + s6, col ** float(-s1) * row ** float(-s3),
-         [(s4, col + 0 * row), (s5, 0 * col + row), (s6, col + row)]),
-    ]
-    mid = rad = 0.0
-    for p, w, corrections in faces:
-        fmid, frad = _face_tail(N, p, w, corrections)
-        mid += fmid
-        rad += frad
+    def build() -> Interval:
+        s1, s2, s3, s4, s5, s6 = s
+        m = np.arange(1, N + 1, dtype=float)
+        col = m[:, None]
+        row = m[None, :]
+        # cell (i, j) of a Hankel view reads entry i + j: (i+1) + (j+1)
+        diag = np.arange(2, 2 * N + 1, dtype=float)
+        colrow = np.lib.stride_tricks.sliding_window_view(diag, N)
 
-    for big in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-        bound = _routed_region_bound(s, N, big)
-        if not math.isfinite(bound):
-            raise ConvergenceUnverified(f"W{s}: outer regions cannot be certified")
-        mid += bound / 2.0
-        rad += bound / 2.0
-    return (mid, rad)
+        def vec(e: int) -> np.ndarray:
+            return m ** float(-e)
+
+        def hankel(e: int) -> np.ndarray:
+            return np.lib.stride_tricks.sliding_window_view(diag ** float(-e), N)
+
+        faces = [
+            # m1 > N over the small grid (m2, m3)
+            (s1 + s4 + s6, vec(s2)[:, None] * vec(s3)[None, :] * hankel(s5),
+             [(s4, col), (s6, colrow)]),
+            # m3 > N over (m1, m2)
+            (s3 + s5 + s6, vec(s1)[:, None] * vec(s2)[None, :] * hankel(s4),
+             [(s5, row), (s6, colrow)]),
+            # m2 > N over (m1, m3)
+            (s2 + s4 + s5 + s6, vec(s1)[:, None] * vec(s3)[None, :],
+             [(s4, col), (s5, row), (s6, colrow)]),
+        ]
+        mid = rad = 0.0
+        for p, w, corrections in faces:
+            fmid, frad = _face_tail(N, p, w, corrections)
+            mid += fmid
+            rad += frad
+
+        for bound in _routed_region_bounds(s, N):
+            if not math.isfinite(bound):
+                raise ConvergenceUnverified(f"W{s}: outer regions cannot be certified")
+            mid += bound / 2.0
+            rad += bound / 2.0
+        return (mid, rad)
+
+    return _memo(("Wtail", s, N), build)
 
 
 def _general_box(s: tuple[int, ...], N: int) -> tuple[float, float]:
-    s1, s2, s3, s4, s5, s6 = s
-    m = np.arange(1, N + 1, dtype=float)
-    v1 = m ** float(-s1)
-    v2 = m ** float(-s2)
-    v3 = m ** float(-s3)
-    idx = np.arange(0, 2 * N + 1, dtype=float)
-    idx[0] = 1.0
-    tab4 = idx ** float(-s4)
-    tab5 = idx ** float(-s5)
-    idx3 = np.arange(0, 3 * N + 1, dtype=float)
-    idx3[0] = 1.0
-    tab6 = idx3 ** float(-s6)
-    # hankel[j] = tab6[j:j+N]: rows i2+2 .. i2+N+1 are (i1+i2+i3)^-s6, no index gather
-    hankel = np.lib.stride_tricks.sliding_window_view(tab6, N)
-    ints = np.arange(1, N + 1)
+    """The sum over [1, N]^3 and its rounding bound (memoized per rung).
 
-    total = 0.0
-    for i2 in range(1, N + 1):
-        colv = v1 * tab4[ints + i2]
-        roww = v3 * tab5[i2 + ints]
-        m6 = np.ascontiguousarray(hankel[i2 + 2 : i2 + 2 + N])
-        total += v2[i2 - 1] * float(colv @ (m6 @ roww))
-    err = _sum_err(total, N * N * N) + EPS * total * (math.log2(N) + 8)
-    return total, err
+    For each m2 the (m1, m3) block is a Hankel matrix in m1 + m3, so its
+    product with the m3 weights is one ``np.correlate`` of a slice of the
+    1-D table of (m1+m2+m3)^-s6 against those weights: no block is copied.
+    Each entry of that is a length-N dot product, then a second length-N
+    dot takes the m1 weights, and N sequential adds take the m2 sum.  All
+    terms are nonnegative and numpy promises no summation order, so the
+    bound is the order-agnostic ``EPS * total * (3N + 8)`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3: gamma_N per
+    dot and per sequential sum, plus a few ulps for pow and the products).
+    """
+
+    def build() -> tuple[float, float]:
+        s1, s2, s3, s4, s5, s6 = s
+        m = np.arange(1, N + 1, dtype=float)
+        v1 = m ** float(-s1)
+        v2 = m ** float(-s2)
+        v3 = m ** float(-s3)
+        idx = np.arange(0, 2 * N + 1, dtype=float)
+        idx[0] = 1.0
+        tab4 = idx ** float(-s4)
+        tab5 = idx ** float(-s5)
+        idx3 = np.arange(0, 3 * N + 1, dtype=float)
+        idx3[0] = 1.0
+        tab6 = idx3 ** float(-s6)
+
+        total = 0.0
+        for i2 in range(1, N + 1):
+            colv = v1 * tab4[i2 + 1 : i2 + N + 1]  # (m1 + m2)^-s4 over m1
+            roww = v3 * tab5[i2 + 1 : i2 + N + 1]  # (m2 + m3)^-s5 over m3
+            # inner[i1] = sum_i3 (i1 + i2 + i3)^-s6 roww[i3]
+            inner = np.correlate(tab6[i2 + 2 : i2 + 2 * N + 1], roww, "valid")
+            total += v2[i2 - 1] * float(colv @ inner)
+        return total, EPS * total * (3 * N + 8)
+
+    return _memo(("Wbox", s, N), build)
 
 
 def _eval_w4_general(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
-    """The boxed sum; the dispatcher has already applied the directional gate."""
+    """The boxed sum; the dispatcher has already applied the directional gate.
+
+    Rungs are memoized, so a refusal or a tighter re-request reuses them.
+    """
     tol = cfg.tolerance
     N, tail = _cutoff(lambda n: _general_tail_budget(s, n), tol / 2.0, 64, cfg.max_terms_3d)
     if tail[1] > tol / 2.0:

@@ -695,11 +695,25 @@ def _tail_cap(base: int, p: int) -> float:
     return base ** (1 - p) / (p - 1)
 
 
+def _region_remainder(identity_id: str, params: tuple[int, ...], box: int) -> float:
+    """Closed-form cap on everything outside the box, known before the box is summed."""
+    a, b, c, d = params
+    if identity_id == "REGION_EQ13":
+        gamma = c + d - 1
+        return _ZCAP * (_tail_cap(box, a + gamma) + _tail_cap(box, b + gamma)) / (d - 1)
+    if identity_id == "REGION_EQ14":
+        return _ZCAP * _ZCAP * (_tail_cap(box, c + d) + _tail_cap(box, b + d))
+    return _ZCAP * _ZCAP * (_tail_cap(box, a + d) + _tail_cap(box, b + d))
+
+
 def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
     a, b, c, d = params
     tol = cfg.tolerance
     last = None
     for box in _REGION_LADDER:
+        remainder = _region_remainder(identity_id, params, box)
+        if remainder / 2 > tol and box != _REGION_LADDER[-1]:
+            continue  # the radius is at least remainder / 2, so this rung cannot certify
         n = np.arange(1, box + 1, dtype=np.float64)
         idx = np.arange(1, box + 1)
         total = 0.0
@@ -714,10 +728,6 @@ def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfi
                 core = pa[i - 1] * pb * spow[i : i + box]
                 total += float(np.sum(core * tails[i + idx]))
                 wsum += float(np.sum(core))
-            gamma = c + d - 1
-            remainder = (
-                _ZCAP * (_tail_cap(box, a + gamma) + _tail_cap(box, b + gamma)) / (d - 1)
-            )
             aux = wsum * tailrad
         elif identity_id == "REGION_EQ14":
             # sum over v < n1 of v^-a n1^-c n2^-b (n1+n2)^-d
@@ -727,7 +737,6 @@ def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfi
             spow = np.arange(1, 2 * box + 1, dtype=np.float64) ** float(-d)
             for i in range(1, box + 1):
                 total += pref[i - 1] * pc[i - 1] * float(np.sum(pb * spow[i : i + box]))
-            remainder = _ZCAP * _ZCAP * (_tail_cap(box, c + d) + _tail_cap(box, b + d))
             aux = 0.0
         else:
             # sum over n1 < v < n1+n2 of v^-c n1^-a n2^-b (n1+n2)^-d
@@ -738,7 +747,6 @@ def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfi
             for i in range(1, box + 1):
                 between = pref[i : i + box] - pref[i]
                 total += pa[i - 1] * float(np.sum(between * pb * spow[i : i + box]))
-            remainder = _ZCAP * _ZCAP * (_tail_cap(box, a + d) + _tail_cap(box, b + d))
             aux = 0.0
         floats = _EPS * total * (box + 64)
         radius = remainder / 2 + aux + floats

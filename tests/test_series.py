@@ -283,3 +283,81 @@ def test_em_forms_survive_clear_caches():
     eval_lincomb(reduce_witten(atom, expand_remainder=True, expand_mt=True), cfg)
     assert series._unit_resum(3.0, 1) is form
     assert form == snapshot
+
+
+def test_general_box_contains_exact_lattice_sum():
+    # the order-agnostic rounding bound of the correlate kernel holds
+    # against the exact rational sum over [1, N]^3
+    from fractions import Fraction
+
+    from wreduce import series
+
+    for s in [(2, 1, 1, 1, 1, 1), (0, 0, 2, 2, 2, 2), (3, 1, 2, 2, 1, 3)]:
+        for N in (8, 12):
+            box, err = series._general_box(s, N)
+            s1, s2, s3, s4, s5, s6 = s
+            exact = Fraction(0)
+            for i1 in range(1, N + 1):
+                for i2 in range(1, N + 1):
+                    for i3 in range(1, N + 1):
+                        exact += (
+                            oracles._fpow(i1, s1)
+                            * oracles._fpow(i2, s2)
+                            * oracles._fpow(i3, s3)
+                            * oracles._fpow(i1 + i2, s4)
+                            * oracles._fpow(i2 + i3, s5)
+                            * oracles._fpow(i1 + i2 + i3, s6)
+                        )
+            assert abs(Fraction(box) - exact) <= Fraction(err), (s, N)
+
+
+# (s, N) -> (midpoint, radius) of the general-W tail enclosure, as float.hex;
+# every rung must reproduce them bit for bit
+_GENERAL_TAIL_GOLDEN = {
+    ((2, 1, 1, 1, 1, 1), 64): ("0x1.492d7b1a3cf6ap-13", "0x1.574e46bce1af2p-18"),
+    ((2, 1, 1, 1, 1, 1), 400): ("0x1.188bc44dddbb0p-18", "0x1.588c828ac9849p-26"),
+    ((1, 2, 3, 1, 1, 1), 64): ("0x1.5d08431d3355fp-14", "0x1.45b0ea23c2f26p-23"),
+    ((1, 2, 3, 1, 1, 1), 400): ("0x1.2c22237a18e11p-19", "0x1.258e96e41c84ep-33"),
+    ((0, 0, 2, 2, 2, 2), 64): ("0x1.beda5fdf9a6ccp-21", "0x1.9fd96f4314e68p-24"),
+    ((0, 0, 2, 2, 2, 2), 400): ("0x1.11c91c9017211p-28", "0x1.2c1f292f4ab35p-34"),
+    ((3, 1, 2, 2, 1, 3), 64): ("0x1.18f6391becda2p-34", "0x1.fc50439cb4c1ep-41"),
+    ((3, 1, 2, 2, 1, 3), 400): ("0x1.08fe19bd7c971p-47", "0x1.f0af2a31b573fp-59"),
+}
+
+
+def test_general_tail_budget_golden():
+    from wreduce import series
+
+    clear_caches()
+    for (s, N), want in _GENERAL_TAIL_GOLDEN.items():
+        mid, rad = series._general_tail_budget(s, N)
+        assert (float(mid).hex(), float(rad).hex()) == want, (s, N)
+
+
+def test_general_refusal_reuses_its_rungs(monkeypatch):
+    from wreduce import series
+
+    clear_caches()
+    atom = WittenSl4((2, 1, 1, 1, 1, 1))
+    with pytest.raises(ToleranceUnreachable) as first:
+        eval_atom(atom, SummationConfig(tolerance=1e-10))
+    assert "tail radius 2.006e-08" in str(first.value)
+    built = len(series._WS.tables)
+
+    def no_rebuild(*_args):
+        raise AssertionError("a memoized tail rung was built again")
+
+    monkeypatch.setattr(series, "_face_tail", no_rebuild)
+    with pytest.raises(ToleranceUnreachable) as again:
+        eval_atom(atom, SummationConfig(tolerance=1e-11))
+    assert "tail radius 2.006e-08" in str(again.value)
+    assert len(series._WS.tables) == built
+    monkeypatch.undo()
+
+    # the rungs of an accepted atom go with clear_caches and come back the same
+    cfg = SummationConfig(tolerance=1e-8)
+    accepted = WittenSl4((2, 1, 2, 1, 1, 1))
+    before = eval_atom(accepted, cfg)
+    clear_caches()
+    assert not series._WS.tables
+    assert eval_atom(accepted, cfg) == before

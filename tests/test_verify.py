@@ -174,6 +174,24 @@ def test_region_evaluator_agrees_with_brute_force(cfg8):
         assert abs(ev.midpoint - mid) <= ev.radius + rad, ident
 
 
+def test_region_evaluator_pinned_at_tight_tolerances():
+    # rungs whose closed-form remainder alone exceeds the request are
+    # skipped; the value and the refusal must be those of the full ladder
+    from wreduce.errors import ToleranceUnreachable
+    from wreduce.verify import _region_value
+
+    ev = _region_value("REGION_EQ14", (2, 2, 2, 2), SummationConfig(tolerance=1e-10))
+    assert (ev.midpoint.hex(), ev.radius.hex(), ev.terms) == (
+        "0x1.bc8bc94e663bap-5", "0x1.f1a11645c32afp-37", 4000
+    )
+    with pytest.raises(ToleranceUnreachable) as exc:
+        _region_value("REGION_EQ14", (2, 2, 2, 2), SummationConfig(tolerance=1e-12))
+    assert str(exc.value).endswith(
+        "constrained-region sum for REGION_EQ14(2, 2, 2, 2) certifies only "
+        "1.414e-11 at box 4000, above the requested 1.000e-12"
+    )
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
