@@ -36,9 +36,9 @@ rounding is charged with the order-agnostic ``EPS * total * (3N + 8)``,
 since numpy promises no summation order.  The edge and corner regions use
 separable majorants from a grid of exponent splits, whose admissible
 routed vectors are tabulated once per exponent tuple.  The face weights
-are outer products of 1-D tables with a Hankel view.  Every rung of the
-cutoff ladder (tail enclosure and box) is memoized in the workspace, so a
-refusal or a tighter re-request reuses it.
+are outer products of 1-D tables with a Hankel view.  Every tail rung of
+the cutoff ladder is memoized in the workspace, so a refusal or a tighter
+re-request reuses it; the box is summed once, at the accepted rung.
 """
 
 from __future__ import annotations
@@ -922,27 +922,8 @@ def _routed_region_bounds(s: tuple[int, ...], N: int) -> list[float]:
     exponent across members gives a valid separable majorant; the grid of
     splits ``_SPLIT2``/``_SPLIT3`` is searched and the best certified bound
     returned.  The admissible routed vectors come from ``_routed_splits``
-    (built once per s); per N, each one-variable factor is computed once
-    per (big or not, routed exponent).
+    (built once per s), so a rung only multiplies out their factors.
     """
-    factors: dict[tuple[bool, float], float] = {}
-
-    def factor(is_big: bool, r: float) -> float:
-        hit = factors.get((is_big, r))
-        if hit is None:
-            if is_big:
-                hit = N ** (1.0 - r) / (r - 1.0)
-            elif r > 1.0:
-                hit = 1.0 + 1.0 / (r - 1.0)
-            elif r == 1.0:
-                hit = 1.0 + math.log(N)
-            elif r > 0.0:
-                hit = 1.0 + (N ** (1.0 - r) - 1.0) / (1.0 - r)
-            else:
-                hit = float(N)
-            factors[(is_big, r)] = hit
-        return hit
-
     splits = _routed_splits(s)
     bounds = []
     for big in _BIG_SETS:
@@ -950,7 +931,17 @@ def _routed_region_bounds(s: tuple[int, ...], N: int) -> list[float]:
         for routed in splits[big]:
             bound = 1.0
             for v in range(3):
-                bound *= factor(v in big, routed[v])
+                r = routed[v]
+                if v in big:
+                    bound *= N ** (1.0 - r) / (r - 1.0)
+                elif r > 1.0:
+                    bound *= 1.0 + 1.0 / (r - 1.0)
+                elif r == 1.0:
+                    bound *= 1.0 + math.log(N)
+                elif r > 0.0:
+                    bound *= 1.0 + (N ** (1.0 - r) - 1.0) / (1.0 - r)
+                else:
+                    bound *= float(N)
             best = min(best, bound)
         bounds.append(best)
     return bounds
@@ -1002,7 +993,7 @@ def _general_tail_budget(s: tuple[int, ...], N: int) -> Interval:
 
 
 def _general_box(s: tuple[int, ...], N: int) -> tuple[float, float]:
-    """The sum over [1, N]^3 and its rounding bound (memoized per rung).
+    """The sum over [1, N]^3 and its rounding bound.
 
     For each m2 the (m1, m3) block is a Hankel matrix in m1 + m3, so its
     product with the m3 weights is one ``np.correlate`` of a slice of the
@@ -1014,37 +1005,33 @@ def _general_box(s: tuple[int, ...], N: int) -> tuple[float, float]:
     *Accuracy and Stability of Numerical Algorithms*, ch. 3: gamma_N per
     dot and per sequential sum, plus a few ulps for pow and the products).
     """
+    s1, s2, s3, s4, s5, s6 = s
+    m = np.arange(1, N + 1, dtype=float)
+    v1 = m ** float(-s1)
+    v2 = m ** float(-s2)
+    v3 = m ** float(-s3)
+    idx = np.arange(0, 2 * N + 1, dtype=float)
+    idx[0] = 1.0
+    tab4 = idx ** float(-s4)
+    tab5 = idx ** float(-s5)
+    idx3 = np.arange(0, 3 * N + 1, dtype=float)
+    idx3[0] = 1.0
+    tab6 = idx3 ** float(-s6)
 
-    def build() -> tuple[float, float]:
-        s1, s2, s3, s4, s5, s6 = s
-        m = np.arange(1, N + 1, dtype=float)
-        v1 = m ** float(-s1)
-        v2 = m ** float(-s2)
-        v3 = m ** float(-s3)
-        idx = np.arange(0, 2 * N + 1, dtype=float)
-        idx[0] = 1.0
-        tab4 = idx ** float(-s4)
-        tab5 = idx ** float(-s5)
-        idx3 = np.arange(0, 3 * N + 1, dtype=float)
-        idx3[0] = 1.0
-        tab6 = idx3 ** float(-s6)
-
-        total = 0.0
-        for i2 in range(1, N + 1):
-            colv = v1 * tab4[i2 + 1 : i2 + N + 1]  # (m1 + m2)^-s4 over m1
-            roww = v3 * tab5[i2 + 1 : i2 + N + 1]  # (m2 + m3)^-s5 over m3
-            # inner[i1] = sum_i3 (i1 + i2 + i3)^-s6 roww[i3]
-            inner = np.correlate(tab6[i2 + 2 : i2 + 2 * N + 1], roww, "valid")
-            total += v2[i2 - 1] * float(colv @ inner)
-        return total, EPS * total * (3 * N + 8)
-
-    return _memo(("Wbox", s, N), build)
+    total = 0.0
+    for i2 in range(1, N + 1):
+        colv = v1 * tab4[i2 + 1 : i2 + N + 1]  # (m1 + m2)^-s4 over m1
+        roww = v3 * tab5[i2 + 1 : i2 + N + 1]  # (m2 + m3)^-s5 over m3
+        # inner[i1] = sum_i3 (i1 + i2 + i3)^-s6 roww[i3]
+        inner = np.correlate(tab6[i2 + 2 : i2 + 2 * N + 1], roww, "valid")
+        total += v2[i2 - 1] * float(colv @ inner)
+    return total, EPS * total * (3 * N + 8)
 
 
 def _eval_w4_general(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
     """The boxed sum; the dispatcher has already applied the directional gate.
 
-    Rungs are memoized, so a refusal or a tighter re-request reuses them.
+    Tail rungs are memoized, so a refusal or a tighter re-request reuses them.
     """
     tol = cfg.tolerance
     N, tail = _cutoff(lambda n: _general_tail_budget(s, n), tol / 2.0, 64, cfg.max_terms_3d)

@@ -311,8 +311,9 @@ def test_general_box_contains_exact_lattice_sum():
             assert abs(Fraction(box) - exact) <= Fraction(err), (s, N)
 
 
-# (s, N) -> (midpoint, radius) of the general-W tail enclosure, as float.hex;
-# every rung must reproduce them bit for bit
+# (s, N) -> (midpoint, radius) of the general-W tail enclosure, as float.hex,
+# computed with numpy's float64 pow on x86-64; every rung must reproduce them
+# bit for bit (the matrix-reference test below checks the same on any host)
 _GENERAL_TAIL_GOLDEN = {
     ((2, 1, 1, 1, 1, 1), 64): ("0x1.492d7b1a3cf6ap-13", "0x1.574e46bce1af2p-18"),
     ((2, 1, 1, 1, 1, 1), 400): ("0x1.188bc44dddbb0p-18", "0x1.588c828ac9849p-26"),
@@ -333,6 +334,104 @@ def test_general_tail_budget_golden():
         mid, rad = series._general_tail_budget(s, N)
         assert (float(mid).hex(), float(rad).hex()) == want, (s, N)
 
+
+
+def _reference_routed_region_bound(s, N, big):
+    # reference: every split combination walked for each (s, N, big)
+    import itertools
+
+    from wreduce import series
+
+    active = [(k, series._MEMBERS[k]) for k in range(6) if s[k] > 0]
+    options = []
+    for _k, members in active:
+        if len(members) == 1:
+            options.append([(1.0,)])
+        elif len(members) == 2:
+            options.append(series._SPLIT2)
+        else:
+            options.append(series._SPLIT3)
+    best = math.inf
+    for combo in itertools.product(*options):
+        routed = [0.0, 0.0, 0.0]
+        for (k, members), weightvec in zip(active, combo):
+            for v, wfrac in zip(members, weightvec):
+                routed[v] += s[k] * wfrac
+        if not all(routed[v] > 1.0 for v in big):
+            continue
+        bound = 1.0
+        for v in range(3):
+            r = routed[v]
+            if v in big:
+                bound *= N ** (1.0 - r) / (r - 1.0)
+            elif r > 1.0:
+                bound *= 1.0 + 1.0 / (r - 1.0)
+            elif r == 1.0:
+                bound *= 1.0 + math.log(N)
+            elif r > 0.0:
+                bound *= 1.0 + (N ** (1.0 - r) - 1.0) / (1.0 - r)
+            else:
+                bound *= float(N)
+        best = min(best, bound)
+    return best
+
+
+def _reference_general_tail_budget(s, N):
+    # reference: the tail enclosure from full N x N pow and correction matrices
+    from wreduce import series
+
+    s1, s2, s3, s4, s5, s6 = s
+    m = series.np.arange(1, N + 1, dtype=float)
+    col = m[:, None]
+    row = m[None, :]
+    faces = [
+        (s1 + s4 + s6, col ** float(-s2) * row ** float(-s3) * (col + row) ** float(-s5),
+         [(s4, col + 0 * row), (s6, col + row)]),
+        (s3 + s5 + s6, col ** float(-s1) * row ** float(-s2) * (col + row) ** float(-s4),
+         [(s5, 0 * col + row), (s6, col + row)]),
+        (s2 + s4 + s5 + s6, col ** float(-s1) * row ** float(-s3),
+         [(s4, col + 0 * row), (s5, 0 * col + row), (s6, col + row)]),
+    ]
+    mid = rad = 0.0
+    for p, w, corrections in faces:
+        fmid, frad = series._face_tail(N, p, w, corrections)
+        mid += fmid
+        rad += frad
+    for big in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
+        bound = _reference_routed_region_bound(s, N, big)
+        if not math.isfinite(bound):
+            raise ConvergenceUnverified(f"W{s}: outer regions cannot be certified")
+        mid += bound / 2.0
+        rad += bound / 2.0
+    return (mid, rad)
+
+
+def test_general_tail_budget_matches_the_matrix_reference():
+    # the 1-D tables, Hankel views and per-s split table must reproduce the
+    # full-matrix computation bit for bit, on every rung of the default ladder
+    import itertools
+
+    from wreduce import series
+
+    grid = [
+        s
+        for s in itertools.product(range(4), repeat=6)
+        if min(s[3:]) > 0
+        and sum(s) <= 10
+        and min(s[0] + s[3] + s[5], s[1] + s[3] + s[4] + s[5], s[2] + s[4] + s[5]) >= 3
+    ]
+    sample = grid[::60] + list(dict.fromkeys(s for s, _N in _GENERAL_TAIL_GOLDEN))
+    clear_caches()
+    for s in sample:
+        for N in (64, 128, 256, 400):
+            try:
+                want = _reference_general_tail_budget(s, N)
+            except ConvergenceUnverified:
+                with pytest.raises(ConvergenceUnverified):
+                    series._general_tail_budget(s, N)
+                continue
+            got = series._general_tail_budget(s, N)
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in want], (s, N)
 
 def test_general_refusal_reuses_its_rungs(monkeypatch):
     from wreduce import series
