@@ -5,8 +5,10 @@ that the true value of the series provably lies inside
 ``[midpoint - radius, midpoint + radius]``.  The radius accounts for
 
 * truncation, bounded by enclosures of the dropped tails, and
-* floating-point rounding, bounded by coarse but safe models of pairwise
-  and sequential accumulation error.
+* floating-point rounding, bounded by one model: an n-term reduction errs
+  by at most gamma_n * sum |x_i y_i| in any summation order, BLAS included
+  (``_gamma``, ``_dot``).  Running-sum tables carry a radius per entry,
+  gamma_k * P[k] for entry k, and their consumers dot weights against it.
 
 Every tail is carried as a "log-power" (LP) form: a dictionary mapping
 ``(p, k)`` to an interval coefficient, denoting ``sum coeff * u^-p * ln(u)^k``.
@@ -131,30 +133,40 @@ def _imul(a: Interval, b: Interval) -> Interval:
     return (am * bm, abs(am) * br + abs(bm) * ar + ar * br + EPS * abs(am * bm))
 
 
-def _sum_err(abs_total: float, n: int) -> float:
-    """Rounding bound for numpy pairwise summation of n nonnegative terms."""
-    if n <= 1:
-        return 0.0
-    return EPS * abs_total * (math.log2(n) + 4.0)
+def _gamma(n):
+    """gamma_n, the rounding factor of an n-term reduction (n may be an array).
 
-
-def _cumsum(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Running sums of x plus a per-entry rounding coefficient.
-
-    Blocks of ~sqrt(n) keep the sequential-accumulation error coefficient
-    near 2 sqrt(n) instead of n; the worst entry error is
-    coefficient * EPS * sum(|x|).
+    A sum of n products errs by at most gamma_n * sum |x_i y_i| in any order
+    (sequential, pairwise, BLAS), gamma_n = n u / (1 - n u), u = 2^-53 (Higham,
+    *Accuracy and Stability*, ch. 3; Jeannerod and Rump, SIAM J. Matrix Anal.
+    Appl. 34, 2013).  EPS > 2u, so (n + 2) EPS also covers the bound's own
+    rounding and two ulps of error in each input (numpy's pow stays within one).
     """
-    n = x.size
-    if n <= 4096:
-        return np.cumsum(x), float(n + 4)
-    B = 1 << int(math.isqrt(n)).bit_length()
-    pad = (-n) % B
-    xp = np.pad(x, (0, pad)) if pad else x
-    inner = np.cumsum(xp.reshape(-1, B), axis=1)
-    offsets = np.concatenate(([0.0], np.cumsum(inner[:-1, -1])))
-    out = (inner + offsets[:, None]).reshape(-1)[:n]
-    return out, float(B + n // B + 8)
+    return (n + 2) * EPS
+
+
+def _dot(x: np.ndarray, y: np.ndarray, yrad: np.ndarray) -> Interval:
+    """Enclosure of sum_i x_i y_i, each y_i known to within yrad_i: the radius
+    is gamma_n * sum |x_i y_i| plus sum |x_i| yrad_i, itself inflated by gamma_n.
+    """
+    ax = np.abs(x)
+    g = _gamma(x.size)
+    rad = g * float(np.dot(ax, np.abs(y))) + (1.0 + g) * float(np.dot(ax, yrad))
+    return float(np.dot(x, y)), rad
+
+
+def _prefix_sums(x: np.ndarray, xrad=None) -> tuple[np.ndarray, np.ndarray]:
+    """P[k] = sum_{i<=k} x_i for k = 0..n (P[0] = 0) and per-entry radii, x >= 0.
+
+    Entry k is a k-term sum whatever order numpy takes, so its rounding is
+    gamma_k P[k]; radii xrad of the x_i accumulate alongside.
+    """
+    P = np.concatenate(([0.0], np.cumsum(x)))
+    g = _gamma(np.arange(P.size, dtype=float))
+    rad = g * P
+    if xrad is not None:
+        rad += (1.0 + g) * np.concatenate(([0.0], np.cumsum(xrad)))
+    return P, rad
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +468,14 @@ def eval_zeta(s: int, cfg: SummationConfig) -> Evaluation:
     def compute() -> Evaluation:
         tol = cfg.tolerance
 
-        def tail_at(n: int) -> Interval:
-            mid, rad = _lp_tail({(float(s), 0): (1.0, 0.0)}, n)
-            return (mid, rad + _sum_err(2.0, n))  # plus the partial sum's rounding
-
-        N, (tmid, radius) = _cutoff(tail_at, tol / 2.0, 32, cfg.max_terms)
+        lp = {(float(s), 0): (1.0, 0.0)}
+        N, (tmid, trad) = _cutoff(lambda n: _lp_tail(lp, n), tol / 2.0, 32, cfg.max_terms)
+        part = float(np.sum(np.arange(1, N + 1, dtype=float) ** float(-s)))
+        radius = trad + _gamma(N) * part  # the terms are positive
         if radius > tol:
             raise ToleranceUnreachable(
                 f"zeta({s}): certified radius {radius:.3e} exceeds {tol:.3e}"
             )
-        n = np.arange(1, N + 1, dtype=float)
-        part = float(np.sum(n ** float(-s)))
         return Evaluation(part + tmid, radius, N)
 
     return _cached_atom(("Z", s) + _caps(cfg), cfg.tolerance, compute)
@@ -481,25 +490,25 @@ def _zeta_getter(cfg: SummationConfig):
     return zeta_of
 
 
-def _prefix_table(j: int, U: int) -> tuple[np.ndarray, float]:
-    """P_j[u] = sum_{m<=u} m^-j for u = 0..U, with a uniform radius."""
+def _prefix_table(j: int, U: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mid, rad) arrays of P_j[u] = sum_{m<=u} m^-j for u = 0..U."""
 
-    def build() -> tuple[np.ndarray, float]:
+    def build() -> tuple[np.ndarray, np.ndarray]:
         if j == 0:
-            return (np.arange(U + 1, dtype=float), 0.0)  # integers, exact
-        pref, coeff = _cumsum(np.arange(1, U + 1, dtype=float) ** float(-j))
-        return (np.concatenate(([0.0], pref)), coeff * EPS * float(pref[-1]))
+            return (np.arange(U + 1, dtype=float), np.zeros(U + 1))  # integers, exact
+        return _prefix_sums(np.arange(1, U + 1, dtype=float) ** float(-j))
 
     return _memo(("P", j, U), build)
 
 
-def _tailzeta_table(j: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray, float]:
-    """t[u] = sum_{m>u} m^-j for u = 0..U, with a uniform radius."""
+def _tailzeta_table(j: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(mid, rad) arrays of t[u] = sum_{m>u} m^-j for u = 0..U."""
 
-    def build() -> tuple[np.ndarray, float]:
+    def build() -> tuple[np.ndarray, np.ndarray]:
         z = _zeta_getter(cfg)(j)
         P, prad = _prefix_table(j, U)
-        return (z.midpoint - P, z.radius + prad + EPS * z.midpoint)
+        t = z.midpoint - P
+        return (t, z.radius + prad + EPS * np.abs(t))
 
     return _memo(("tz", j, U), build)
 
@@ -525,14 +534,13 @@ def _g_pf_coeffs(c: int, f: int) -> tuple[list[tuple[int, int]], list[tuple[int,
 
 
 def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(mid, rad) arrays of G_{c,f}(u) for u = 1..U (index 0 unused)."""
+    """(mid, rad) arrays of G_{c,f}(u) for u = 1..U (index 0 unused; shared: do not mutate)."""
     if c == 0 and f == 0:
         raise ConvergenceUnverified("inner pair sum with no weight diverges")
     if c == 0:
         if f < 2:
             raise ConvergenceUnverified("inner pair sum needs f >= 2 when c = 0")
-        t, rad = _tailzeta_table(f, U, cfg)
-        return t.copy(), np.full(U + 1, rad)
+        return _tailzeta_table(f, U, cfg)
     if f == 0:
         if c < 2:
             raise ConvergenceUnverified("inner pair sum needs c >= 2 when f = 0")
@@ -544,29 +552,25 @@ def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray,
     u = np.arange(0, U + 1, dtype=float)
     u[0] = 1.0  # avoid 0^-k warnings; slot 0 is unused
     A, B = _g_pf_coeffs(c, f)
-    H, Hrad = _prefix_table(1, U)
     zeta_of = _zeta_getter(cfg)
-
-    mid = np.zeros(U + 1)
-    rad = np.zeros(U + 1)
-
-    coefA1, powA1 = A[0]
-    scaleA1 = coefA1 * u ** float(-powA1)
-    mid += scaleA1 * H
-    rad += np.abs(scaleA1) * Hrad
-
+    # (coef, power, (mid, rad) of the piece): A_1 H_u (B_1 is paired into
+    # it), the zetas of A_2.. and the zeta tails of B_2..
+    parts = [A[0] + (_prefix_table(1, U),)]
     for coef, pw in A[1:]:
-        j = c + f - pw
-        z = zeta_of(j)
+        z = zeta_of(c + f - pw)
+        parts.append((coef, pw, (z.midpoint, z.radius)))
+    for j, (coef, pw) in enumerate(B[1:], start=2):
+        parts.append((coef, pw, _tailzeta_table(j, U, cfg)))
+
+    mid, absmid, rad = np.zeros((3, U + 1))
+    for coef, pw, (pmid, prad) in parts:
         scale = coef * u ** float(-pw)
-        mid += scale * z.midpoint
-        rad += np.abs(scale) * z.radius
-    for j, (coef, pw) in enumerate(B[1:], start=2):  # B_1 is paired into A_1 H_u
-        t, trad = _tailzeta_table(j, U, cfg)
-        scale = coef * u ** float(-pw)
-        mid += scale * t
-        rad += np.abs(scale) * trad
-    rad += EPS * (np.abs(mid) + rad) * (c + f + 4)
+        term = scale * pmid
+        mid += term
+        absmid += np.abs(term)
+        rad += np.abs(scale) * prad
+    # the signs alternate, so the rounding is charged against the pieces
+    rad += _gamma(len(parts)) * (absmid + rad)
     return mid, rad
 
 
@@ -608,12 +612,10 @@ def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
         # outer sum over m2 of m2^-b G_{a,c}(m2); the LP bracket of G gives
         # a two-sided parametric tail
         lp = _lp_shift(_lp_g_bracket(a, c, cfg), float(b))
-        M, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 1024, cfg.max_terms)
+        M, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 32, cfg.max_terms)
 
         gmid, grad = _g_tables(a, c, M, cfg)
-        m2pow = _power_array(M, b)
-        box = float(np.dot(m2pow[1:], gmid[1:]))
-        boxrad = float(np.dot(m2pow[1:], grad[1:])) + _sum_err(abs(box), M)
+        box, boxrad = _dot(_power_array(M, b)[1:], gmid[1:], grad[1:])
 
         radius = tail[1] + boxrad
         if radius > tol:
@@ -648,12 +650,11 @@ def eval_euler(atom: EulerSum, cfg: SummationConfig) -> Evaluation:
 def _euler2(s1: int, s2: int, cfg: SummationConfig) -> Evaluation:
     tol = cfg.tolerance
     lp = _euler2_tail_lp(s1, s2, cfg)
-    X, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 1024, cfg.max_terms)
+    X, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 32, cfg.max_terms)
 
     inner, irad = _prefix_table(s2, X)
-    outer = np.arange(1, X + 1, dtype=float) ** float(-s1)
-    part = float(np.dot(outer[1:], inner[1:-1]))
-    rounding = irad * float(np.sum(outer[1:])) + _sum_err(part, X)
+    outer = np.arange(2, X + 1, dtype=float) ** float(-s1)
+    part, rounding = _dot(outer, inner[1:-1], irad[1:-1])
 
     radius = tail[1] + rounding
     if radius > tol:
@@ -693,24 +694,14 @@ def _euler3_tail_lp(s1: int, s2: int, s3: int, cfg: SummationConfig) -> LogPower
 def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
     tol = cfg.tolerance
     lp = _euler3_tail_lp(s1, s2, s3, cfg)
-    X, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 1024, cfg.max_terms)
+    X, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 32, cfg.max_terms)
 
     n = np.arange(1, X + 1, dtype=float)
     q, qrad = _prefix_table(s3, X)
-    middle = n ** float(-s2) * q[:-1]
-    dsum, dcoeff = _cumsum(middle)
-    d = np.concatenate(([0.0], dsum))
-    outer = n ** float(-s1)
-    part = float(np.dot(outer[2:], d[2:-1]))
-    # d[k] inherits the worst q-rounding through each y^-s2 weight of the
-    # middle cumsum; the outer dot weights both cumsum errors by sum(outer)
-    s_mid = float(np.sum(n ** float(-s2)))
-    s_out = float(np.sum(outer))
-    rounding = (
-        qrad * s_mid * s_out
-        + dcoeff * EPS * float(d[-1]) * s_out
-        + _sum_err(abs(part), X)
-    )
+    w = n ** float(-s2)
+    d, drad = _prefix_sums(w * q[:-1], w * qrad[:-1])  # D(k) = sum_{y<=k} y^-s2 P_{s3}(y-1)
+    # D(0) = D(1) = 0, so the outer sum starts at x = 3
+    part, rounding = _dot(n[2:] ** float(-s1), d[2:-1], drad[2:-1])
 
     radius = tail[1] + rounding
     if radius > tol:
@@ -757,9 +748,9 @@ def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, np.ndarray]:
             P, prad = _prefix_table(j, U)
             scale = w * u ** float(j - a - b)
             mid[2:] += scale * P[1:-1]
-            rad[2:] += scale * prad
+            rad[2:] += scale * prad[1:-1]
         # every summand is nonnegative, so mid bounds their absolute sum
-        rad += EPS * (mid + rad) * (len(weights) + 4)
+        rad += _gamma(len(weights)) * (mid + rad)
         return mid, rad
 
     return _memo(("S", a, b, U), build)
@@ -776,11 +767,7 @@ def _collapsed_s12_lp(a: int, b: int, cfg: SummationConfig) -> LogPower:
 def _weighted_product_sum(w: np.ndarray, x: tuple, y: tuple) -> Interval:
     """Enclosure of sum_u w[u] x(u) y(u) for (mid, rad) tables x, y and w >= 0."""
     (xm, xr), (ym, yr) = x, y
-    prod_mid = xm * ym
-    prod_rad = np.abs(xm) * yr + np.abs(ym) * xr + xr * yr
-    box = float(np.dot(w, prod_mid))
-    absbox = float(np.dot(w, np.abs(prod_mid)))
-    return box, float(np.dot(w, prod_rad)) + _sum_err(absbox, w.size)
+    return _dot(w, xm * ym, np.abs(xm) * yr + np.abs(ym) * xr + xr * yr)
 
 
 def _eval_w4_collapsed(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
@@ -795,7 +782,7 @@ def _eval_w4_collapsed(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
         _lp_shift(_collapsed_s12_lp(s1, s2, cfg), float(s4)),
         _lp_g_bracket(c, f, cfg),
     )
-    U, tail = _cutoff(lambda n: _lp_tail(lp_outer, n), tol / 2.0, 1024, cfg.max_terms)
+    U, tail = _cutoff(lambda n: _lp_tail(lp_outer, n), tol / 2.0, 32, cfg.max_terms)
 
     box, boxrad = _weighted_product_sum(
         _power_array(U, s4), _pair_sum_table(s1, s2, U), _g_tables(c, f, U, cfg)
@@ -823,7 +810,7 @@ def _eval_w4_hub(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
         _lp_shift(_lp_g_bracket(s1, s4, cfg), float(s2)),
         _lp_g_bracket(s3, s5, cfg),
     )
-    M, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 2.0, 1024, cfg.max_terms)
+    M, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 2.0, 32, cfg.max_terms)
 
     box, boxrad = _weighted_product_sum(
         _power_array(M, s2), _g_tables(s1, s4, M, cfg), _g_tables(s3, s5, M, cfg)
@@ -864,7 +851,8 @@ def _face_tail(
     lo = float(np.sum(weights * lo_cells))
     hi = float(np.sum(weights * hi_cells))
     mid = (lo + hi) / 2.0
-    rad = (hi - lo) / 2.0 + _sum_err(abs(hi), weights.size)
+    # np.sum of a contiguous array is numpy's pairwise sum: log2 n levels
+    rad = (hi - lo) / 2.0 + EPS * abs(hi) * (math.log2(weights.size) + 4.0)
     return (mid, rad)
 
 
@@ -1137,17 +1125,17 @@ def eval_lincomb(lc: LinearCombination, cfg: SummationConfig) -> Evaluation:
     if not entries:
         return Evaluation(0.0, 0.0, 0)
     n = len(entries)
-    mid = 0.0
-    rad = 0.0
+    mid = absmid = rad = 0.0
     max_terms_used = 0
     for term, coef in entries:
         c = float(coef)
         share = cfg.tolerance / (2.0 * n * max(1.0, abs(c)))
         ev = eval_term(term, _with_tol(cfg, share))
         mid += c * ev.midpoint
-        rad += abs(c) * ev.radius + EPS * abs(c * ev.midpoint) * 2
+        absmid += abs(c * ev.midpoint)
+        rad += abs(c) * ev.radius
         max_terms_used = max(max_terms_used, ev.terms)
-    rad += _sum_err(abs(mid) + rad, n)
+    rad += _gamma(n) * (absmid + rad)
     if rad > cfg.tolerance:
         # shares clamped at the floor can add up past the request
         raise ToleranceUnreachable(

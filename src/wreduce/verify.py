@@ -587,28 +587,18 @@ _TYPO_PROBE_POINTS = [
 ]
 
 
+# the lemma 2.4 records carry that much weight beyond their parameters
+_WEIGHT_OFFSET = {"LEMMA24_EQ18": 2, "LEMMA24_EQ19": 2, "LEMMA24_EQ20": 1}
+
+
 def _family_weight(identity_id: str, params: tuple[int, ...]) -> int:
-    if identity_id == "SYMMETRY_EQ6":
-        return sum(params)
-    if identity_id in ("FACTOR_EQ12", "HWZ_EQ3"):
-        return sum(params)
-    if identity_id in _REGION_IDS or identity_id in ("COMBINE_EQ16", "COMBINE_EQ17"):
-        return sum(params)
+    if identity_id not in IDENTITY_IDS:
+        raise UnsupportedParams(f"unknown identity id {identity_id!r}")
     if identity_id == "LEMMA21_INSTANCE":
         return sum(params[1:]) if params[0] == 2 else 0
-    if identity_id == "THM21_EQ5":
-        return sum(params)
-    if identity_id == "LEMMA24_EQ18":
-        return sum(params) + 2
-    if identity_id == "LEMMA24_EQ19":
-        return sum(params) + 2
-    if identity_id == "LEMMA24_EQ20":
-        return sum(params) + 1
-    if identity_id == "THM22_FINAL":
-        return sum(params)
     if identity_id == "TYPO_PROBE":
         return sum(params[:5])
-    raise UnsupportedParams(f"unknown identity id {identity_id!r}")
+    return sum(params) + _WEIGHT_OFFSET.get(identity_id, 0)
 
 
 def default_parameters(identity_id: str, weight_cap: int = DEFAULT_WEIGHT_CAP) -> list[tuple[int, ...]]:

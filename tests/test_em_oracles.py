@@ -9,7 +9,14 @@ import math
 import pytest
 
 from wreduce.exact import EulerSum, MordellTornheim3, SingleZeta
-from wreduce.series import SummationConfig, _lp_eval, _lp_harmonic, _lp_tail, eval_atom
+from wreduce.series import (
+    SummationConfig,
+    _g_tables,
+    _lp_eval,
+    _lp_harmonic,
+    _lp_tail,
+    eval_atom,
+)
 
 mp = pytest.importorskip("mpmath").mp
 mp.dps = 40
@@ -41,7 +48,7 @@ def _closed_forms():
     ]
 
 
-@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
 def test_atoms_contain_closed_forms(tol):
     cfg = SummationConfig(tolerance=tol)
     for atom, ref in _closed_forms():
@@ -57,3 +64,12 @@ def test_harmonic_form_contains_harmonic_numbers():
         mid, rad = _lp_eval(lp, u)
         # each 1/m and the fsum round once: half an ulp of h apiece
         assert abs(mid - h) <= rad + 2.0**-52 * h, u
+
+
+@pytest.mark.parametrize("c,f", [(2, 3), (5, 5), (1, 6)])
+def test_shifted_pair_sum_tables_contain_direct_sums(c, f):
+    # the partial fractions alternate in sign and cancel hardest at small u
+    mid, rad = _g_tables(c, f, 64, SummationConfig(tolerance=1e-12))
+    for u in (1, 2, 7, 64):
+        ref = mp.nsum(lambda m: m**-c * (u + m) ** -f, [1, mp.inf])
+        assert abs(mp.mpf(mid[u]) - ref) <= rad[u], u

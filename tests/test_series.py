@@ -112,6 +112,68 @@ def test_pair_sum_table_contains_direct_convolution():
                 assert abs(mid[u] - direct) <= rad[u] + 2.0**-52 * direct, (a, b, u)
 
 
+def test_dot_bound_covers_blas_on_an_adversarial_vector():
+    import numpy as np
+
+    from wreduce.series import EPS, _dot
+
+    # 64 ones start every accumulator a BLAS kernel keeps near 1; each of
+    # the 2^20 quarter-ulps after them is then dropped by a running sum
+    n = 1 << 20
+    x = np.full(n, 2.0**-54)
+    x[:64] = 1.0
+    value, bound = _dot(x, np.ones(n), np.zeros(n))
+    err = abs(value - math.fsum(x))  # fsum is exact here
+    assert err <= bound
+    # the pairwise model EPS (log2 n + 4) sum|x| is not a bound for np.dot
+    assert err > EPS * (math.log2(n) + 4.0) * math.fsum(x)
+
+
+def test_prefix_table_radii_contain_exact_prefix_sums():
+    from fractions import Fraction
+
+    from wreduce.series import _prefix_table
+
+    U = 2000
+    samples = {1, 2, 3, 31, 32, 100, 1023, 1024, 1999, 2000}
+    for j in (1, 2, 3):
+        mid, rad = _prefix_table(j, U)
+        exact = Fraction(0)
+        for u in range(1, U + 1):
+            exact += Fraction(1, u**j)
+            if u in samples:
+                assert abs(Fraction(mid[u]) - exact) <= Fraction(rad[u]), (j, u)
+        # each entry carries its own radius, not the last entry's
+        assert rad[32] < rad[U] / 10, j
+
+
+def test_reductions_charge_rounding_through_one_helper():
+    import ast
+    import inspect
+
+    from wreduce import series
+
+    tree = ast.parse(inspect.getsource(series))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_sum_err", "_cumsum"}
+    # the general-W box and its faces are out of scope and charge their own bounds
+    allowed = {"_dot", "_general_box", "_face_tail"}
+    dots = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+    offenders = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name in allowed:
+            continue
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "np"
+                and node.attr in dots
+            ) or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+                offenders.append(fn.name)
+    assert not offenders
+
+
 def test_zeta_against_reference(cfg8):
     for s in range(2, 11):
         ev = eval_atom(SingleZeta(s), cfg8)
@@ -216,10 +278,11 @@ def test_collapsed_gate_rejects_unit_row_sums(cfg6):
 
 
 def test_tolerance_unreachable_reports_certified_radius():
-    # the first-order tail of the collapsed path stops short of the floor
+    # the zeta-tail table t_3(u) = zeta(3) - P_3(u) carries the floor radius
+    # of zeta(3) into every entry, and the collapsed sum weights it by H_{u-1}
     cfg = SummationConfig(tolerance=1e-12)
     with pytest.raises(ToleranceUnreachable) as exc:
-        eval_atom(WittenSl4((2, 1, 2, 1, 0, 0)), cfg)
+        eval_atom(WittenSl4((1, 0, 0, 0, 0, 3)), cfg)
     assert "certified radius" in str(exc.value)
 
 
