@@ -207,7 +207,12 @@ class Term:
         return "*".join(f.render() for f in self.factors)
 
     def sort_key(self) -> tuple:
-        return (self.weight, len(self.factors), tuple(atom_key(f) for f in self.factors))
+        # built on first use, not in __post_init__: most terms are never sorted
+        key = self.__dict__.get("_sort_key")
+        if key is None:
+            key = (self.weight, len(self.factors), tuple(atom_key(f) for f in self.factors))
+            object.__setattr__(self, "_sort_key", key)
+        return key
 
 
 def _accumulate(acc: dict, term: Term, coef: Fraction) -> None:
@@ -229,7 +234,7 @@ class LinearCombination:
     one fresh dict and never mutates an operand.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_sorted")
 
     def __init__(self, entries: Union[dict, Iterable[tuple[Term, RationalLike]], None] = None):
         acc: dict[Term, Fraction] = {}
@@ -276,8 +281,14 @@ class LinearCombination:
     # inspection -------------------------------------------------------
 
     def items(self) -> list[tuple[Term, Fraction]]:
-        """Entries in deterministic (weight, structure) order."""
-        return sorted(self._entries.items(), key=lambda kv: kv[0].sort_key())
+        """Entries in deterministic (weight, structure) order (a fresh list)."""
+        try:
+            ordered = self._sorted
+        except AttributeError:
+            ordered = self._sorted = tuple(
+                sorted(self._entries.items(), key=lambda kv: kv[0].sort_key())
+            )
+        return list(ordered)
 
     def coefficient(self, term: Term) -> Fraction:
         return self._entries.get(term, Fraction(0))

@@ -36,16 +36,21 @@ In the general case, each m2 slice of the box is a Hankel matrix in
 m1 + m3, summed by ``np.correlate`` on a slice of one 1-D table; its
 rounding is charged with the order-agnostic ``EPS * total * (3N + 8)``,
 since numpy promises no summation order.  The edge and corner regions use
-separable majorants from a grid of exponent splits, whose admissible
-routed vectors are tabulated once per exponent tuple.  The face weights
-are outer products of 1-D tables with a Hankel view.  Every tail rung of
-the cutoff ladder is memoized in the workspace, so a refusal or a tighter
-re-request reuses it; the box is summed once, at the accepted rung.
+separable majorants from a grid of exponent splits.  Their admissible
+routed vectors are tabulated once per exponent tuple, per variable as the
+distinct exponents and an index, so a rung evaluates each factor once per
+distinct exponent.  The face weights are outer products of 1-D tables with
+a Hankel view, and the face corrections are 1-D tables laid out as a
+column, a row or a Hankel view; each rung evaluates its three faces in
+place in four N x N buffers allocated once.  Below the box cap, a rung
+whose outer regions alone exceed the budget is skipped without building
+its faces.  Every other tail rung of the cutoff ladder is memoized in the
+workspace, so a refusal or a tighter re-request reuses it; the box is
+summed once, at the accepted rung.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -94,8 +99,8 @@ class SummationConfig:
             raise ToleranceUnreachable(
                 f"tolerance {self.tolerance} is below the float64 floor {TOLERANCE_FLOOR}"
             )
-        if self.max_terms < 1024:
-            raise UnsupportedParams("max_terms below 1024 leaves no room for any ladder")
+        if self.max_terms < 32:
+            raise UnsupportedParams("max_terms below 32 leaves no room for any ladder")
         if self.max_terms_3d < 16:
             raise UnsupportedParams("max_terms_3d below 16 leaves no room for any ladder")
         return self
@@ -824,32 +829,60 @@ def _eval_w4_hub(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
 # ---------------------------------------------------------------------------
 # triple sums: the general boxed path (s4, s5, s6 all > 0)
 
+def _grid_view(x: np.ndarray, layout: str, N: int) -> np.ndarray:
+    """A 1-D table laid out over the N x N small grid: cell (i, j) reads
+    x[i] ("col"), x[j] ("row") or x[i + j] ("hankel", len(x) = 2N - 1)."""
+    if layout == "col":
+        return x[:, None]
+    if layout == "row":
+        return x[None, :]
+    return np.lib.stride_tricks.sliding_window_view(x, N)
+
+
 def _face_tail(
     N: int,
     p: int,
     weights: np.ndarray,
-    corrections: list[tuple[int, np.ndarray]],
+    corrections: list[tuple[int, np.ndarray, str]],
+    work: list[np.ndarray],
 ) -> Interval:
     """Enclosure of sum over (big > N) x (small grid) with a weight matrix.
 
-    Each correction c_j is an array that broadcasts against ``weights``.
-    The big-variable sum is sum_{m>N} m^-p prod_j (1 + c_j/m)^-q_j; the
-    product is sandwiched by 1 - A/m <= prod <= 1 - A/m + (B2 + A^2)/(2 m^2)
-    with A = sum q_j c_j and B2 = sum q_j c_j^2 (from ln(1+x) bounds), so
-    three zeta tails enclose the whole face.
+    Each correction c_j is a 1-D table with its ``_grid_view`` layout.  The
+    big-variable sum is sum_{m>N} m^-p prod_j (1 + c_j/m)^-q_j; the product
+    is sandwiched by 1 - A/m <= prod <= 1 - A/m + (B2 + A^2)/(2 m^2) with
+    A = sum q_j c_j and B2 = sum q_j c_j^2 (from ln(1+x) bounds), so three
+    zeta tails enclose the whole face.  A and B2 are integers, hence exact
+    in any order.  The cells are evaluated in place in ``work``, three
+    contiguous N x N buffers, and lo <= hi holds cell by cell.
     """
-    A = np.zeros_like(weights)
-    B2 = np.zeros_like(weights)
-    for q, cmat in corrections:
-        A += q * cmat
-        B2 += q * cmat * cmat
+    A, B2, cells = work
+    views = [
+        (_grid_view(q * c, layout, N), _grid_view(q * c * c, layout, N))
+        for q, c, layout in corrections
+    ]
+    for k, acc in enumerate((A, B2)):
+        np.add(views[0][k], views[1][k], out=acc)
+        for extra in views[2:]:
+            acc += extra[k]
     t0, t1, t2 = (_lp_tail({(float(p + i), 0): (1.0, 0.0)}, N) for i in range(3))
-    lo_cells = np.maximum(0.0, (t0[0] - t0[1]) - A * (t1[0] + t1[1]))
-    hi_cells = (t0[0] + t0[1]) - A * np.maximum(0.0, t1[0] - t1[1]) + 0.5 * (B2 + A * A) * (
-        t2[0] + t2[1]
-    )
-    lo = float(np.sum(weights * lo_cells))
-    hi = float(np.sum(weights * hi_cells))
+    # lo = max(0, t0lo - A t1hi)
+    np.multiply(A, t1[0] + t1[1], out=cells)
+    np.subtract(t0[0] - t0[1], cells, out=cells)
+    np.maximum(cells, 0.0, out=cells)
+    cells *= weights
+    lo = float(np.sum(cells))
+    # hi = t0hi - A max(0, t1lo) + (B2 + A^2)/2 t2hi; halving B2 + A^2 (an
+    # integer) or t2hi (a normal float) is exact, so either order gives the
+    # same product
+    np.multiply(A, A, out=cells)
+    B2 += cells
+    B2 *= 0.5 * (t2[0] + t2[1])
+    np.multiply(A, np.maximum(0.0, t1[0] - t1[1]), out=cells)
+    np.subtract(t0[0] + t0[1], cells, out=cells)
+    cells += B2
+    cells *= weights
+    hi = float(np.sum(cells))
     mid = (lo + hi) / 2.0
     # np.sum of a contiguous array is numpy's pairwise sum: log2 n levels
     rad = (hi - lo) / 2.0 + EPS * abs(hi) * (math.log2(weights.size) + 4.0)
@@ -868,38 +901,54 @@ _SPLIT3 = [
 ]
 
 _MEMBERS = {0: (0,), 1: (1,), 2: (2,), 3: (0, 1), 4: (1, 2), 5: (0, 1, 2)}
+_SPLITS = {1: [(1.0,)], 2: _SPLIT2, 3: _SPLIT3}  # by the number of members
 _BIG_SETS = ((0, 1), (0, 2), (1, 2), (0, 1, 2))
 
 
-def _routed_splits(s: tuple[int, ...]) -> dict[tuple[int, ...], list[tuple[float, ...]]]:
-    """For each set in ``_BIG_SETS``, the distinct routed exponent vectors
-    (m1, m2, m3) of the splits that route more than 1 to every big variable.
+def _routed_splits(s: tuple[int, ...]) -> tuple[list[list[float]], dict]:
+    """The routed exponent vectors (m1, m2, m3) of every split in the grid,
+    tabulated per variable v: ``exponents[v]`` lists the distinct v-th
+    exponents, and ``index[big][v]`` holds, for each vector that routes more
+    than 1 to every variable of ``big`` (a set in ``_BIG_SETS``), the
+    position of its v-th exponent in that list.
 
-    They depend on ``s`` alone, so the split grid is walked once per ``s``.
+    The vectors are built by broadcasting over the split grid, adding the
+    routed shares of s_1..s_6 in that order, so each entry is the same float
+    as a scalar walk of the grid.  They depend on ``s`` alone, so the grid
+    is walked once per ``s``.
     """
 
-    def build() -> dict[tuple[int, ...], list[tuple[float, ...]]]:
-        active = [(k, _MEMBERS[k]) for k in range(6) if s[k] > 0]
-        options = []
-        for _k, members in active:
-            if len(members) == 1:
-                options.append([(1.0,)])
-            elif len(members) == 2:
-                options.append(_SPLIT2)
-            else:
-                options.append(_SPLIT3)
-        vectors: dict[tuple[float, ...], None] = {}
-        for combo in itertools.product(*options):
-            routed = [0.0, 0.0, 0.0]
-            for (k, members), weightvec in zip(active, combo):
-                for v, wfrac in zip(members, weightvec):
-                    routed[v] += s[k] * wfrac
-            vectors[tuple(routed)] = None
-        return {
-            big: [r for r in vectors if all(r[v] > 1.0 for v in big)] for big in _BIG_SETS
-        }
+    def build() -> tuple[list[list[float]], dict]:
+        routed = np.zeros((1, 3))
+        for k in range(6):
+            if s[k] > 0:
+                members = _MEMBERS[k]
+                split = _SPLITS[len(members)]
+                share = np.zeros((len(split), 3))
+                share[:, members] = s[k] * np.array(split)
+                routed = (routed[:, None, :] + share[None, :, :]).reshape(-1, 3)
+        columns = [np.unique(routed[:, v], return_inverse=True) for v in range(3)]
+        index = {}
+        for big in _BIG_SETS:
+            admissible = np.all(routed[:, big] > 1.0, axis=1)
+            index[big] = [inverse[admissible] for _exponents, inverse in columns]
+        return [exponents.tolist() for exponents, _ in columns], index
 
     return _memo(("routed", s), build)
+
+
+def _region_factor(r: float, big: bool, N: int) -> float:
+    """The separable majorant of one variable routed the exponent r: its sum
+    over m > N when it is big (r > 1), over [1, N] otherwise."""
+    if big:
+        return N ** (1.0 - r) / (r - 1.0) if r > 1.0 else math.inf
+    if r > 1.0:
+        return 1.0 + 1.0 / (r - 1.0)
+    if r == 1.0:
+        return 1.0 + math.log(N)
+    if r > 0.0:
+        return 1.0 + (N ** (1.0 - r) - 1.0) / (1.0 - r)
+    return float(N)
 
 
 def _routed_region_bounds(s: tuple[int, ...], N: int) -> list[float]:
@@ -909,29 +958,21 @@ def _routed_region_bounds(s: tuple[int, ...], N: int) -> list[float]:
     Composite denominators dominate each member, so any convex split of an
     exponent across members gives a valid separable majorant; the grid of
     splits ``_SPLIT2``/``_SPLIT3`` is searched and the best certified bound
-    returned.  The admissible routed vectors come from ``_routed_splits``
-    (built once per s), so a rung only multiplies out their factors.
+    returned.  ``_routed_splits`` tabulates the routed vectors once per s,
+    so a rung evaluates each factor once per distinct exponent and
+    multiplies them out, v = 0, 1, 2, for every admissible vector at once.
     """
-    splits = _routed_splits(s)
+    exponents, index = _routed_splits(s)
+    factors = {
+        (v, big): np.array([_region_factor(r, big, N) for r in values])
+        for v, values in enumerate(exponents)
+        for big in (False, True)
+    }
     bounds = []
     for big in _BIG_SETS:
-        best = math.inf
-        for routed in splits[big]:
-            bound = 1.0
-            for v in range(3):
-                r = routed[v]
-                if v in big:
-                    bound *= N ** (1.0 - r) / (r - 1.0)
-                elif r > 1.0:
-                    bound *= 1.0 + 1.0 / (r - 1.0)
-                elif r == 1.0:
-                    bound *= 1.0 + math.log(N)
-                elif r > 0.0:
-                    bound *= 1.0 + (N ** (1.0 - r) - 1.0) / (1.0 - r)
-                else:
-                    bound *= float(N)
-            best = min(best, bound)
-        bounds.append(best)
+        f0, f1, f2 = (factors[v, v in big][idx] for v, idx in enumerate(index[big]))
+        bound = f0 * f1 * f2
+        bounds.append(float(bound.min()) if bound.size else math.inf)
     return bounds
 
 
@@ -941,32 +982,28 @@ def _general_tail_budget(s: tuple[int, ...], N: int) -> Interval:
     def build() -> Interval:
         s1, s2, s3, s4, s5, s6 = s
         m = np.arange(1, N + 1, dtype=float)
-        col = m[:, None]
-        row = m[None, :]
-        # cell (i, j) of a Hankel view reads entry i + j: (i+1) + (j+1)
+        # m_i + m_j over the small grid, read through a Hankel view
         diag = np.arange(2, 2 * N + 1, dtype=float)
-        colrow = np.lib.stride_tricks.sliding_window_view(diag, N)
+        weights, *work = np.empty((4, N, N))
 
         def vec(e: int) -> np.ndarray:
             return m ** float(-e)
 
-        def hankel(e: int) -> np.ndarray:
-            return np.lib.stride_tricks.sliding_window_view(diag ** float(-e), N)
-
         faces = [
             # m1 > N over the small grid (m2, m3)
-            (s1 + s4 + s6, vec(s2)[:, None] * vec(s3)[None, :] * hankel(s5),
-             [(s4, col), (s6, colrow)]),
+            (s1 + s4 + s6, vec(s2), vec(s3), s5, [(s4, m, "col"), (s6, diag, "hankel")]),
             # m3 > N over (m1, m2)
-            (s3 + s5 + s6, vec(s1)[:, None] * vec(s2)[None, :] * hankel(s4),
-             [(s5, row), (s6, colrow)]),
+            (s3 + s5 + s6, vec(s1), vec(s2), s4, [(s5, m, "row"), (s6, diag, "hankel")]),
             # m2 > N over (m1, m3)
-            (s2 + s4 + s5 + s6, vec(s1)[:, None] * vec(s3)[None, :],
-             [(s4, col), (s5, row), (s6, colrow)]),
+            (s2 + s4 + s5 + s6, vec(s1), vec(s3), None,
+             [(s4, m, "col"), (s5, m, "row"), (s6, diag, "hankel")]),
         ]
         mid = rad = 0.0
-        for p, w, corrections in faces:
-            fmid, frad = _face_tail(N, p, w, corrections)
+        for p, colv, rowv, e, corrections in faces:
+            np.multiply(colv[:, None], rowv[None, :], out=weights)
+            if e is not None:
+                weights *= _grid_view(diag ** float(-e), "hankel", N)
+            fmid, frad = _face_tail(N, p, weights, corrections, work)
             mid += fmid
             rad += frad
 
@@ -1020,9 +1057,26 @@ def _eval_w4_general(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
     """The boxed sum; the dispatcher has already applied the directional gate.
 
     Tail rungs are memoized, so a refusal or a tighter re-request reuses them.
+    A rung below the cap whose outer regions alone exceed the budget fails
+    whatever its faces add, so it is skipped unbuilt; the cap rung is always
+    built, so a refusal reports the same radius as a full ladder.
     """
     tol = cfg.tolerance
-    N, tail = _cutoff(lambda n: _general_tail_budget(s, n), tol / 2.0, 64, cfg.max_terms_3d)
+    cap = cfg.max_terms_3d
+
+    def tail_at(n: int) -> Interval:
+        if n < cap:
+            # _general_tail_budget adds these terms, in this order, after
+            # face radii that are >= 0; float addition is monotone, so the
+            # partial sum bounds the rung's radius from below
+            outer = 0.0
+            for bound in _routed_region_bounds(s, n):
+                outer += bound / 2.0
+            if outer > tol / 2.0:
+                return (math.nan, outer)
+        return _general_tail_budget(s, n)
+
+    N, tail = _cutoff(tail_at, tol / 2.0, 64, cap)
     if tail[1] > tol / 2.0:
         # refuse before paying for the box at the cap
         raise ToleranceUnreachable(

@@ -38,8 +38,22 @@ def test_config_validation():
     with pytest.raises(ToleranceUnreachable):
         SummationConfig(tolerance=1e-18).validated()
     with pytest.raises(UnsupportedParams):
-        SummationConfig(max_terms=100).validated()
+        SummationConfig(max_terms=16).validated()
     SummationConfig().validated()
+
+
+def test_a_small_max_terms_validates_and_certifies():
+    # every 1-D ladder starts at 32, so a cap of 512 leaves room for them
+    cfg = SummationConfig(tolerance=1e-10, max_terms=512).validated()
+    clear_caches()
+    for atom in (
+        EulerSum((2, 1)),
+        EulerSum((2, 1, 1)),
+        MordellTornheim3(1, 1, 1),
+        WittenSl4((1, 1, 1, 1, 0, 1)),
+    ):
+        ev = eval_atom(atom, cfg)
+        assert ev.radius <= 1e-10 and 32 <= ev.terms <= 512, atom
 
 
 def test_evaluation_coerces_numpy_scalars():
@@ -439,6 +453,28 @@ def _reference_routed_region_bound(s, N, big):
     return best
 
 
+def _reference_face_tail(N, p, weights, corrections):
+    # reference: the face enclosure from full N x N correction matrices
+    from wreduce import series
+
+    np = series.np
+    A = np.zeros_like(weights)
+    B2 = np.zeros_like(weights)
+    for q, cmat in corrections:
+        A += q * cmat
+        B2 += q * cmat * cmat
+    t0, t1, t2 = (series._lp_tail({(float(p + i), 0): (1.0, 0.0)}, N) for i in range(3))
+    lo_cells = np.maximum(0.0, (t0[0] - t0[1]) - A * (t1[0] + t1[1]))
+    hi_cells = (t0[0] + t0[1]) - A * np.maximum(0.0, t1[0] - t1[1]) + 0.5 * (B2 + A * A) * (
+        t2[0] + t2[1]
+    )
+    lo = float(np.sum(weights * lo_cells))
+    hi = float(np.sum(weights * hi_cells))
+    mid = (lo + hi) / 2.0
+    rad = (hi - lo) / 2.0 + series.EPS * abs(hi) * (math.log2(weights.size) + 4.0)
+    return (mid, rad)
+
+
 def _reference_general_tail_budget(s, N):
     # reference: the tail enclosure from full N x N pow and correction matrices
     from wreduce import series
@@ -457,7 +493,7 @@ def _reference_general_tail_budget(s, N):
     ]
     mid = rad = 0.0
     for p, w, corrections in faces:
-        fmid, frad = series._face_tail(N, p, w, corrections)
+        fmid, frad = _reference_face_tail(N, p, w, corrections)
         mid += fmid
         rad += frad
     for big in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
@@ -469,12 +505,10 @@ def _reference_general_tail_budget(s, N):
     return (mid, rad)
 
 
-def test_general_tail_budget_matches_the_matrix_reference():
-    # the 1-D tables, Hankel views and per-s split table must reproduce the
-    # full-matrix computation bit for bit, on every rung of the default ladder
+def _general_sample():
+    # every 60th general tuple with entries <= 3 and weight <= 10 that passes
+    # the directional gate, plus the golden ones
     import itertools
-
-    from wreduce import series
 
     grid = [
         s
@@ -483,9 +517,16 @@ def test_general_tail_budget_matches_the_matrix_reference():
         and sum(s) <= 10
         and min(s[0] + s[3] + s[5], s[1] + s[3] + s[4] + s[5], s[2] + s[4] + s[5]) >= 3
     ]
-    sample = grid[::60] + list(dict.fromkeys(s for s, _N in _GENERAL_TAIL_GOLDEN))
+    return grid[::60] + list(dict.fromkeys(s for s, _N in _GENERAL_TAIL_GOLDEN))
+
+
+def test_general_tail_budget_matches_the_matrix_reference():
+    # the 1-D tables, Hankel views and per-s split table must reproduce the
+    # full-matrix computation bit for bit, on every rung of the default ladder
+    from wreduce import series
+
     clear_caches()
-    for s in sample:
+    for s in _general_sample():
         for N in (64, 128, 256, 400):
             try:
                 want = _reference_general_tail_budget(s, N)
@@ -523,3 +564,70 @@ def test_general_refusal_reuses_its_rungs(monkeypatch):
     clear_caches()
     assert not series._WS.tables
     assert eval_atom(accepted, cfg) == before
+
+
+def test_routed_region_bounds_match_the_reference():
+    # the per-variable factor tables reproduce the walk of every split
+    # combination bit for bit, at every 7th cutoff of 16..400
+    from wreduce import series
+
+    clear_caches()
+    for s in _general_sample():
+        for N in range(16, 401, 7):
+            want = [_reference_routed_region_bound(s, N, big) for big in series._BIG_SETS]
+            got = series._routed_region_bounds(s, N)
+            assert [float(x).hex() for x in got] == [x.hex() for x in want], (s, N)
+
+
+def _full_ladder_w4_general(s, cfg):
+    # reference: the general-W ladder with every rung built in full
+    from wreduce import series
+
+    tol = cfg.tolerance
+    N, tail = series._cutoff(
+        lambda n: series._general_tail_budget(s, n), tol / 2.0, 64, cfg.max_terms_3d
+    )
+    if tail[1] > tol / 2.0:
+        raise ToleranceUnreachable(
+            f"W{s}: tail radius {tail[1]:.3e} exceeds {tol / 2:.3e} at the box cap"
+        )
+    box, boxerr = series._general_box(s, N)
+    radius = tail[1] + boxerr
+    if radius > tol:
+        raise ToleranceUnreachable(f"W{s}: certified radius {radius:.3e} exceeds {tol:.3e}")
+    return Evaluation(box + tail[0], radius, N)
+
+
+def test_skipped_rungs_leave_every_outcome_unchanged():
+    from wreduce import series
+    from wreduce.errors import WreduceError
+
+    def outcome(evaluate, s, cfg):
+        clear_caches()
+        try:
+            return evaluate(s, cfg)
+        except WreduceError as exc:
+            return (type(exc).__name__, str(exc))
+
+    for s in _general_sample():
+        for tol in (1e-6, 1e-8, 1e-10):
+            cfg = SummationConfig(tolerance=tol)
+            want = outcome(_full_ladder_w4_general, s, cfg)
+            assert outcome(series._eval_w4_general, s, cfg) == want, (s, tol)
+
+
+def test_rungs_that_cannot_fit_build_no_faces(monkeypatch):
+    from wreduce import series
+
+    face_tail = series._face_tail
+    built = []
+
+    def counting(N, *args):
+        built.append(N)
+        return face_tail(N, *args)
+
+    clear_caches()
+    monkeypatch.setattr(series, "_face_tail", counting)
+    with pytest.raises(ToleranceUnreachable, match="tail radius 2.006e-08"):
+        eval_atom(WittenSl4((2, 1, 1, 1, 1, 1)), SummationConfig(tolerance=1e-10))
+    assert built == [400, 400, 400]

@@ -192,6 +192,34 @@ def test_region_evaluator_pinned_at_tight_tolerances():
     )
 
 
+# sha256 over the verdict and the hex midpoints and radii of both sides of
+# every SYMMETRY_EQ6 and COMBINE_EQ17 record of the cold default sweep, as
+# computed with numpy's float64 pow on x86-64 before the general-W tail
+# rungs were reworked; every general-W atom must reproduce them bit for bit
+_GENERAL_W_SWEEP_DIGESTS = {
+    1e-8: "5b2ed9488472a2beee27e06a1c956ae4adbb46ec39d7f7db0669d6c273b474d2",
+    1e-10: "c01f79c032487ef88cc86a2984e6bae564ed27fb1a10c3d2e67dac3be3e9d015",
+}
+
+
+@pytest.mark.parametrize("tol", sorted(_GENERAL_W_SWEEP_DIGESTS))
+def test_general_w_records_of_the_default_sweep_golden(tol):
+    import hashlib
+
+    from wreduce.series import clear_caches
+
+    clear_caches()
+    digest = hashlib.sha256()
+    for rep in sweep(cfg=SummationConfig(tolerance=tol)):
+        if rep.record.identity_id not in ("SYMMETRY_EQ6", "COMBINE_EQ17"):
+            continue
+        fields = [rep.record.identity_id, repr(rep.record.parameters), rep.verdict]
+        for ev in (rep.lhs_eval, rep.rhs_eval):
+            fields += [ev.midpoint.hex(), ev.radius.hex()] if ev else ["", ""]
+        digest.update(("|".join(fields) + "\n").encode())
+    assert digest.hexdigest() == _GENERAL_W_SWEEP_DIGESTS[tol]
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
