@@ -206,12 +206,14 @@ class Term:
             return "1"
         return "*".join(f.render() for f in self.factors)
 
+    # built on first use, not in __post_init__: most terms are never sorted
+    _sort_key = None
+
     def sort_key(self) -> tuple:
-        # built on first use, not in __post_init__: most terms are never sorted
-        key = self.__dict__.get("_sort_key")
+        key = self._sort_key
         if key is None:
             key = (self.weight, len(self.factors), tuple(atom_key(f) for f in self.factors))
-            object.__setattr__(self, "_sort_key", key)
+            self.__dict__["_sort_key"] = key
         return key
 
 
@@ -243,12 +245,14 @@ class LinearCombination:
             for term, coef in pairs:
                 _accumulate(acc, term, coef if type(coef) is Fraction else Fraction(coef))
         self._entries = acc
+        self._sorted = None  # the entries in items() order, sorted on first use
 
     @classmethod
     def _wrap(cls, entries: dict) -> "LinearCombination":
         """Adopt ``entries`` as is: Fraction coefficients, none of them zero."""
         out = object.__new__(cls)
         out._entries = entries
+        out._sorted = None
         return out
 
     # constructors -----------------------------------------------------
@@ -282,13 +286,9 @@ class LinearCombination:
 
     def items(self) -> list[tuple[Term, Fraction]]:
         """Entries in deterministic (weight, structure) order (a fresh list)."""
-        try:
-            ordered = self._sorted
-        except AttributeError:
-            ordered = self._sorted = tuple(
-                sorted(self._entries.items(), key=lambda kv: kv[0].sort_key())
-            )
-        return list(ordered)
+        if self._sorted is None:
+            self._sorted = sorted(self._entries.items(), key=lambda kv: kv[0].sort_key())
+        return list(self._sorted)
 
     def coefficient(self, term: Term) -> Fraction:
         return self._entries.get(term, Fraction(0))
