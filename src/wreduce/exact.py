@@ -206,15 +206,8 @@ class Term:
             return "1"
         return "*".join(f.render() for f in self.factors)
 
-    # built on first use, not in __post_init__: most terms are never sorted
-    _sort_key = None
-
     def sort_key(self) -> tuple:
-        key = self._sort_key
-        if key is None:
-            key = (self.weight, len(self.factors), tuple(atom_key(f) for f in self.factors))
-            self.__dict__["_sort_key"] = key
-        return key
+        return (self.weight, len(self.factors), tuple(atom_key(f) for f in self.factors))
 
 
 def _accumulate(acc: dict, term: Term, coef: Fraction) -> None:
