@@ -408,7 +408,9 @@ def parse(text: str) -> LinearCombination:
             coeftext, termtext = piece.split(" * ", 1)
             if not _COEF_RE.match(coeftext.strip()):
                 raise InadmissibleIndex(f"bad coefficient {coeftext!r}")
-            entries.append((parse_term(termtext), Fraction(coeftext)))
+            # an accepted token without "/" is an integer, and int() is the cheap parse
+            coef = Fraction(coeftext) if "/" in coeftext else Fraction(int(coeftext))
+            entries.append((parse_term(termtext), coef))
         else:
             entries.append((parse_term(piece), Fraction(1)))
     return LinearCombination(entries)

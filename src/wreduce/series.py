@@ -976,45 +976,64 @@ def _routed_region_bounds(s: tuple[int, ...], N: int) -> list[float]:
     return bounds
 
 
-def _general_tail_budget(s: tuple[int, ...], N: int) -> Interval:
-    """Total enclosure of everything outside the [1,N]^3 box (memoized per rung)."""
+def _general_tail_budget(s: tuple[int, ...], N: int, budget: float = math.inf) -> Interval:
+    """Total enclosure of everything outside the [1,N]^3 box (memoized per rung).
 
-    def build() -> Interval:
-        s1, s2, s3, s4, s5, s6 = s
-        m = np.arange(1, N + 1, dtype=float)
-        # m_i + m_j over the small grid, read through a Hankel view
-        diag = np.arange(2, 2 * N + 1, dtype=float)
-        weights, *work = np.empty((4, N, N))
+    The radius adds the three face radii, then the outer-region halves.
+    Face radii are >= 0 and float addition is monotone, so the outer terms
+    alone, and the faces built so far followed by the outer terms in the
+    same order, bound the rung's radius from below.  As soon as such a
+    bound exceeds ``budget`` the rung cannot fit: the next face is not
+    built, and a non-fitting interval is returned without being memoized.
+    """
+    key = ("Wtail", s, N)
+    hit = _WS.tables.get(key)
+    if hit is not None:
+        return hit
+    bounds = _routed_region_bounds(s, N)
 
-        def vec(e: int) -> np.ndarray:
-            return m ** float(-e)
-
-        faces = [
-            # m1 > N over the small grid (m2, m3)
-            (s1 + s4 + s6, vec(s2), vec(s3), s5, [(s4, m, "col"), (s6, diag, "hankel")]),
-            # m3 > N over (m1, m2)
-            (s3 + s5 + s6, vec(s1), vec(s2), s4, [(s5, m, "row"), (s6, diag, "hankel")]),
-            # m2 > N over (m1, m3)
-            (s2 + s4 + s5 + s6, vec(s1), vec(s3), None,
-             [(s4, m, "col"), (s5, m, "row"), (s6, diag, "hankel")]),
-        ]
-        mid = rad = 0.0
-        for p, colv, rowv, e, corrections in faces:
-            np.multiply(colv[:, None], rowv[None, :], out=weights)
-            if e is not None:
-                weights *= _grid_view(diag ** float(-e), "hankel", N)
-            fmid, frad = _face_tail(N, p, weights, corrections, work)
-            mid += fmid
-            rad += frad
-
-        for bound in _routed_region_bounds(s, N):
-            if not math.isfinite(bound):
-                raise ConvergenceUnverified(f"W{s}: outer regions cannot be certified")
-            mid += bound / 2.0
+    def with_outer(rad: float) -> float:
+        for bound in bounds:
             rad += bound / 2.0
-        return (mid, rad)
+        return rad
 
-    return _memo(("Wtail", s, N), build)
+    s1, s2, s3, s4, s5, s6 = s
+    m = np.arange(1, N + 1, dtype=float)
+    # m_i + m_j over the small grid, read through a Hankel view
+    diag = np.arange(2, 2 * N + 1, dtype=float)
+    weights, *work = np.empty((4, N, N))
+
+    def vec(e: int) -> np.ndarray:
+        return m ** float(-e)
+
+    faces = [
+        # m1 > N over the small grid (m2, m3)
+        (s1 + s4 + s6, vec(s2), vec(s3), s5, [(s4, m, "col"), (s6, diag, "hankel")]),
+        # m3 > N over (m1, m2)
+        (s3 + s5 + s6, vec(s1), vec(s2), s4, [(s5, m, "row"), (s6, diag, "hankel")]),
+        # m2 > N over (m1, m3)
+        (s2 + s4 + s5 + s6, vec(s1), vec(s3), None,
+         [(s4, m, "col"), (s5, m, "row"), (s6, diag, "hankel")]),
+    ]
+    mid = rad = 0.0
+    for p, colv, rowv, e, corrections in faces:
+        lower = with_outer(rad)
+        if lower > budget:
+            return (math.nan, lower)
+        np.multiply(colv[:, None], rowv[None, :], out=weights)
+        if e is not None:
+            weights *= _grid_view(diag ** float(-e), "hankel", N)
+        fmid, frad = _face_tail(N, p, weights, corrections, work)
+        mid += fmid
+        rad += frad
+
+    for bound in bounds:
+        if not math.isfinite(bound):
+            raise ConvergenceUnverified(f"W{s}: outer regions cannot be certified")
+        mid += bound / 2.0
+        rad += bound / 2.0
+    _WS.tables[key] = (mid, rad)
+    return (mid, rad)
 
 
 def _general_box(s: tuple[int, ...], N: int) -> tuple[float, float]:
@@ -1065,16 +1084,7 @@ def _eval_w4_general(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
     cap = cfg.max_terms_3d
 
     def tail_at(n: int) -> Interval:
-        if n < cap:
-            # _general_tail_budget adds these terms, in this order, after
-            # face radii that are >= 0; float addition is monotone, so the
-            # partial sum bounds the rung's radius from below
-            outer = 0.0
-            for bound in _routed_region_bounds(s, n):
-                outer += bound / 2.0
-            if outer > tol / 2.0:
-                return (math.nan, outer)
-        return _general_tail_budget(s, n)
+        return _general_tail_budget(s, n, tol / 2.0 if n < cap else math.inf)
 
     N, tail = _cutoff(tail_at, tol / 2.0, 64, cap)
     if tail[1] > tol / 2.0:

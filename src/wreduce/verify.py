@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -655,15 +656,24 @@ def default_parameters(identity_id: str, weight_cap: int = DEFAULT_WEIGHT_CAP) -
 # ---------------------------------------------------------------------------
 # the constrained-region cross evaluator
 #
-# Deliberately naive: plain lattice loops over a square box, prefix and
+# Deliberately naive: plain lattice sums over a square box, prefix and
 # tail weight tables built in place, and coarse closed-form caps for
 # everything outside the box.  It shares no code with the engine's
 # dispatch, which is the point.  The caps use zeta(x) <= _ZCAP for
 # x >= 2, which is why the region grids insist on exponents >= 2.
+#
+# The box is summed in blocks of _REGION_BLOCK rows: each block's cells
+# are the same products, formed in the same order, as one row at a time,
+# read through sliding windows of the 1-D tables; each row is still one
+# contiguous np.sum (numpy's pairwise sum), and the row sums are added
+# to the total one by one in row order.  So the value and radius are those
+# of a row-by-row loop, bit for bit.
 
 _EPS = 2.3e-16
 _ZCAP = 1.6449340668482273 + 1e-12
 _REGION_LADDER = (500, 1500, 4000)
+_REGION_BLOCK = 32
+_windows = np.lib.stride_tricks.sliding_window_view
 
 
 def _power_tail_table(limit: int, d: int) -> tuple[np.ndarray, float]:
@@ -705,38 +715,57 @@ def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfi
         if remainder / 2 > tol and box != _REGION_LADDER[-1]:
             continue  # the radius is at least remainder / 2, so this rung cannot certify
         n = np.arange(1, box + 1, dtype=np.float64)
-        idx = np.arange(1, box + 1)
+        # row i (1-based) of the box reads windows i and i + 1 of the 1-D tables
+        spow = np.arange(1, 2 * box + 1, dtype=np.float64)
+        cells = np.empty((_REGION_BLOCK, box))
+        blocks = [(i, min(i + _REGION_BLOCK, box + 1)) for i in range(1, box + 1, _REGION_BLOCK)]
         total = 0.0
         if identity_id == "REGION_EQ13":
             # sum over v > n1+n2 of v^-d n1^-a n2^-b (n1+n2)^-c
             tails, tailrad = _power_tail_table(2 * box, d)
             pa = n ** float(-a)
             pb = n ** float(-b)
-            spow = np.arange(1, 2 * box + 1, dtype=np.float64) ** float(-c)
+            spow = _windows(spow ** float(-c), box)
+            tails = _windows(tails, box)
+            core = np.empty_like(cells)
             wsum = 0.0
-            for i in range(1, box + 1):
-                core = pa[i - 1] * pb * spow[i : i + box]
-                total += float(np.sum(core * tails[i + idx]))
-                wsum += float(np.sum(core))
+            for lo, hi in blocks:
+                k = hi - lo
+                np.multiply(pa[lo - 1 : hi - 1, None], pb, out=core[:k])
+                core[:k] *= spow[lo:hi]
+                np.multiply(core[:k], tails[lo + 1 : hi + 1], out=cells[:k])
+                for x in np.sum(cells[:k], axis=1).tolist():
+                    total += x
+                for x in np.sum(core[:k], axis=1).tolist():
+                    wsum += x
             aux = wsum * tailrad
         elif identity_id == "REGION_EQ14":
             # sum over v < n1 of v^-a n1^-c n2^-b (n1+n2)^-d
             pref = np.concatenate(([0.0], np.cumsum(n ** float(-a))))
             pb = n ** float(-b)
             pc = n ** float(-c)
-            spow = np.arange(1, 2 * box + 1, dtype=np.float64) ** float(-d)
-            for i in range(1, box + 1):
-                total += pref[i - 1] * pc[i - 1] * float(np.sum(pb * spow[i : i + box]))
+            spow = _windows(spow ** float(-d), box)
+            for lo, hi in blocks:
+                k = hi - lo
+                np.multiply(pb, spow[lo:hi], out=cells[:k])
+                rows = pref[lo - 1 : hi - 1] * pc[lo - 1 : hi - 1] * np.sum(cells[:k], axis=1)
+                for x in rows.tolist():
+                    total += x
             aux = 0.0
         else:
             # sum over n1 < v < n1+n2 of v^-c n1^-a n2^-b (n1+n2)^-d
-            pref = np.concatenate(([0.0], np.cumsum(np.arange(1, 2 * box + 1, dtype=np.float64) ** float(-c))))
+            pref = np.concatenate(([0.0], np.cumsum(spow ** float(-c))))
             pa = n ** float(-a)
             pb = n ** float(-b)
-            spow = np.arange(1, 2 * box + 1, dtype=np.float64) ** float(-d)
-            for i in range(1, box + 1):
-                between = pref[i : i + box] - pref[i]
-                total += pa[i - 1] * float(np.sum(between * pb * spow[i : i + box]))
+            spow = _windows(spow ** float(-d), box)
+            between = _windows(pref, box)
+            for lo, hi in blocks:
+                k = hi - lo
+                np.subtract(between[lo:hi], pref[lo:hi, None], out=cells[:k])
+                cells[:k] *= pb
+                cells[:k] *= spow[lo:hi]
+                for x in (pa[lo - 1 : hi - 1] * np.sum(cells[:k], axis=1)).tolist():
+                    total += x
             aux = 0.0
         floats = _EPS * total * (box + 64)
         radius = remainder / 2 + aux + floats
@@ -808,7 +837,9 @@ def sweep(
     """Check every default grid point of the chosen families.
 
     Report order is the deterministic grid order, independent of
-    ``threads``.  Per-record evaluation errors become INCONCLUSIVE
+    ``threads``.  ``threads`` worker processes check the records, but
+    never more than the CPU count, since the pool starts every worker it
+    is given.  Per-record evaluation errors become INCONCLUSIVE
     verdicts; the sweep itself never aborts on one record.
     """
     if weight_cap > cap_limit:
@@ -825,11 +856,13 @@ def sweep(
         seen.add(ident)
         for params in default_parameters(ident, weight_cap):
             records.append(build_identity(ident, params))
-    if threads <= 1 or len(records) <= 1:
+    # the pool starts every worker it is given, so never more than the CPUs
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1 or len(records) <= 1:
         return [check(r, cfg) for r in records]
     payload = [(r, cfg) for r in records]
-    chunk = max(1, len(payload) // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunk = max(1, len(payload) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_check_task, payload, chunksize=chunk))
 
 

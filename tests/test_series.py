@@ -631,3 +631,35 @@ def test_rungs_that_cannot_fit_build_no_faces(monkeypatch):
     with pytest.raises(ToleranceUnreachable, match="tail radius 2.006e-08"):
         eval_atom(WittenSl4((2, 1, 1, 1, 1, 1)), SummationConfig(tolerance=1e-10))
     assert built == [400, 400, 400]
+
+
+def test_a_rung_sunk_by_its_first_face_stops_there(monkeypatch):
+    # at 1e-10 the outer regions of this rung fit the budget, but its first
+    # face already pushes the radius over: the other two faces are never
+    # built, the refusal is not memoized, and a later full build is exact
+    from wreduce import series
+
+    s, N, budget = (0, 0, 1, 2, 2, 3), 128, 1e-10 / 2.0
+    face_tail = series._face_tail
+    built = []
+
+    def counting(n, *args):
+        built.append(n)
+        return face_tail(n, *args)
+
+    clear_caches()
+    outer = 0.0
+    for bound in series._routed_region_bounds(s, N):
+        outer += bound / 2.0
+    assert outer <= budget
+    monkeypatch.setattr(series, "_face_tail", counting)
+    mid, rad = series._general_tail_budget(s, N, budget)
+    assert built == [N]
+    assert math.isnan(mid) and rad > budget
+    assert ("Wtail", s, N) not in series._WS.tables
+    monkeypatch.undo()
+
+    got = series._general_tail_budget(s, N)
+    want = _reference_general_tail_budget(s, N)
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+    assert got[1] >= rad

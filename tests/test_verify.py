@@ -192,6 +192,85 @@ def test_region_evaluator_pinned_at_tight_tolerances():
     )
 
 
+def _reference_region_value(identity_id, params, cfg):
+    # reference: the region evaluator summing its box one row at a time
+    import numpy as np
+
+    from wreduce import verify
+    from wreduce.errors import ToleranceUnreachable
+    from wreduce.series import Evaluation
+
+    a, b, c, d = params
+    tol = cfg.tolerance
+    last = None
+    for box in verify._REGION_LADDER:
+        remainder = verify._region_remainder(identity_id, params, box)
+        if remainder / 2 > tol and box != verify._REGION_LADDER[-1]:
+            continue
+        n = np.arange(1, box + 1, dtype=np.float64)
+        idx = np.arange(1, box + 1)
+        total = 0.0
+        if identity_id == "REGION_EQ13":
+            tails, tailrad = verify._power_tail_table(2 * box, d)
+            pa = n ** float(-a)
+            pb = n ** float(-b)
+            spow = np.arange(1, 2 * box + 1, dtype=np.float64) ** float(-c)
+            wsum = 0.0
+            for i in range(1, box + 1):
+                core = pa[i - 1] * pb * spow[i : i + box]
+                total += float(np.sum(core * tails[i + idx]))
+                wsum += float(np.sum(core))
+            aux = wsum * tailrad
+        elif identity_id == "REGION_EQ14":
+            pref = np.concatenate(([0.0], np.cumsum(n ** float(-a))))
+            pb = n ** float(-b)
+            pc = n ** float(-c)
+            spow = np.arange(1, 2 * box + 1, dtype=np.float64) ** float(-d)
+            for i in range(1, box + 1):
+                total += pref[i - 1] * pc[i - 1] * float(np.sum(pb * spow[i : i + box]))
+            aux = 0.0
+        else:
+            pref = np.concatenate(
+                ([0.0], np.cumsum(np.arange(1, 2 * box + 1, dtype=np.float64) ** float(-c)))
+            )
+            pa = n ** float(-a)
+            pb = n ** float(-b)
+            spow = np.arange(1, 2 * box + 1, dtype=np.float64) ** float(-d)
+            for i in range(1, box + 1):
+                between = pref[i : i + box] - pref[i]
+                total += pa[i - 1] * float(np.sum(between * pb * spow[i : i + box]))
+            aux = 0.0
+        floats = verify._EPS * total * (box + 64)
+        radius = remainder / 2 + aux + floats
+        last = Evaluation(total + remainder / 2, radius, box)
+        if radius <= tol:
+            return last
+    raise ToleranceUnreachable(
+        f"constrained-region sum for {identity_id}{params} certifies only "
+        f"{last.radius:.3e} at box {last.terms}, above the requested {tol:.3e}"
+    )
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_region_evaluator_matches_the_row_loop(tol):
+    # the row blocks must give every REGION record the value, radius, box
+    # and refusal of a row-by-row loop, bit for bit
+    from wreduce.errors import ToleranceUnreachable
+    from wreduce.verify import _region_value
+
+    def outcome(evaluate, ident, params):
+        try:
+            ev = evaluate(ident, params, SummationConfig(tolerance=tol))
+        except ToleranceUnreachable as exc:
+            return str(exc)
+        return (ev.midpoint.hex(), ev.radius.hex(), ev.terms)
+
+    for ident in ("REGION_EQ13", "REGION_EQ14", "REGION_EQ15"):
+        for params in default_parameters(ident):
+            want = outcome(_reference_region_value, ident, params)
+            assert outcome(_region_value, ident, params) == want, (ident, params)
+
+
 # sha256 over the verdict and the hex midpoints and radii of both sides of
 # every SYMMETRY_EQ6 and COMBINE_EQ17 record of the cold default sweep, as
 # computed with numpy's float64 pow on x86-64 before the general-W tail
@@ -218,6 +297,35 @@ def test_general_w_records_of_the_default_sweep_golden(tol):
             fields += [ev.midpoint.hex(), ev.radius.hex()] if ev else ["", ""]
         digest.update(("|".join(fields) + "\n").encode())
     assert digest.hexdigest() == _GENERAL_W_SWEEP_DIGESTS[tol]
+
+
+# sha256 of the report lines of the whole cold default sweep, as computed
+# with numpy's float64 pow on x86-64 before the region evaluator was summed
+# in row blocks; the same caveat as the digests above
+_DEFAULT_SWEEP_DIGESTS = {
+    1e-8: "904bf5474b296df4d5e1c6ba06e455bd8f7f128338a499f782ca95e8c3a9d7b1",
+    1e-10: "aaf2079a6e212c9f66340718a4b1bd4dcfdb9e1e8a1d78ee5c0c4cf724d3e6bf",
+}
+
+
+def _cold_default_sweep_lines(tol, threads=1):
+    from wreduce.series import clear_caches
+
+    clear_caches()
+    return format_report_lines(sweep(cfg=SummationConfig(tolerance=tol), threads=threads))
+
+
+@pytest.mark.parametrize("tol", sorted(_DEFAULT_SWEEP_DIGESTS))
+def test_default_sweep_report_golden(tol):
+    import hashlib
+
+    lines = _cold_default_sweep_lines(tol)
+    assert hashlib.sha256(lines.encode()).hexdigest() == _DEFAULT_SWEEP_DIGESTS[tol]
+
+
+def test_default_sweep_pool_is_byte_identical_at_1e10():
+    tol = 1e-10
+    assert _cold_default_sweep_lines(tol, threads=2) == _cold_default_sweep_lines(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +357,38 @@ def test_sweep_parallel_output_is_byte_identical(cfg6):
     assert format_report_lines(serial, timings=False) == format_report_lines(
         parallel, timings=False
     )
+
+
+def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, cfg6):
+    # a stand-in pool that records its size and maps in-process: no real
+    # pool of that size is ever started
+    import os
+
+    from wreduce import verify
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, items)
+
+    ids = ["LEMMA24_EQ19", "LEMMA24_EQ20"]
+    serial = format_report_lines(sweep(ids=ids, weight_cap=8, cfg=cfg6, threads=1))
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    pooled = format_report_lines(sweep(ids=ids, weight_cap=8, cfg=cfg6, threads=10**4))
+    cpus = os.cpu_count() or 1
+    assert asked == ([cpus] if cpus > 1 else [])
+    assert pooled == serial
 
 
 def test_probe_sweep_discriminates_variants(cfg6):
