@@ -43,8 +43,11 @@ distinct exponent.  The face weights are outer products of 1-D tables with
 a Hankel view, and the face corrections are 1-D tables laid out as a
 column, a row or a Hankel view; each rung evaluates its three faces in
 place in four N x N buffers allocated once.  Below the box cap, a rung
-whose outer regions alone exceed the budget is skipped without building
-its faces.  Every other tail rung of the cutoff ladder is memoized in the
+is built against its budget: the outer regions are bounded first and
+each face after them, and as soon as the outer regions alone, or the
+faces so far plus the outer regions, exceed the budget, the rung is
+abandoned without its remaining faces and without being memoized.  Every
+rung built in full, the cap rung always among them, is memoized in the
 workspace, so a refusal or a tighter re-request reuses it; the box is
 summed once, at the accepted rung.
 """
@@ -1076,9 +1079,9 @@ def _eval_w4_general(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
     """The boxed sum; the dispatcher has already applied the directional gate.
 
     Tail rungs are memoized, so a refusal or a tighter re-request reuses them.
-    A rung below the cap whose outer regions alone exceed the budget fails
-    whatever its faces add, so it is skipped unbuilt; the cap rung is always
-    built, so a refusal reports the same radius as a full ladder.
+    A rung below the cap stops at the first partial radius over the budget,
+    since it fails whatever its remaining faces add; the cap rung is always
+    built in full, so a refusal reports the same radius as a full ladder.
     """
     tol = cfg.tolerance
     cap = cfg.max_terms_3d

@@ -715,9 +715,10 @@ def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfi
         if remainder / 2 > tol and box != _REGION_LADDER[-1]:
             continue  # the radius is at least remainder / 2, so this rung cannot certify
         n = np.arange(1, box + 1, dtype=np.float64)
-        # row i (1-based) of the box reads windows i and i + 1 of the 1-D tables
-        spow = np.arange(1, 2 * box + 1, dtype=np.float64)
+        wide = np.arange(1, 2 * box + 1, dtype=np.float64)
         cells = np.empty((_REGION_BLOCK, box))
+        # rows lo..hi-1 (1-based); row i reads window i of each windowed
+        # table, except window i + 1 of tails
         blocks = [(i, min(i + _REGION_BLOCK, box + 1)) for i in range(1, box + 1, _REGION_BLOCK)]
         total = 0.0
         if identity_id == "REGION_EQ13":
@@ -725,7 +726,7 @@ def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfi
             tails, tailrad = _power_tail_table(2 * box, d)
             pa = n ** float(-a)
             pb = n ** float(-b)
-            spow = _windows(spow ** float(-c), box)
+            spow = _windows(wide ** float(-c), box)
             tails = _windows(tails, box)
             core = np.empty_like(cells)
             wsum = 0.0
@@ -744,7 +745,7 @@ def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfi
             pref = np.concatenate(([0.0], np.cumsum(n ** float(-a))))
             pb = n ** float(-b)
             pc = n ** float(-c)
-            spow = _windows(spow ** float(-d), box)
+            spow = _windows(wide ** float(-d), box)
             for lo, hi in blocks:
                 k = hi - lo
                 np.multiply(pb, spow[lo:hi], out=cells[:k])
@@ -754,10 +755,10 @@ def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfi
             aux = 0.0
         else:
             # sum over n1 < v < n1+n2 of v^-c n1^-a n2^-b (n1+n2)^-d
-            pref = np.concatenate(([0.0], np.cumsum(spow ** float(-c))))
+            pref = np.concatenate(([0.0], np.cumsum(wide ** float(-c))))
             pa = n ** float(-a)
             pb = n ** float(-b)
-            spow = _windows(spow ** float(-d), box)
+            spow = _windows(wide ** float(-d), box)
             between = _windows(pref, box)
             for lo, hi in blocks:
                 k = hi - lo
@@ -856,7 +857,6 @@ def sweep(
         seen.add(ident)
         for params in default_parameters(ident, weight_cap):
             records.append(build_identity(ident, params))
-    # the pool starts every worker it is given, so never more than the CPUs
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1 or len(records) <= 1:
         return [check(r, cfg) for r in records]
