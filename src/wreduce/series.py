@@ -21,7 +21,13 @@ per entry.  The remainder is bounded entry by entry with ``ln >= 0``, so the
 engine holds for integer ``u >= 1``.  All bracketing facts used here
 (harmonic numbers, zeta tails, prefix power sums) are encoded once as small
 LP builders and composed with interval arithmetic, so each evaluator is an
-assembly of audited pieces rather than a bespoke estimate.
+assembly of audited pieces rather than a bespoke estimate.  Each builder's
+form is built once per workspace and shared, read-only, by every later
+request in it; a form that holds a floor-certified zeta constant is keyed
+by the caps, the atom-level constants of the depth-3 tails are added per
+call, and ``clear_caches()`` drops every form.  The form arithmetic
+multiplies intervals inline with the expressions of ``_imul``, so a shared
+form is bit for bit the form a rebuild would give.
 
 The triple-sum evaluator picks a strategy from the zero pattern of the
 composite exponents: ``s5 = 0`` collapses (m1, m2) to their sum u, whose
@@ -187,16 +193,19 @@ def _prefix_sums(x: np.ndarray, xrad=None) -> tuple[np.ndarray, np.ndarray]:
 
 LogPower = dict[tuple[float, int], Interval]
 
-
-def _lp_add(lp: LogPower, p: float, k: int, cm: float, cr: float) -> None:
-    old = lp.get((p, k), (0.0, 0.0))
-    lp[(p, k)] = (old[0] + cm, old[1] + cr)
+# The loops below multiply intervals inline with the expressions of
+# ``_imul`` (the form's coefficient as its first factor) and accumulate into
+# the output dict, a fresh entry starting from (0.0, 0.0), so that every
+# coefficient and every -0.0 comes out as it would from ``_imul`` calls.
 
 
 def _lp_scale(lp: LogPower, coef: Interval) -> LogPower:
+    bm, br = coef
+    abm = abs(bm)
     out: LogPower = {}
-    for (p, k), c in lp.items():
-        _lp_add(out, p, k, *_imul(c, coef))
+    for key, (am, ar) in lp.items():
+        m = am * bm
+        out[key] = (0.0 + m, 0.0 + (abs(am) * br + abm * ar + ar * br + EPS * abs(m)))
     return out
 
 
@@ -206,17 +215,23 @@ def _lp_shift(lp: LogPower, dp: float) -> LogPower:
 
 def _lp_mul(lp1: LogPower, lp2: LogPower) -> LogPower:
     out: LogPower = {}
-    for (p1, k1), c1 in lp1.items():
-        for (p2, k2), c2 in lp2.items():
-            _lp_add(out, p1 + p2, k1 + k2, *_imul(c1, c2))
+    for (p1, k1), (am, ar) in lp1.items():
+        aam = abs(am)
+        for (p2, k2), (bm, br) in lp2.items():
+            m = am * bm
+            r = aam * br + abs(bm) * ar + ar * br + EPS * abs(m)
+            key = (p1 + p2, k1 + k2)
+            om, orad = out.get(key, (0.0, 0.0))
+            out[key] = (om + m, orad + r)
     return out
 
 
 def _lp_sum(*lps: LogPower) -> LogPower:
     out: LogPower = {}
     for lp in lps:
-        for (p, k), (cm, cr) in lp.items():
-            _lp_add(out, p, k, cm, cr)
+        for key, (cm, cr) in lp.items():
+            om, orad = out.get(key, (0.0, 0.0))
+            out[key] = (om + cm, orad + cr)
     return out
 
 
@@ -318,11 +333,13 @@ def _lp_tail(lp: LogPower, U: int) -> Interval:
     """Enclosure of sum_{u>U} of the LP form, U >= 1."""
     unit_tails = _memo(("T", U), dict)  # (p, k) -> sum_{u>U} u^-p ln(u)^k
     mid = absmid = rad = 0.0
-    for key, c in lp.items():
+    for key, (am, ar) in lp.items():
         t = unit_tails.get(key)
         if t is None:
             t = unit_tails[key] = _lp_eval(_unit_resum(*key), U)
-        m, r = _imul(c, t)
+        bm, br = t
+        m = am * bm
+        r = abs(am) * br + abs(bm) * ar + ar * br + EPS * abs(m)
         mid += m
         absmid += abs(m)
         rad += r
@@ -332,22 +349,30 @@ def _lp_tail(lp: LogPower, U: int) -> Interval:
 def _lp_resum(lp: LogPower) -> LogPower:
     """The LP form of u |-> sum_{y>u} f(y), where f is the given LP form."""
     out: LogPower = {}
-    for (p, k), c in lp.items():
-        for (pp, kk), t in _unit_resum(p, k).items():
-            _lp_add(out, pp, kk, *_imul(c, t))
+    for key, (am, ar) in lp.items():
+        aam = abs(am)
+        for tkey, (bm, br) in _unit_resum(*key).items():
+            m = am * bm
+            r = aam * br + abs(bm) * ar + ar * br + EPS * abs(m)
+            om, orad = out.get(tkey, (0.0, 0.0))
+            out[tkey] = (om + m, orad + r)
     return out
 
 
-# LP building blocks.  All are pointwise-valid enclosures for u >= 2.
+# LP building blocks.  All are pointwise-valid enclosures for u >= 2.  The
+# builders are pure, so each form is built once per workspace, keyed by the
+# caps wherever a floor-certified zeta enters it, and shared: do not mutate.
 
 def _lp_tailzeta(j: int) -> LogPower:
     """tailzeta(u, j) = sum_{n>u} n^-j as an LP form in u, j >= 2."""
-    return _lp_resum({(float(j), 0): (1.0, 0.0)})
+    return _memo(("LPtz", j), lambda: _lp_resum({(float(j), 0): (1.0, 0.0)}))
 
 
 def _lp_tailzeta_prev(j: int) -> LogPower:
     """tailzeta(u-1, j) = tailzeta(u, j) + u^-j."""
-    return _lp_sum(_lp_tailzeta(j), {(float(j), 0): (1.0, 0.0)})
+    return _memo(
+        ("LPtzp", j), lambda: _lp_sum(_lp_tailzeta(j), {(float(j), 0): (1.0, 0.0)})
+    )
 
 
 def _lp_harmonic() -> LogPower:
@@ -367,11 +392,15 @@ def _lp_harmonic() -> LogPower:
 
 def _lp_prefix_prev(j: int, cfg: SummationConfig) -> LogPower:
     """P_j(u-1) = sum_{m<u} m^-j as an LP form in u, j >= 0."""
-    if j == 0:
-        return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
-    if j == 1:
-        return _lp_sum(_lp_harmonic(), {(1.0, 0): (-1.0, 0.0)})  # H_{u-1} = H_u - 1/u
-    return _lp_sum(_lp_zeta(j, cfg), _lp_scale(_lp_tailzeta_prev(j), (-1.0, 0.0)))
+
+    def build() -> LogPower:
+        if j == 0:
+            return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
+        if j == 1:
+            return _lp_sum(_lp_harmonic(), {(1.0, 0): (-1.0, 0.0)})  # H_{u-1} = H_u - 1/u
+        return _lp_sum(_lp_zeta(j, cfg), _lp_scale(_lp_tailzeta_prev(j), (-1.0, 0.0)))
+
+    return _memo(("LPpp", j) + _caps(cfg), build)
 
 
 def _lp_zeta(j: int, cfg: SummationConfig) -> LogPower:
@@ -411,7 +440,8 @@ _WS = _Workspace()
 
 
 def clear_caches() -> None:
-    """Drop memoized evaluations and tables (used for cold timing runs).
+    """Drop memoized evaluations, tables and LP tail forms (used for cold
+    timing runs).
 
     The Euler-Maclaurin forms of ``_unit_resum`` depend on (p, k) alone and
     are kept.
@@ -639,8 +669,11 @@ def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
 # Euler sums
 
 def _euler2_tail_lp(s1: int, s2: int, cfg: SummationConfig) -> LogPower:
-    """LP form (in x) of x^-s1 * P_{s2}(x-1), the double-sum tail summand."""
-    return _lp_shift(_lp_prefix_prev(s2, cfg), float(s1))
+    """LP form (in x) of x^-s1 * P_{s2}(x-1), the double-sum tail summand
+    (shared: do not mutate)."""
+    return _memo(
+        ("LPe2", s1, s2) + _caps(cfg), lambda: _lp_shift(_lp_prefix_prev(s2, cfg), float(s1))
+    )
 
 
 def eval_euler(atom: EulerSum, cfg: SummationConfig) -> Evaluation:
@@ -671,32 +704,53 @@ def _euler2(s1: int, s2: int, cfg: SummationConfig) -> Evaluation:
 
 
 def _euler3_tail_lp(s1: int, s2: int, s3: int, cfg: SummationConfig) -> LogPower:
-    """LP form (in x) of x^-s1 * D(x-1) where D(n) = sum_{y<=n} y^-s2 P_{s3}(y-1)."""
+    """LP form (in x) of x^-s1 * D(x-1) where D(n) = sum_{y<=n} y^-s2 P_{s3}(y-1).
+
+    The pieces that do not depend on the tolerance are built once per
+    workspace; the certified constants D_inf, E(s3,1) and zeta(s3+1) are
+    added per call.
+    """
+    caps = _caps(cfg)
     if s2 >= 2:
         # D(x-1) = D_inf - sum_{y>=x} y^-s2 P_{s3}(y-1)
         dinf = eval_euler(EulerSum((s2, s3)), _with_tol(cfg, 0.1 * cfg.tolerance))
-        summand = _euler2_tail_lp(s2, s3, cfg)  # y^-s2 P_{s3}(y-1) in y
-        ge_x = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x} + at x
-        d_lp = _lp_sum(_lp_const(dinf.midpoint, dinf.radius), _lp_scale(ge_x, (-1.0, 0.0)))
+
+        def minus_ge_x() -> LogPower:
+            summand = _euler2_tail_lp(s2, s3, cfg)  # y^-s2 P_{s3}(y-1) in y
+            ge_x = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x} + at x
+            return _lp_scale(ge_x, (-1.0, 0.0))
+
+        d_lp = _lp_sum(
+            _lp_const(dinf.midpoint, dinf.radius), _memo(("LPe3ge", s2, s3) + caps, minus_ge_x)
+        )
         return _lp_shift(d_lp, float(s1))
     if s3 >= 2:
         # D(n) = zeta(s3) H_n - kappa + sum_{y>n} y^-1 tailzeta(y-1, s3)
         # with kappa = sum_m m^-s3 H_m = E(s3,1) + zeta(s3+1)
         e_part = eval_euler(EulerSum((s3, 1)), _with_tol(cfg, 0.1 * cfg.tolerance))
-        summand = _lp_shift(_lp_tailzeta_prev(s3), 1.0)  # y^-1 tailzeta(y-1,s3)
-        gt_prev = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x-1}
+
+        def pieces() -> tuple[LogPower, LogPower]:
+            summand = _lp_shift(_lp_tailzeta_prev(s3), 1.0)  # y^-1 tailzeta(y-1,s3)
+            gt_prev = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x-1}
+            return _lp_mul(_lp_prefix_prev(1, cfg), _lp_zeta(s3, cfg)), gt_prev
+
+        zeta_h, gt_prev = _memo(("LPe3zh", s3) + caps, pieces)
         d_lp = _lp_sum(
-            _lp_mul(_lp_prefix_prev(1, cfg), _lp_zeta(s3, cfg)),
+            zeta_h,
             _lp_const(-e_part.midpoint, e_part.radius),
             _lp_scale(_lp_zeta(s3 + 1, cfg), (-1.0, 0.0)),
             gt_prev,
         )
         return _lp_shift(d_lp, float(s1))
+
     # s2 = s3 = 1: D(n) = (H_n^2 - H_n^(2)) / 2 exactly
-    h_prev = _lp_prefix_prev(1, cfg)
-    h2_prev = _lp_prefix_prev(2, cfg)
-    d_lp = _lp_scale(_lp_sum(_lp_mul(h_prev, h_prev), _lp_scale(h2_prev, (-1.0, 0.0))), (0.5, 0.0))
-    return _lp_shift(d_lp, float(s1))
+    def d_form() -> LogPower:
+        h_prev = _lp_prefix_prev(1, cfg)
+        h2_prev = _lp_prefix_prev(2, cfg)
+        hh = _lp_sum(_lp_mul(h_prev, h_prev), _lp_scale(h2_prev, (-1.0, 0.0)))
+        return _lp_scale(hh, (0.5, 0.0))
+
+    return _lp_shift(_memo(("LPe3hh",) + caps, d_form), float(s1))
 
 
 def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
@@ -705,9 +759,13 @@ def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
     X, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 32, cfg.max_terms)
 
     n = np.arange(1, X + 1, dtype=float)
-    q, qrad = _prefix_table(s3, X)
-    w = n ** float(-s2)
-    d, drad = _prefix_sums(w * q[:-1], w * qrad[:-1])  # D(k) = sum_{y<=k} y^-s2 P_{s3}(y-1)
+
+    def d_table() -> tuple[np.ndarray, np.ndarray]:
+        q, qrad = _prefix_table(s3, X)
+        w = n ** float(-s2)
+        return _prefix_sums(w * q[:-1], w * qrad[:-1])
+
+    d, drad = _memo(("D", s2, s3, X), d_table)  # D(k) = sum_{y<=k} y^-s2 P_{s3}(y-1)
     # D(0) = D(1) = 0, so the outer sum starts at x = 3
     part, rounding = _dot(n[2:] ** float(-s1), d[2:-1], drad[2:-1])
 

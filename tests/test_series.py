@@ -362,6 +362,108 @@ def test_em_forms_survive_clear_caches():
     assert form == snapshot
 
 
+# sha256 over W(a,b,c,d,0,f) and its complete Euler-sum reduction at every
+# THM22 grid point at 1e-8, each point in a cold workspace: the hex midpoint
+# and radius of each side, or its refusal code.  Computed with numpy's
+# float64 pow on x86-64 before the log-power forms were shared within a
+# workspace; the same caveat as the general-W goldens below
+_FULL_REDUCTION_DIGEST = "f518070ff3481549c9d249a3beb09a4db95dd93cca263ffe09f0bed5ffbaa6e7"
+
+
+def _full_reduction_outcomes(tol):
+    from wreduce.errors import WreduceError
+    from wreduce.reduce import reduce_witten
+    from wreduce.verify import default_parameters
+
+    cfg = SummationConfig(tolerance=tol)
+    lines = []
+    for a, b, c, d, f in default_parameters("THM22_FINAL"):
+        clear_caches()
+        atom = WittenSl4((a, b, c, d, 0, f))
+        lc = reduce_witten(atom, expand_remainder=True, expand_mt=True)
+        fields = [repr(atom.s)]
+        for evaluate, arg in ((eval_atom, atom), (eval_lincomb, lc)):
+            try:
+                ev = evaluate(arg, cfg)
+            except WreduceError as exc:
+                fields.append(exc.code)
+            else:
+                fields.append(f"{ev.midpoint.hex()} {ev.radius.hex()}")
+        lines.append("|".join(fields) + "\n")
+    return "".join(lines)
+
+
+def test_full_reductions_golden():
+    import hashlib
+
+    outcomes = _full_reduction_outcomes(1e-8)
+    assert outcomes.count("\n") == 252
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == _FULL_REDUCTION_DIGEST
+
+
+# tag of a per-workspace LP form -> a call that builds the form under the
+# key (tag, *args) or, with caps, (tag, *args, max_terms, max_terms_3d)
+def _lp_form_builders():
+    from wreduce import series
+
+    def capped(build):
+        return lambda *key: build(*key[:-2], SummationConfig(1e-8, *key[-2:]))
+
+    return {
+        "LPtz": series._lp_tailzeta,
+        "LPtzp": series._lp_tailzeta_prev,
+        "LPpp": capped(series._lp_prefix_prev),
+        "LPe2": capped(series._euler2_tail_lp),
+        "LPe3ge": capped(lambda s2, s3, cfg: series._euler3_tail_lp(2, s2, s3, cfg)),
+        "LPe3zh": capped(lambda s3, cfg: series._euler3_tail_lp(2, 1, s3, cfg)),
+        "LPe3hh": capped(lambda cfg: series._euler3_tail_lp(2, 1, 1, cfg)),
+        "G": capped(series._lp_g_bracket),
+        "S12": capped(series._collapsed_s12_lp),
+    }
+
+
+def _lp_bits(entry):
+    """An LP form (or a tuple of them) as its keys and hex coefficients, in order."""
+    if isinstance(entry, tuple):
+        return [_lp_bits(part) for part in entry]
+    return [(key, m.hex(), r.hex()) for key, (m, r) in entry.items()]
+
+
+def test_shared_lp_forms_are_read_only_and_independent_of_order():
+    import copy
+
+    from wreduce import series
+    from wreduce.reduce import reduce_witten
+
+    builders = _lp_form_builders()
+    # W(6,1,1,1,0,1) is a collapsed atom whose reduction holds 27 depth-3
+    # Euler sums over all three branches of the E3 tail
+    clear_caches()
+    cfg = SummationConfig(tolerance=1e-8)
+    atom = WittenSl4((6, 1, 1, 1, 0, 1))
+    eval_atom(atom, cfg)
+    eval_lincomb(reduce_witten(atom, expand_remainder=True, expand_mt=True), cfg)
+    shared = {k: v for k, v in series._WS.tables.items() if k[0] in builders}
+    assert {k[0] for k in shared} == set(builders)
+    frozen = copy.deepcopy(shared)
+
+    # further requests in the same workspace read the forms and leave them be
+    eval_lincomb(reduce_witten(atom, expand_remainder=True, expand_mt=True),
+                 SummationConfig(tolerance=1e-10))
+    other = WittenSl4((1, 6, 1, 1, 0, 1))
+    eval_lincomb(reduce_witten(other, expand_remainder=True, expand_mt=True), cfg)
+    for key, entry in shared.items():
+        assert series._WS.tables[key] is entry, key
+        assert _lp_bits(entry) == _lp_bits(frozen[key]), key
+
+    # each form equals its builder's output in a fresh workspace
+    for key, entry in frozen.items():
+        clear_caches()
+        builders[key[0]](*key[1:])
+        assert _lp_bits(series._WS.tables[key]) == _lp_bits(entry), key
+    clear_caches()
+
+
 def test_general_box_contains_exact_lattice_sum():
     # the order-agnostic rounding bound of the correlate kernel holds
     # against the exact rational sum over [1, N]^3

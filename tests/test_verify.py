@@ -391,6 +391,46 @@ def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, cfg6):
     assert pooled == serial
 
 
+@pytest.mark.parametrize("workers", [2, 4])
+def test_sweep_verdicts_do_not_depend_on_chunk_assignment(monkeypatch, workers):
+    # a stand-in pool that deals the chunks round-robin to simulated
+    # workers, each starting from an empty workspace, and maps in-process
+    import os
+
+    from wreduce import verify
+    from wreduce.series import clear_caches
+
+    class RoundRobinPool:
+        def __init__(self, max_workers):
+            assert max_workers == workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            chunks = [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
+            done = [None] * len(chunks)
+            for worker in range(workers):
+                clear_caches()
+                for c in range(worker, len(chunks), workers):
+                    done[c] = [fn(item) for item in chunks[c]]
+            return [out for chunk in done for out in chunk]
+
+    cfg = SummationConfig(tolerance=1e-10)
+    clear_caches()
+    serial = sweep(cfg=cfg)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RoundRobinPool)
+    pooled = sweep(cfg=cfg, threads=workers)
+    clear_caches()
+    assert [r.record for r in pooled] == [r.record for r in serial]
+    assert [r.verdict for r in pooled] == [r.verdict for r in serial]
+
+
 def test_probe_sweep_discriminates_variants(cfg6):
     reports = sweep(ids=["TYPO_PROBE"], cfg=cfg6)
     assert len(reports) == 8
