@@ -217,6 +217,18 @@ for (a, d) in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 3)]:
             == orc.unit_tail_triples_shell(a, d + 1, K),
         )
 
+# partial fractions of the general six-slot sum along the A3 root relations:
+# one rule step (A for s3 >= 1, B for s3 = 0 < s1, C for s1 = s3 = 0), and
+# the triangle W4(0,0,0,a,b,c) as Euler sums
+for s in [(1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1), (0, 1, 0, 1, 2, 1), (1, 0, 0, 2, 1, 1),
+          (1, 2, 1, 3, 2, 1), (0, 2, 0, 1, 1, 2)]:
+    check(f"A3 partial-fraction step {s}", orc.w4_shell(s, 9) == orc.a3_rule_shell(s, 9))
+for (a, b, c) in [(1, 1, 3), (2, 1, 3), (1, 2, 2), (2, 2, 2)]:
+    check(
+        f"triangle W4(0,0,0,{a},{b},{c}) as Euler sums",
+        orc.w4_shell((0, 0, 0, a, b, c), 9) == orc.triangle_shell(a, b, c, 9),
+    )
+
 print(f"  (section 1: {time.time() - t0:.1f}s)")
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ telescoping drive three reductions:
   times double sums, depth-three Euler sums, and one unit-exponent
   remainder that ``reduce_unit_witten`` finishes off.
 
+``reduce_general_witten`` writes a triple sum with all three composite
+exponents positive as triple sums with a vanishing composite exponent and
+Euler sums, by partial fractions along the A3 root relations.
+
 Two transcriptions of one binomial family inside the main reduction are
 circulating; both are implemented behind ``variant`` ("eq22" and
 "paper-final") so the probe in ``verify`` can show which one closes
@@ -25,6 +29,7 @@ and is checked as an identity in its own right.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional
 
@@ -71,6 +76,21 @@ def pair_recurrence_weights(
     return left, right
 
 
+def pair_sum_weights(a: int, b: int) -> dict[int, int]:
+    """{j: w_j} with sum_{m1+m2=u} m1^-a m2^-b = sum_j w_j u^-(a+b-j) P_j(u-1).
+
+    P_j(n) = sum_{m<=n} m^-j.  Partial fractions of m1^-a (u-m1)^-b give
+    w_j = C(a+b-j-1, b-1) [j<=a] + C(a+b-j-1, a-1) [j<=b], since both halves
+    of the split sum to the same prefix; a zero exponent leaves P_{a+b}.
+    """
+    if a == 0 or b == 0:
+        return {a + b: 1}
+    return {
+        j: binomial(a + b - j - 1, b - 1) * (j <= a) + binomial(a + b - j - 1, a - 1) * (j <= b)
+        for j in range(1, max(a, b) + 1)
+    }
+
+
 def _euler(indices: tuple[int, ...]) -> EulerSum:
     try:
         return EulerSum(indices)
@@ -101,15 +121,9 @@ def reduce_mt(atom: MordellTornheim3) -> LinearCombination:
         )
     if a == 0:
         return LinearCombination.from_atom(_euler((c, b)))
-    pairs = [
-        (Term((_euler((a + b + c - j, j)),)), binomial(a + b - j - 1, b - 1))
-        for j in range(1, a + 1)
-    ]
-    pairs += [
-        (Term((_euler((a + b + c - j, j)),)), binomial(a + b - j - 1, a - 1))
-        for j in range(1, b + 1)
-    ]
-    return LinearCombination(pairs)
+    return LinearCombination(
+        [(Term((_euler((a + b + c - j, j)),)), w) for j, w in pair_sum_weights(a, b).items()]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +363,69 @@ def _substitute(lc: LinearCombination, rewrite) -> LinearCombination:
                 partial = [(fs + t.factors, c * k) for fs, c in partial for t, k in subs]
         pairs += [(Term(fs), c) for fs, c in partial]
     return LinearCombination(pairs)
+
+
+# ---------------------------------------------------------------------------
+# the general triple sum: partial fractions along the A3 root relations
+#
+# With x = m1+m2, y = m2+m3 and z = m1+m2+m3, the relations z = x + m3,
+# z = m1 + y and z + m2 = x + y make x/z + m3/z, m1/z + y/z and
+# x/z + y/z - m2/z equal to 1.  Multiplying the summand by one of them
+# moves one unit of exponent onto z (e_i is the i-th unit vector):
+#
+#   A (s3, s4 >= 1):           W(s) = W(s-e4+e6) + W(s-e3+e6)
+#   B (s3 = 0; s1, s5 >= 1):   W(s) = W(s-e1+e6) + W(s-e5+e6)
+#   C (s1 = s3 = 0; s2 >= 1):  W(s) = W(s-e4+e6) + W(s-e5+e6) - W(s-e2+e6)
+#
+# Each piece is the summand times x/z, m3/z, m1/z, y/z or m2/z, all in
+# (0, 1), so it converges whenever W(s) does.  Every step lowers
+# s1 + ... + s5, and the rules stop once s4 or s5 is zero or at the
+# triangle W(0,0,0,a,b,c).  The triangle sums x^-a y^-b z^-c over x, y < z
+# with x + y > z: the full square by stuffle, less x + y <= z through the
+# pair sum S_{a,b}(u) of u = x + y (Komori, Matsumoto and Tsumura treat
+# zeta functions of root systems by such partial fractions).
+
+
+def reduce_general_witten(atom: WittenSl4) -> LinearCombination:
+    """W(s) with s4, s5, s6 >= 1 as an exact combination of triple sums with
+    s4 = 0 or s5 = 0 and of depth-two and depth-three Euler sums."""
+    s = atom.s
+    if min(s[3:]) < 1:
+        raise UnsupportedParams(f"W{s}: the general rewrite needs s4, s5, s6 >= 1")
+    return _general_rewrite(s)
+
+
+def _unit_shift(s: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """s - e_(i+1) + e6."""
+    t = list(s)
+    t[i] -= 1
+    t[5] += 1
+    return tuple(t)
+
+
+@functools.cache
+def _general_rewrite(s: tuple[int, ...]) -> LinearCombination:
+    s1, s2, s3, s4, s5, s6 = s
+    if s4 == 0 or s5 == 0:
+        return LinearCombination.from_atom(WittenSl4(s))
+    if s1 == s2 == s3 == 0:
+        return _triangle(s4, s5, s6)
+    if s3:
+        moves = ((3, 1), (2, 1))  # rule A
+    elif s1:
+        moves = ((0, 1), (4, 1))  # rule B
+    else:
+        moves = ((3, 1), (4, 1), (1, -1))  # rule C
+    return LinearCombination.combine((_general_rewrite(_unit_shift(s, i)), c) for i, c in moves)
+
+
+def _triangle(a: int, b: int, c: int) -> LinearCombination:
+    """W(0,0,0,a,b,c) = E(c,a,b) + E(c,b,a) + E(c,a+b)
+    - sum_j w_j [E(c,a+b-j,j) + E(c+a+b-j,j)], w_j of ``pair_sum_weights``."""
+    pairs = [((c, a, b), 1), ((c, b, a), 1), ((c, a + b), 1)]
+    for j, w in pair_sum_weights(a, b).items():
+        pairs += [((c, a + b - j, j), -w), ((c + a + b - j, j), -w)]
+    return LinearCombination([(Term((_euler(idx),)), coef) for idx, coef in pairs])
 
 
 def reduce_any(

@@ -33,29 +33,17 @@ The triple-sum evaluator picks a strategy from the zero pattern of the
 composite exponents: ``s5 = 0`` collapses (m1, m2) to their sum u, whose
 pair sum has a closed form in prefix power sums (the partial fractions of
 Huard, Williams and Zhang, eq. 3), ``s6 = 0`` splits over m2 into two
-shifted sums, and the general case uses a boxed lattice sum with face,
-edge and corner enclosures.  The slot order given is the slot order
+shifted sums, and the general case is evaluated as the exact combination
+of ``reduce.reduce_general_witten``: collapsed triple sums and Euler sums,
+so every atom is a 1-D sum.  The slot order given is the slot order
 summed; relabeling twins are computed by genuinely different loops, which
 is what makes the symmetry check in ``verify`` meaningful.
 
-In the general case, each m2 slice of the box is a Hankel matrix in
-m1 + m3, summed by ``np.correlate`` on a slice of one 1-D table; its
-rounding is charged with the order-agnostic ``EPS * total * (3N + 8)``,
-since numpy promises no summation order.  The edge and corner regions use
-separable majorants from a grid of exponent splits.  Their admissible
-routed vectors are tabulated once per exponent tuple, per variable as the
-distinct exponents and an index, so a rung evaluates each factor once per
-distinct exponent.  The face weights are outer products of 1-D tables with
-a Hankel view, and the face corrections are 1-D tables laid out as a
-column, a row or a Hankel view; each rung evaluates its three faces in
-place in four N x N buffers allocated once.  Below the box cap, a rung
-is built against its budget: the outer regions are bounded first and
-each face after them, and as soon as the outer regions alone, or the
-faces so far plus the outer regions, exceed the budget, the rung is
-abandoned without its remaining faces and without being memoized.  Every
-rung built in full, the cap rung always among them, is memoized in the
-workspace, so a refusal or a tighter re-request reuses it; the box is
-summed once, at the accepted rung.
+Each atom has one certified value per workspace and caps: the value the
+1e-12 floor certifies answers every request.  Only an atom the floor
+refuses is evaluated at the request's tolerance, and every outcome, value
+or refusal, is memoized under the atom, the caps and the tolerance it was
+computed at.  So a result never depends on which requests came before it.
 """
 
 from __future__ import annotations
@@ -72,6 +60,7 @@ from .errors import (
     InternalNoncancellation,
     ToleranceUnreachable,
     UnsupportedParams,
+    WreduceError,
 )
 from .exact import (
     Atom,
@@ -82,6 +71,7 @@ from .exact import (
     Term,
     WittenSl4,
 )
+from .reduce import pair_sum_weights, reduce_general_witten
 
 EPS = 2.3e-16  # one ulp of slack over float64 unit roundoff
 EULER_GAMMA = 0.5772156649015329
@@ -93,13 +83,12 @@ TOLERANCE_FLOOR = 1e-12
 class SummationConfig:
     """Evaluation budget and target accuracy.
 
-    ``max_terms`` caps 1-D cutoffs (and the collapsed outer sums);
-    ``max_terms_3d`` caps the per-axis cutoff of boxed triple sums.
+    ``max_terms`` caps every cutoff: the 1-D sums and the collapsed and hub
+    outer sums that every triple sum comes down to.
     """
 
     tolerance: float = 1e-6
     max_terms: int = 10**6
-    max_terms_3d: int = 400
 
     def validated(self) -> "SummationConfig":
         if not (self.tolerance > 0):
@@ -110,8 +99,6 @@ class SummationConfig:
             )
         if self.max_terms < 32:
             raise UnsupportedParams("max_terms below 32 leaves no room for any ladder")
-        if self.max_terms_3d < 16:
-            raise UnsupportedParams("max_terms_3d below 16 leaves no room for any ladder")
         return self
 
 
@@ -420,11 +407,13 @@ def _power_array(U: int, e: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Per-process cache of atom evaluations and certified tables.
+    """Per-process cache of atom outcomes and certified tables.
 
-    Atom keys include the caps and the tolerance bucket, so a looser request
-    can reuse a tighter cached result under the same caps, but never the
-    other way around.
+    An atom's outcome, a value or a refusal, is keyed by the atom, the caps
+    and the tolerance it was computed at, and ``_evaluate`` asks for the
+    floor outcome first.  So every request gets the same answer whatever
+    was evaluated before it, and a sweep's output does not depend on record
+    order or on how records are dealt to worker processes.
     """
 
     def __init__(self):
@@ -449,10 +438,6 @@ def clear_caches() -> None:
     _WS.clear()
 
 
-def _bucket(tol: float) -> int:
-    return max(0, math.ceil(-math.log10(tol) - 1e-9))
-
-
 def _memo(key: tuple, build):
     """The cached table under ``key``, built on first use."""
     hit = _WS.tables.get(key)
@@ -463,23 +448,47 @@ def _memo(key: tuple, build):
 
 def _with_tol(cfg: SummationConfig, tol: float) -> SummationConfig:
     """``cfg`` with its caps and the tolerance ``tol``, clamped at the floor."""
-    return SummationConfig(max(tol, TOLERANCE_FLOOR), cfg.max_terms, cfg.max_terms_3d)
+    return SummationConfig(max(tol, TOLERANCE_FLOOR), cfg.max_terms)
 
 
-def _caps(cfg: SummationConfig) -> tuple[int, int]:
+def _caps(cfg: SummationConfig) -> tuple[int]:
     """The atom-key part that keeps results computed under other caps apart."""
-    return (cfg.max_terms, cfg.max_terms_3d)
+    return (cfg.max_terms,)
 
 
 def _cached_atom(key: tuple, tol: float, compute) -> Evaluation:
-    b = _bucket(tol)
-    for bb in range(b, 14):
-        hit = _WS.atoms.get(key + (bb,))
-        if hit is not None and hit.radius <= tol:
-            return hit
-    out = compute()
-    _WS.atoms[key + (b,)] = out
-    return out
+    """The outcome of ``compute()`` memoized under ``key + (tol,)``: its
+    value, or its refusal, raised again on every later request."""
+    hit = _WS.atoms.get(key + (tol,))
+    if hit is None:
+        try:
+            hit = compute()
+        except WreduceError as exc:
+            # the class and message only: a traceback would pin the frames
+            _WS.atoms[key + (tol,)] = (type(exc), exc.message)
+            raise
+        _WS.atoms[key + (tol,)] = hit
+    if isinstance(hit, Evaluation):
+        return hit
+    kind, message = hit
+    raise kind(message)
+
+
+def _evaluate(key: tuple, cfg: SummationConfig, compute) -> Evaluation:
+    """The certified value of the atom ``key`` for the request ``cfg``.
+
+    ``compute(c)`` evaluates the atom at ``c.tolerance``.  The floor value
+    answers every request; only when the floor refuses is the atom
+    evaluated at the request's own tolerance.
+    """
+    key += _caps(cfg)
+    floor = _with_tol(cfg, TOLERANCE_FLOOR)
+    try:
+        return _cached_atom(key, TOLERANCE_FLOOR, lambda: compute(floor))
+    except ToleranceUnreachable:
+        if cfg.tolerance <= TOLERANCE_FLOOR:
+            raise
+    return _cached_atom(key, cfg.tolerance, lambda: compute(cfg))
 
 
 def _cutoff(tail_at, budget: float, start: int, cap: int) -> tuple[int, Interval]:
@@ -501,9 +510,7 @@ def _cutoff(tail_at, budget: float, start: int, cap: int) -> tuple[int, Interval
 # single zeta
 
 def eval_zeta(s: int, cfg: SummationConfig) -> Evaluation:
-    cfg = cfg.validated()
-
-    def compute() -> Evaluation:
+    def compute(cfg: SummationConfig) -> Evaluation:
         tol = cfg.tolerance
 
         lp = {(float(s), 0): (1.0, 0.0)}
@@ -516,7 +523,7 @@ def eval_zeta(s: int, cfg: SummationConfig) -> Evaluation:
             )
         return Evaluation(part + tmid, radius, N)
 
-    return _cached_atom(("Z", s) + _caps(cfg), cfg.tolerance, compute)
+    return _evaluate(("Z", s), cfg.validated(), compute)
 
 
 def _zeta_getter(cfg: SummationConfig):
@@ -636,9 +643,7 @@ def _lp_g_bracket(c: int, f: int, cfg: SummationConfig) -> LogPower:
 # Mordell-Tornheim double sums
 
 def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
-    cfg = cfg.validated()
-
-    def compute() -> Evaluation:
+    def compute(cfg: SummationConfig) -> Evaluation:
         a, b, c = atom.a, atom.b, atom.c
         tol = cfg.tolerance
         if c == 0:
@@ -662,7 +667,7 @@ def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
             )
         return Evaluation(box + tail[0], radius, M)
 
-    return _cached_atom(("MT", atom.a, atom.b, atom.c) + _caps(cfg), cfg.tolerance, compute)
+    return _evaluate(("MT", atom.a, atom.b, atom.c), cfg.validated(), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +682,14 @@ def _euler2_tail_lp(s1: int, s2: int, cfg: SummationConfig) -> LogPower:
 
 
 def eval_euler(atom: EulerSum, cfg: SummationConfig) -> Evaluation:
-    cfg = cfg.validated()
     idx = atom.indices
 
-    def compute() -> Evaluation:
+    def compute(cfg: SummationConfig) -> Evaluation:
         if len(idx) == 2:
             return _euler2(idx[0], idx[1], cfg)
         return _euler3(idx[0], idx[1], idx[2], cfg)
 
-    return _cached_atom(("E",) + idx + _caps(cfg), cfg.tolerance, compute)
+    return _evaluate(("E",) + idx, cfg.validated(), compute)
 
 
 def _euler2(s1: int, s2: int, cfg: SummationConfig) -> Evaluation:
@@ -786,20 +790,8 @@ def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
 #   W = sum_u S(u) u^-s4 G_{s3,s6}(u).
 # Partial fractions of m1^-a (u-m1)^-b give S in closed form,
 #   S_{a,b}(u) = sum_j w_j u^-(a+b-j) P_j(u-1),   P_j(n) = sum_{m<=n} m^-j,
-# with w_j = C(a+b-j-1, b-1) [j<=a] + C(a+b-j-1, a-1) [j<=b]: the unsigned
-# G weights, since both halves of the split sum to the same prefix.
-
-
-def _pair_sum_weights(a: int, b: int) -> dict[int, int]:
-    """{j: w_j} of the closed form of S_{a,b}; a zero exponent leaves P_{a+b}."""
-    if a == 0 or b == 0:
-        return {a + b: 1}
-    A, B = _g_pf_coeffs(a, b)
-    weights: dict[int, int] = {}
-    for coeffs in (A, B):
-        for j, (coef, _pw) in enumerate(coeffs, start=1):
-            weights[j] = weights.get(j, 0) + abs(coef)
-    return weights
+# with the weights w_j of ``reduce.pair_sum_weights``: the unsigned G
+# weights, since both halves of the split sum to the same prefix.
 
 
 def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, np.ndarray]:
@@ -809,7 +801,7 @@ def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, np.ndarray]:
         u = np.arange(2, U + 1, dtype=float)
         mid = np.zeros(U + 1)
         rad = np.zeros(U + 1)
-        weights = _pair_sum_weights(a, b)
+        weights = pair_sum_weights(a, b)
         for j, w in weights.items():
             P, prad = _prefix_table(j, U)
             scale = w * u ** float(j - a - b)
@@ -826,7 +818,7 @@ def _collapsed_s12_lp(a: int, b: int, cfg: SummationConfig) -> LogPower:
     """Two-sided LP enclosure of S_{a,b}(u), term by term (shared: do not mutate)."""
     return _memo(("S12", a, b) + _caps(cfg), lambda: _lp_sum(*(
         _lp_scale(_lp_shift(_lp_prefix_prev(j, cfg), float(a + b - j)), (float(w), 0.0))
-        for j, w in _pair_sum_weights(a, b).items()
+        for j, w in pair_sum_weights(a, b).items()
     )))
 
 
@@ -888,286 +880,12 @@ def _eval_w4_hub(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
 
 
 # ---------------------------------------------------------------------------
-# triple sums: the general boxed path (s4, s5, s6 all > 0)
-
-def _grid_view(x: np.ndarray, layout: str, N: int) -> np.ndarray:
-    """A 1-D table laid out over the N x N small grid: cell (i, j) reads
-    x[i] ("col"), x[j] ("row") or x[i + j] ("hankel", len(x) = 2N - 1)."""
-    if layout == "col":
-        return x[:, None]
-    if layout == "row":
-        return x[None, :]
-    return np.lib.stride_tricks.sliding_window_view(x, N)
-
-
-def _face_tail(
-    N: int,
-    p: int,
-    weights: np.ndarray,
-    corrections: list[tuple[int, np.ndarray, str]],
-    work: list[np.ndarray],
-) -> Interval:
-    """Enclosure of sum over (big > N) x (small grid) with a weight matrix.
-
-    Each correction c_j is a 1-D table with its ``_grid_view`` layout.  The
-    big-variable sum is sum_{m>N} m^-p prod_j (1 + c_j/m)^-q_j; the product
-    is sandwiched by 1 - A/m <= prod <= 1 - A/m + (B2 + A^2)/(2 m^2) with
-    A = sum q_j c_j and B2 = sum q_j c_j^2 (from ln(1+x) bounds), so three
-    zeta tails enclose the whole face.  A and B2 are integers, hence exact
-    in any order.  The cells are evaluated in place in ``work``, three
-    contiguous N x N buffers, and lo <= hi holds cell by cell.
-    """
-    A, B2, cells = work
-    views = [
-        (_grid_view(q * c, layout, N), _grid_view(q * c * c, layout, N))
-        for q, c, layout in corrections
-    ]
-    for k, acc in enumerate((A, B2)):
-        np.add(views[0][k], views[1][k], out=acc)
-        for extra in views[2:]:
-            acc += extra[k]
-    t0, t1, t2 = (_lp_tail({(float(p + i), 0): (1.0, 0.0)}, N) for i in range(3))
-    # lo = max(0, t0lo - A t1hi)
-    np.multiply(A, t1[0] + t1[1], out=cells)
-    np.subtract(t0[0] - t0[1], cells, out=cells)
-    np.maximum(cells, 0.0, out=cells)
-    cells *= weights
-    lo = float(np.sum(cells))
-    # hi = t0hi - A max(0, t1lo) + (B2 + A^2)/2 t2hi; halving B2 + A^2 (an
-    # integer) or t2hi (a normal float) is exact, so either order gives the
-    # same product
-    np.multiply(A, A, out=cells)
-    B2 += cells
-    B2 *= 0.5 * (t2[0] + t2[1])
-    np.multiply(A, np.maximum(0.0, t1[0] - t1[1]), out=cells)
-    np.subtract(t0[0] + t0[1], cells, out=cells)
-    cells += B2
-    cells *= weights
-    hi = float(np.sum(cells))
-    mid = (lo + hi) / 2.0
-    # np.sum of a contiguous array is numpy's pairwise sum: log2 n levels
-    rad = (hi - lo) / 2.0 + EPS * abs(hi) * (math.log2(weights.size) + 4.0)
-    return (mid, rad)
-
-
-_SPLIT2 = [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (1.0, 0.0)]
-_SPLIT3 = [
-    (1.0, 0.0, 0.0),
-    (0.0, 1.0, 0.0),
-    (0.0, 0.0, 1.0),
-    (0.5, 0.5, 0.0),
-    (0.5, 0.0, 0.5),
-    (0.0, 0.5, 0.5),
-    (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
-]
-
-_MEMBERS = {0: (0,), 1: (1,), 2: (2,), 3: (0, 1), 4: (1, 2), 5: (0, 1, 2)}
-_SPLITS = {1: [(1.0,)], 2: _SPLIT2, 3: _SPLIT3}  # by the number of members
-_BIG_SETS = ((0, 1), (0, 2), (1, 2), (0, 1, 2))
-
-
-def _routed_splits(s: tuple[int, ...]) -> tuple[list[list[float]], dict]:
-    """The routed exponent vectors (m1, m2, m3) of every split in the grid,
-    tabulated per variable v: ``exponents[v]`` lists the distinct v-th
-    exponents, and ``index[big][v]`` holds, for each vector that routes more
-    than 1 to every variable of ``big`` (a set in ``_BIG_SETS``), the
-    position of its v-th exponent in that list.
-
-    The vectors are built by broadcasting over the split grid, adding the
-    routed shares of s_1..s_6 in that order, so each entry is the same float
-    as a scalar walk of the grid.  They depend on ``s`` alone, so the grid
-    is walked once per ``s``.
-    """
-
-    def build() -> tuple[list[list[float]], dict]:
-        routed = np.zeros((1, 3))
-        for k in range(6):
-            if s[k] > 0:
-                members = _MEMBERS[k]
-                split = _SPLITS[len(members)]
-                share = np.zeros((len(split), 3))
-                share[:, members] = s[k] * np.array(split)
-                routed = (routed[:, None, :] + share[None, :, :]).reshape(-1, 3)
-        columns = [np.unique(routed[:, v], return_inverse=True) for v in range(3)]
-        index = {}
-        for big in _BIG_SETS:
-            admissible = np.all(routed[:, big] > 1.0, axis=1)
-            index[big] = [inverse[admissible] for _exponents, inverse in columns]
-        return [exponents.tolist() for exponents, _ in columns], index
-
-    return _memo(("routed", s), build)
-
-
-def _region_factor(r: float, big: bool, N: int) -> float:
-    """The separable majorant of one variable routed the exponent r: its sum
-    over m > N when it is big (r > 1), over [1, N] otherwise."""
-    if big:
-        return N ** (1.0 - r) / (r - 1.0) if r > 1.0 else math.inf
-    if r > 1.0:
-        return 1.0 + 1.0 / (r - 1.0)
-    if r == 1.0:
-        return 1.0 + math.log(N)
-    if r > 0.0:
-        return 1.0 + (N ** (1.0 - r) - 1.0) / (1.0 - r)
-    return float(N)
-
-
-def _routed_region_bounds(s: tuple[int, ...], N: int) -> list[float]:
-    """One-sided bounds for the regions where the variables of each set in
-    ``_BIG_SETS`` exceed N (the others range over [1, N]).
-
-    Composite denominators dominate each member, so any convex split of an
-    exponent across members gives a valid separable majorant; the grid of
-    splits ``_SPLIT2``/``_SPLIT3`` is searched and the best certified bound
-    returned.  ``_routed_splits`` tabulates the routed vectors once per s,
-    so a rung evaluates each factor once per distinct exponent and
-    multiplies them out, v = 0, 1, 2, for every admissible vector at once.
-    """
-    exponents, index = _routed_splits(s)
-    factors = {
-        (v, big): np.array([_region_factor(r, big, N) for r in values])
-        for v, values in enumerate(exponents)
-        for big in (False, True)
-    }
-    bounds = []
-    for big in _BIG_SETS:
-        f0, f1, f2 = (factors[v, v in big][idx] for v, idx in enumerate(index[big]))
-        bound = f0 * f1 * f2
-        bounds.append(float(bound.min()) if bound.size else math.inf)
-    return bounds
-
-
-def _general_tail_budget(s: tuple[int, ...], N: int, budget: float = math.inf) -> Interval:
-    """Total enclosure of everything outside the [1,N]^3 box (memoized per rung).
-
-    The radius adds the three face radii, then the outer-region halves.
-    Face radii are >= 0 and float addition is monotone, so the outer terms
-    alone, and the faces built so far followed by the outer terms in the
-    same order, bound the rung's radius from below.  As soon as such a
-    bound exceeds ``budget`` the rung cannot fit: the next face is not
-    built, and a non-fitting interval is returned without being memoized.
-    """
-    key = ("Wtail", s, N)
-    hit = _WS.tables.get(key)
-    if hit is not None:
-        return hit
-    bounds = _routed_region_bounds(s, N)
-
-    def with_outer(rad: float) -> float:
-        for bound in bounds:
-            rad += bound / 2.0
-        return rad
-
-    s1, s2, s3, s4, s5, s6 = s
-    m = np.arange(1, N + 1, dtype=float)
-    # m_i + m_j over the small grid, read through a Hankel view
-    diag = np.arange(2, 2 * N + 1, dtype=float)
-    weights, *work = np.empty((4, N, N))
-
-    def vec(e: int) -> np.ndarray:
-        return m ** float(-e)
-
-    faces = [
-        # m1 > N over the small grid (m2, m3)
-        (s1 + s4 + s6, vec(s2), vec(s3), s5, [(s4, m, "col"), (s6, diag, "hankel")]),
-        # m3 > N over (m1, m2)
-        (s3 + s5 + s6, vec(s1), vec(s2), s4, [(s5, m, "row"), (s6, diag, "hankel")]),
-        # m2 > N over (m1, m3)
-        (s2 + s4 + s5 + s6, vec(s1), vec(s3), None,
-         [(s4, m, "col"), (s5, m, "row"), (s6, diag, "hankel")]),
-    ]
-    mid = rad = 0.0
-    for p, colv, rowv, e, corrections in faces:
-        lower = with_outer(rad)
-        if lower > budget:
-            return (math.nan, lower)
-        np.multiply(colv[:, None], rowv[None, :], out=weights)
-        if e is not None:
-            weights *= _grid_view(diag ** float(-e), "hankel", N)
-        fmid, frad = _face_tail(N, p, weights, corrections, work)
-        mid += fmid
-        rad += frad
-
-    for bound in bounds:
-        if not math.isfinite(bound):
-            raise ConvergenceUnverified(f"W{s}: outer regions cannot be certified")
-        mid += bound / 2.0
-        rad += bound / 2.0
-    _WS.tables[key] = (mid, rad)
-    return (mid, rad)
-
-
-def _general_box(s: tuple[int, ...], N: int) -> tuple[float, float]:
-    """The sum over [1, N]^3 and its rounding bound.
-
-    For each m2 the (m1, m3) block is a Hankel matrix in m1 + m3, so its
-    product with the m3 weights is one ``np.correlate`` of a slice of the
-    1-D table of (m1+m2+m3)^-s6 against those weights: no block is copied.
-    Each entry of that is a length-N dot product, then a second length-N
-    dot takes the m1 weights, and N sequential adds take the m2 sum.  All
-    terms are nonnegative and numpy promises no summation order, so the
-    bound is the order-agnostic ``EPS * total * (3N + 8)`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 3: gamma_N per
-    dot and per sequential sum, plus a few ulps for pow and the products).
-    """
-    s1, s2, s3, s4, s5, s6 = s
-    m = np.arange(1, N + 1, dtype=float)
-    v1 = m ** float(-s1)
-    v2 = m ** float(-s2)
-    v3 = m ** float(-s3)
-    idx = np.arange(0, 2 * N + 1, dtype=float)
-    idx[0] = 1.0
-    tab4 = idx ** float(-s4)
-    tab5 = idx ** float(-s5)
-    idx3 = np.arange(0, 3 * N + 1, dtype=float)
-    idx3[0] = 1.0
-    tab6 = idx3 ** float(-s6)
-
-    total = 0.0
-    for i2 in range(1, N + 1):
-        colv = v1 * tab4[i2 + 1 : i2 + N + 1]  # (m1 + m2)^-s4 over m1
-        roww = v3 * tab5[i2 + 1 : i2 + N + 1]  # (m2 + m3)^-s5 over m3
-        # inner[i1] = sum_i3 (i1 + i2 + i3)^-s6 roww[i3]
-        inner = np.correlate(tab6[i2 + 2 : i2 + 2 * N + 1], roww, "valid")
-        total += v2[i2 - 1] * float(colv @ inner)
-    return total, EPS * total * (3 * N + 8)
-
-
-def _eval_w4_general(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
-    """The boxed sum; the dispatcher has already applied the directional gate.
-
-    Tail rungs are memoized, so a refusal or a tighter re-request reuses them.
-    A rung below the cap stops at the first partial radius over the budget,
-    since it fails whatever its remaining faces add; the cap rung is always
-    built in full, so a refusal reports the same radius as a full ladder.
-    """
-    tol = cfg.tolerance
-    cap = cfg.max_terms_3d
-
-    def tail_at(n: int) -> Interval:
-        return _general_tail_budget(s, n, tol / 2.0 if n < cap else math.inf)
-
-    N, tail = _cutoff(tail_at, tol / 2.0, 64, cap)
-    if tail[1] > tol / 2.0:
-        # refuse before paying for the box at the cap
-        raise ToleranceUnreachable(
-            f"W{s}: tail radius {tail[1]:.3e} exceeds {tol / 2:.3e} at the box cap"
-        )
-    box, boxerr = _general_box(s, N)
-    radius = tail[1] + boxerr
-    if radius > tol:
-        raise ToleranceUnreachable(f"W{s}: certified radius {radius:.3e} exceeds {tol:.3e}")
-    return Evaluation(box + tail[0], radius, N)
-
-
-# ---------------------------------------------------------------------------
 # triple-sum dispatch
 
 def eval_witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
-    cfg = cfg.validated()
     s = atom.s
 
-    def compute() -> Evaluation:
+    def compute(cfg: SummationConfig) -> Evaluation:
         s1, s2, s3, s4, s5, s6 = s
         if s1 + s4 + s6 == 0 or s2 + s4 + s5 + s6 == 0 or s3 + s5 + s6 == 0:
             raise ConvergenceUnverified(f"W{s}: a summation variable carries no weight")
@@ -1201,9 +919,13 @@ def eval_witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
             )
         if s6 == 0:
             return _eval_w4_hub(s, cfg)
-        return _eval_w4_general(s, cfg)
+        if s1 == s2 == s3 == 0 and s6 < 2:
+            # convergent, but its Euler sums would lead with a 1
+            raise ToleranceUnreachable(f"W{s}: a triangle with s6 = 1 has no certified evaluator")
+        # every composite exponent positive: the exact partial fractions
+        return eval_lincomb(reduce_general_witten(atom), cfg)
 
-    return _cached_atom(("W",) + s + _caps(cfg), cfg.tolerance, compute)
+    return _evaluate(("W",) + s, cfg.validated(), compute)
 
 
 # ---------------------------------------------------------------------------

@@ -840,12 +840,10 @@ def sweep(
     Report order is the deterministic grid order, independent of
     ``threads``.  ``threads`` worker processes check the records, but
     never more than the CPU count, since the pool starts every worker it
-    is given.  Midpoints, radii and ``terms`` can differ in their last
-    digits between ``threads`` values, since each worker reuses the atoms
-    its own earlier records cached at a tighter tolerance; the verdicts
-    have matched serial under every chunk assignment tested.  Per-record
-    evaluation errors become INCONCLUSIVE verdicts; the sweep itself
-    never aborts on one record.
+    is given.  Every atom has one certified value, whatever was evaluated
+    before it, so the reports are byte-identical for every ``threads``
+    value and chunk assignment.  Per-record evaluation errors become
+    INCONCLUSIVE verdicts; the sweep itself never aborts on one record.
     """
     if weight_cap > cap_limit:
         raise UnsupportedParams(

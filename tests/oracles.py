@@ -176,6 +176,39 @@ def w4_reduction_rhs_shell(
     return tot
 
 
+def a3_rule_shell(s: tuple[int, ...], K: int) -> Fraction:
+    """One partial-fraction step of W(s), s4, s5, s6 >= 1: the summand times
+    x/z + m3/z (s3 >= 1), m1/z + y/z (s3 = 0, s1 >= 1) or x/z + y/z - m2/z
+    (s1 = s3 = 0, s2 >= 1), each equal to 1, with x = n1+n2, y = n2+n3 and
+    z = n1+n2+n3; factor i/z moves one unit from slot i to slot 6."""
+
+    def moved(i: int) -> Fraction:
+        t = list(s)
+        t[i - 1] -= 1
+        t[5] += 1
+        return w4_shell(tuple(t), K)
+
+    if s[2]:
+        return moved(4) + moved(3)
+    if s[0]:
+        return moved(1) + moved(5)
+    return moved(4) + moved(5) - moved(2)
+
+
+def triangle_shell(a: int, b: int, c: int, K: int) -> Fraction:
+    """W(0,0,0,a,b,c) as Euler sums: x^-a y^-b z^-c over x, y < z, all of
+    them by stuffle, less the part x + y <= z, split by u = x + y through
+    the partial fractions of n^-a (u-n)^-b."""
+    tot = euler3_shell(c, a, b, K) + euler3_shell(c, b, a, K) + euler2_shell(c, a + b, K)
+    for j in range(1, a + 1):
+        w = comb(a + b - j - 1, b - 1)
+        tot -= w * (euler3_shell(c, a + b - j, j, K) + euler2_shell(c + a + b - j, j, K))
+    for j in range(1, b + 1):
+        w = comb(a + b - j - 1, a - 1)
+        tot -= w * (euler3_shell(c, a + b - j, j, K) + euler2_shell(c + a + b - j, j, K))
+    return tot
+
+
 # ---------------------------------------------------------------------------
 # float brute force with elementary tail brackets
 # ---------------------------------------------------------------------------

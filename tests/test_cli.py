@@ -222,8 +222,8 @@ def test_verify_probe_variant_flag_selects_validated_one(capsys):
 
 
 def test_verify_inconclusive_exit_logic(capsys):
-    # the general box path cannot reach 1e-8 for this tuple within its cap
-    argv = ["verify", "SYMMETRY_EQ6", "2", "1", "1", "1", "1", "1", "--tol", "1e-8"]
+    # the region cross-evaluator cannot reach the floor within its largest box
+    argv = ["verify", "REGION_EQ14", "2", "2", "2", "2", "--tol", "1e-12"]
     assert main(argv) == 1
     assert "|INCONCLUSIVE|" in capsys.readouterr().out
     assert main(argv + ["--allow-inconclusive"]) == 0

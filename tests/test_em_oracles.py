@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from wreduce.exact import EulerSum, MordellTornheim3, SingleZeta
+from wreduce.exact import EulerSum, MordellTornheim3, SingleZeta, WittenSl4
 from wreduce.series import (
     SummationConfig,
     _g_tables,
@@ -73,3 +73,12 @@ def test_shifted_pair_sum_tables_contain_direct_sums(c, f):
     for u in (1, 2, 7, 64):
         ref = mp.nsum(lambda m: m**-c * (u + m) ** -f, [1, mp.inf])
         assert abs(mp.mpf(mid[u]) - ref) <= rad[u], u
+
+
+def test_general_witten_contains_zagier_value():
+    # zeta_sl(4)(2) = 23 pi^12 / 2554051500 (Zagier, "Values of zeta
+    # functions and their applications", 1994); with the six forms as
+    # written it is W(2,2,2,2,2,2) itself
+    ev = eval_atom(WittenSl4((2, 2, 2, 2, 2, 2)), SummationConfig(tolerance=1e-10))
+    assert ev.radius <= 1e-10
+    assert abs(mp.mpf(ev.midpoint) - 23 * mp.pi**12 / 2554051500) <= ev.radius

@@ -29,6 +29,7 @@ from wreduce.reduce import (
     four_term_rhs,
     pair_recurrence_weights,
     reduce_any,
+    reduce_general_witten,
     reduce_mt,
     reduce_unit_witten,
     reduce_witten,
@@ -361,3 +362,47 @@ def test_full_reductions_render_golden():
     ]
     assert len(renders) == 792
     assert hashlib.sha256("\n".join(renders).encode()).hexdigest() == FULL_REDUCTION_DIGEST
+
+
+# one tuple per rule of the general rewrite: A, A, C, B, triangle, triangle,
+# A, C (the rule its first step takes)
+_GENERAL_REWRITE_TUPLES = [
+    (1, 1, 1, 1, 1, 1),
+    (2, 1, 1, 1, 1, 1),
+    (0, 1, 0, 1, 2, 1),
+    (1, 0, 0, 2, 1, 1),
+    (0, 0, 0, 1, 1, 3),
+    (0, 0, 0, 2, 1, 3),
+    (1, 2, 1, 3, 2, 1),
+    (0, 2, 0, 1, 1, 2),
+]
+
+
+def test_general_rewrite_rules_are_shell_identities():
+    K = 9
+    for s in _GENERAL_REWRITE_TUPLES:
+        want = oracles.w4_shell(s, K)
+        if s[:3] == (0, 0, 0):
+            assert oracles.triangle_shell(*s[3:], K) == want, s
+        else:
+            assert oracles.a3_rule_shell(s, K) == want, s
+
+
+def test_general_rewrite_shell_exact_and_terminal():
+    K = 9
+    for s in _GENERAL_REWRITE_TUPLES:
+        out = reduce_general_witten(WittenSl4(s))
+        assert shell_value(out, K) == oracles.w4_shell(s, K), s
+        for term, _ in out.items():
+            (atom,) = term.factors
+            assert isinstance(atom, EulerSum) or min(atom.s[3:5]) == 0, (s, term.render())
+
+
+def test_general_rewrite_domain():
+    with pytest.raises(UnsupportedParams):
+        reduce_general_witten(WittenSl4((1, 1, 1, 1, 0, 1)))
+    # a triangle with s6 = 1 would need Euler sums with a leading 1
+    from wreduce.errors import InadmissibleOutput
+
+    with pytest.raises(InadmissibleOutput):
+        reduce_general_witten(WittenSl4((0, 0, 0, 2, 2, 1)))

@@ -92,14 +92,14 @@ def test_cutoff_ladder_stops_at_max_terms():
 
 def test_atom_cache_keys_on_caps():
     clear_caches()
-    atom = WittenSl4((1, 1, 1, 1, 1, 1))
-    assert eval_atom(atom, SummationConfig(tolerance=1e-6)).terms == 400
+    atom = EulerSum((2, 1))
+    assert eval_atom(atom, SummationConfig(tolerance=1e-6)).terms == 128
     try:
-        ev = eval_atom(atom, SummationConfig(tolerance=1e-6, max_terms_3d=64))
+        ev = eval_atom(atom, SummationConfig(tolerance=1e-6, max_terms=32))
     except ToleranceUnreachable:
         pass
     else:
-        assert ev.terms <= 64
+        assert ev.terms <= 32
     clear_caches()
 
 
@@ -170,8 +170,7 @@ def test_reductions_charge_rounding_through_one_helper():
     tree = ast.parse(inspect.getsource(series))
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_sum_err", "_cumsum"}
-    # the general-W box and its faces are out of scope and charge their own bounds
-    allowed = {"_dot", "_general_box", "_face_tail"}
+    allowed = {"_dot"}
     dots = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
     offenders = []
     for fn in tree.body:
@@ -265,6 +264,35 @@ def test_witten_general_against_reference(cfg6):
         ev = eval_atom(WittenSl4(s), cfg6)
         assert ev.radius <= 1e-6
         assert overlap(ev, oracles.w4_ref(s, 2 * ev.terms)), s
+
+
+def test_general_witten_grid_refusals_and_brute_force(cfg6):
+    # every s in {0,1,2}^6 with s4, s5, s6 >= 1 and weight <= 8: the tuples
+    # below the directional gate stay refused as divergent, the one triangle
+    # with s6 = 1 as out of reach, and every other one certifies inside the
+    # O(N^3) brute force
+    import itertools
+
+    from wreduce.errors import WreduceError
+
+    grid = [s for s in itertools.product(range(3), repeat=6) if min(s[3:]) >= 1 and sum(s) <= 8]
+    assert len(grid) == 156
+    divergent = 0
+    for s in grid:
+        sigma = (s[0] + s[3] + s[5], s[1] + s[3] + s[4] + s[5], s[2] + s[4] + s[5])
+        try:
+            ev = eval_atom(WittenSl4(s), cfg6)
+        except WreduceError as exc:
+            if min(sigma) < 3 or sum(s) < 4:
+                assert isinstance(exc, ConvergenceUnverified), s
+                divergent += 1
+            else:
+                assert s == (0, 0, 0, 2, 2, 1) and isinstance(exc, ToleranceUnreachable), s
+            continue
+        assert min(sigma) >= 3 and sum(s) >= 4, s
+        assert ev.radius <= 1e-6
+        assert overlap(ev, oracles.w4_ref(s, 96)), s
+    assert divergent == 33
 
 
 def test_witten_hub_mirror_agree(cfg6):
@@ -365,9 +393,9 @@ def test_em_forms_survive_clear_caches():
 # sha256 over W(a,b,c,d,0,f) and its complete Euler-sum reduction at every
 # THM22 grid point at 1e-8, each point in a cold workspace: the hex midpoint
 # and radius of each side, or its refusal code.  Computed with numpy's
-# float64 pow on x86-64 before the log-power forms were shared within a
-# workspace; the same caveat as the general-W goldens below
-_FULL_REDUCTION_DIGEST = "f518070ff3481549c9d249a3beb09a4db95dd93cca263ffe09f0bed5ffbaa6e7"
+# float64 pow on x86-64 when every atom was first given one certified
+# value, the floor's; another pow can move the last bits
+_FULL_REDUCTION_DIGEST = "ec2d952707695814d9553c3ed873793d5a38755375026c67de1ca43b14530d3c"
 
 
 def _full_reduction_outcomes(tol):
@@ -402,12 +430,12 @@ def test_full_reductions_golden():
 
 
 # tag of a per-workspace LP form -> a call that builds the form under the
-# key (tag, *args) or, with caps, (tag, *args, max_terms, max_terms_3d)
+# key (tag, *args) or, with caps, (tag, *args, max_terms)
 def _lp_form_builders():
     from wreduce import series
 
     def capped(build):
-        return lambda *key: build(*key[:-2], SummationConfig(1e-8, *key[-2:]))
+        return lambda *key: build(*key[:-1], SummationConfig(1e-8, key[-1]))
 
     return {
         "LPtz": series._lp_tailzeta,
@@ -462,306 +490,3 @@ def test_shared_lp_forms_are_read_only_and_independent_of_order():
         builders[key[0]](*key[1:])
         assert _lp_bits(series._WS.tables[key]) == _lp_bits(entry), key
     clear_caches()
-
-
-def test_general_box_contains_exact_lattice_sum():
-    # the order-agnostic rounding bound of the correlate kernel holds
-    # against the exact rational sum over [1, N]^3
-    from fractions import Fraction
-
-    from wreduce import series
-
-    for s in [(2, 1, 1, 1, 1, 1), (0, 0, 2, 2, 2, 2), (3, 1, 2, 2, 1, 3)]:
-        for N in (8, 12):
-            box, err = series._general_box(s, N)
-            s1, s2, s3, s4, s5, s6 = s
-            exact = Fraction(0)
-            for i1 in range(1, N + 1):
-                for i2 in range(1, N + 1):
-                    for i3 in range(1, N + 1):
-                        exact += (
-                            oracles._fpow(i1, s1)
-                            * oracles._fpow(i2, s2)
-                            * oracles._fpow(i3, s3)
-                            * oracles._fpow(i1 + i2, s4)
-                            * oracles._fpow(i2 + i3, s5)
-                            * oracles._fpow(i1 + i2 + i3, s6)
-                        )
-            assert abs(Fraction(box) - exact) <= Fraction(err), (s, N)
-
-
-# (s, N) -> (midpoint, radius) of the general-W tail enclosure, as float.hex,
-# computed with numpy's float64 pow on x86-64; every rung must reproduce them
-# bit for bit (the matrix-reference test below checks the same on any host)
-_GENERAL_TAIL_GOLDEN = {
-    ((2, 1, 1, 1, 1, 1), 64): ("0x1.492d7b1a3cf6ap-13", "0x1.574e46bce1af2p-18"),
-    ((2, 1, 1, 1, 1, 1), 400): ("0x1.188bc44dddbb0p-18", "0x1.588c828ac9849p-26"),
-    ((1, 2, 3, 1, 1, 1), 64): ("0x1.5d08431d3355fp-14", "0x1.45b0ea23c2f26p-23"),
-    ((1, 2, 3, 1, 1, 1), 400): ("0x1.2c22237a18e11p-19", "0x1.258e96e41c84ep-33"),
-    ((0, 0, 2, 2, 2, 2), 64): ("0x1.beda5fdf9a6ccp-21", "0x1.9fd96f4314e68p-24"),
-    ((0, 0, 2, 2, 2, 2), 400): ("0x1.11c91c9017211p-28", "0x1.2c1f292f4ab35p-34"),
-    ((3, 1, 2, 2, 1, 3), 64): ("0x1.18f6391becda2p-34", "0x1.fc50439cb4c1ep-41"),
-    ((3, 1, 2, 2, 1, 3), 400): ("0x1.08fe19bd7c971p-47", "0x1.f0af2a31b573fp-59"),
-}
-
-
-def test_general_tail_budget_golden():
-    from wreduce import series
-
-    clear_caches()
-    for (s, N), want in _GENERAL_TAIL_GOLDEN.items():
-        mid, rad = series._general_tail_budget(s, N)
-        assert (float(mid).hex(), float(rad).hex()) == want, (s, N)
-
-
-
-def _reference_routed_region_bound(s, N, big):
-    # reference: every split combination walked for each (s, N, big)
-    import itertools
-
-    from wreduce import series
-
-    active = [(k, series._MEMBERS[k]) for k in range(6) if s[k] > 0]
-    options = []
-    for _k, members in active:
-        if len(members) == 1:
-            options.append([(1.0,)])
-        elif len(members) == 2:
-            options.append(series._SPLIT2)
-        else:
-            options.append(series._SPLIT3)
-    best = math.inf
-    for combo in itertools.product(*options):
-        routed = [0.0, 0.0, 0.0]
-        for (k, members), weightvec in zip(active, combo):
-            for v, wfrac in zip(members, weightvec):
-                routed[v] += s[k] * wfrac
-        if not all(routed[v] > 1.0 for v in big):
-            continue
-        bound = 1.0
-        for v in range(3):
-            r = routed[v]
-            if v in big:
-                bound *= N ** (1.0 - r) / (r - 1.0)
-            elif r > 1.0:
-                bound *= 1.0 + 1.0 / (r - 1.0)
-            elif r == 1.0:
-                bound *= 1.0 + math.log(N)
-            elif r > 0.0:
-                bound *= 1.0 + (N ** (1.0 - r) - 1.0) / (1.0 - r)
-            else:
-                bound *= float(N)
-        best = min(best, bound)
-    return best
-
-
-def _reference_face_tail(N, p, weights, corrections):
-    # reference: the face enclosure from full N x N correction matrices
-    from wreduce import series
-
-    np = series.np
-    A = np.zeros_like(weights)
-    B2 = np.zeros_like(weights)
-    for q, cmat in corrections:
-        A += q * cmat
-        B2 += q * cmat * cmat
-    t0, t1, t2 = (series._lp_tail({(float(p + i), 0): (1.0, 0.0)}, N) for i in range(3))
-    lo_cells = np.maximum(0.0, (t0[0] - t0[1]) - A * (t1[0] + t1[1]))
-    hi_cells = (t0[0] + t0[1]) - A * np.maximum(0.0, t1[0] - t1[1]) + 0.5 * (B2 + A * A) * (
-        t2[0] + t2[1]
-    )
-    lo = float(np.sum(weights * lo_cells))
-    hi = float(np.sum(weights * hi_cells))
-    mid = (lo + hi) / 2.0
-    rad = (hi - lo) / 2.0 + series.EPS * abs(hi) * (math.log2(weights.size) + 4.0)
-    return (mid, rad)
-
-
-def _reference_general_tail_budget(s, N):
-    # reference: the tail enclosure from full N x N pow and correction matrices
-    from wreduce import series
-
-    s1, s2, s3, s4, s5, s6 = s
-    m = series.np.arange(1, N + 1, dtype=float)
-    col = m[:, None]
-    row = m[None, :]
-    faces = [
-        (s1 + s4 + s6, col ** float(-s2) * row ** float(-s3) * (col + row) ** float(-s5),
-         [(s4, col + 0 * row), (s6, col + row)]),
-        (s3 + s5 + s6, col ** float(-s1) * row ** float(-s2) * (col + row) ** float(-s4),
-         [(s5, 0 * col + row), (s6, col + row)]),
-        (s2 + s4 + s5 + s6, col ** float(-s1) * row ** float(-s3),
-         [(s4, col + 0 * row), (s5, 0 * col + row), (s6, col + row)]),
-    ]
-    mid = rad = 0.0
-    for p, w, corrections in faces:
-        fmid, frad = _reference_face_tail(N, p, w, corrections)
-        mid += fmid
-        rad += frad
-    for big in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-        bound = _reference_routed_region_bound(s, N, big)
-        if not math.isfinite(bound):
-            raise ConvergenceUnverified(f"W{s}: outer regions cannot be certified")
-        mid += bound / 2.0
-        rad += bound / 2.0
-    return (mid, rad)
-
-
-def _general_sample():
-    # every 60th general tuple with entries <= 3 and weight <= 10 that passes
-    # the directional gate, plus the golden ones
-    import itertools
-
-    grid = [
-        s
-        for s in itertools.product(range(4), repeat=6)
-        if min(s[3:]) > 0
-        and sum(s) <= 10
-        and min(s[0] + s[3] + s[5], s[1] + s[3] + s[4] + s[5], s[2] + s[4] + s[5]) >= 3
-    ]
-    return grid[::60] + list(dict.fromkeys(s for s, _N in _GENERAL_TAIL_GOLDEN))
-
-
-def test_general_tail_budget_matches_the_matrix_reference():
-    # the 1-D tables, Hankel views and per-s split table must reproduce the
-    # full-matrix computation bit for bit, on every rung of the default ladder
-    from wreduce import series
-
-    clear_caches()
-    for s in _general_sample():
-        for N in (64, 128, 256, 400):
-            try:
-                want = _reference_general_tail_budget(s, N)
-            except ConvergenceUnverified:
-                with pytest.raises(ConvergenceUnverified):
-                    series._general_tail_budget(s, N)
-                continue
-            got = series._general_tail_budget(s, N)
-            assert [float(x).hex() for x in got] == [float(x).hex() for x in want], (s, N)
-
-def test_general_refusal_reuses_its_rungs(monkeypatch):
-    from wreduce import series
-
-    clear_caches()
-    atom = WittenSl4((2, 1, 1, 1, 1, 1))
-    with pytest.raises(ToleranceUnreachable) as first:
-        eval_atom(atom, SummationConfig(tolerance=1e-10))
-    assert "tail radius 2.006e-08" in str(first.value)
-    built = len(series._WS.tables)
-
-    def no_rebuild(*_args):
-        raise AssertionError("a memoized tail rung was built again")
-
-    monkeypatch.setattr(series, "_face_tail", no_rebuild)
-    with pytest.raises(ToleranceUnreachable) as again:
-        eval_atom(atom, SummationConfig(tolerance=1e-11))
-    assert "tail radius 2.006e-08" in str(again.value)
-    assert len(series._WS.tables) == built
-    monkeypatch.undo()
-
-    # the rungs of an accepted atom go with clear_caches and come back the same
-    cfg = SummationConfig(tolerance=1e-8)
-    accepted = WittenSl4((2, 1, 2, 1, 1, 1))
-    before = eval_atom(accepted, cfg)
-    clear_caches()
-    assert not series._WS.tables
-    assert eval_atom(accepted, cfg) == before
-
-
-def test_routed_region_bounds_match_the_reference():
-    # the per-variable factor tables reproduce the walk of every split
-    # combination bit for bit, at every 7th cutoff of 16..400
-    from wreduce import series
-
-    clear_caches()
-    for s in _general_sample():
-        for N in range(16, 401, 7):
-            want = [_reference_routed_region_bound(s, N, big) for big in series._BIG_SETS]
-            got = series._routed_region_bounds(s, N)
-            assert [float(x).hex() for x in got] == [x.hex() for x in want], (s, N)
-
-
-def _full_ladder_w4_general(s, cfg):
-    # reference: the general-W ladder with every rung built in full
-    from wreduce import series
-
-    tol = cfg.tolerance
-    N, tail = series._cutoff(
-        lambda n: series._general_tail_budget(s, n), tol / 2.0, 64, cfg.max_terms_3d
-    )
-    if tail[1] > tol / 2.0:
-        raise ToleranceUnreachable(
-            f"W{s}: tail radius {tail[1]:.3e} exceeds {tol / 2:.3e} at the box cap"
-        )
-    box, boxerr = series._general_box(s, N)
-    radius = tail[1] + boxerr
-    if radius > tol:
-        raise ToleranceUnreachable(f"W{s}: certified radius {radius:.3e} exceeds {tol:.3e}")
-    return Evaluation(box + tail[0], radius, N)
-
-
-def test_skipped_rungs_leave_every_outcome_unchanged():
-    from wreduce import series
-    from wreduce.errors import WreduceError
-
-    def outcome(evaluate, s, cfg):
-        clear_caches()
-        try:
-            return evaluate(s, cfg)
-        except WreduceError as exc:
-            return (type(exc).__name__, str(exc))
-
-    for s in _general_sample():
-        for tol in (1e-6, 1e-8, 1e-10):
-            cfg = SummationConfig(tolerance=tol)
-            want = outcome(_full_ladder_w4_general, s, cfg)
-            assert outcome(series._eval_w4_general, s, cfg) == want, (s, tol)
-
-
-def test_rungs_that_cannot_fit_build_no_faces(monkeypatch):
-    from wreduce import series
-
-    face_tail = series._face_tail
-    built = []
-
-    def counting(N, *args):
-        built.append(N)
-        return face_tail(N, *args)
-
-    clear_caches()
-    monkeypatch.setattr(series, "_face_tail", counting)
-    with pytest.raises(ToleranceUnreachable, match="tail radius 2.006e-08"):
-        eval_atom(WittenSl4((2, 1, 1, 1, 1, 1)), SummationConfig(tolerance=1e-10))
-    assert built == [400, 400, 400]
-
-
-def test_a_rung_sunk_by_its_first_face_stops_there(monkeypatch):
-    # at 1e-10 the outer regions of this rung fit the budget, but its first
-    # face already pushes the radius over: the other two faces are never
-    # built, the refusal is not memoized, and a later full build is exact
-    from wreduce import series
-
-    s, N, budget = (0, 0, 1, 2, 2, 3), 128, 1e-10 / 2.0
-    face_tail = series._face_tail
-    built = []
-
-    def counting(n, *args):
-        built.append(n)
-        return face_tail(n, *args)
-
-    clear_caches()
-    outer = 0.0
-    for bound in series._routed_region_bounds(s, N):
-        outer += bound / 2.0
-    assert outer <= budget
-    monkeypatch.setattr(series, "_face_tail", counting)
-    mid, rad = series._general_tail_budget(s, N, budget)
-    assert built == [N]
-    assert math.isnan(mid) and rad > budget
-    assert ("Wtail", s, N) not in series._WS.tables
-    monkeypatch.undo()
-
-    got = series._general_tail_budget(s, N)
-    want = _reference_general_tail_budget(s, N)
-    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
-    assert got[1] >= rad

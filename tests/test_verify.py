@@ -143,10 +143,10 @@ def test_check_pass_on_validated_transcription(cfg6):
     assert rep.verdict == "PASS"
 
 
-def test_check_turns_evaluation_errors_into_inconclusive(cfg8):
-    # the general box path cannot certify this tuple to 1e-8 within its
-    # per-axis cap, which must surface as a verdict, not a crash
-    rep = check(build_identity("SYMMETRY_EQ6", (2, 1, 1, 1, 1, 1)), cfg8)
+def test_check_turns_evaluation_errors_into_inconclusive():
+    # the region cross-evaluator cannot certify this record to the floor
+    # within its largest box, which must surface as a verdict, not a crash
+    rep = check(build_identity("REGION_EQ14", (2, 2, 2, 2)), SummationConfig(tolerance=1e-12))
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.detail.startswith("TOLERANCE_UNREACHABLE:")
     assert math.isnan(rep.gap) and math.isnan(rep.budget)
@@ -273,11 +273,13 @@ def test_region_evaluator_matches_the_row_loop(tol):
 
 # sha256 over the verdict and the hex midpoints and radii of both sides of
 # every SYMMETRY_EQ6 and COMBINE_EQ17 record of the cold default sweep, as
-# computed with numpy's float64 pow on x86-64 before the general-W tail
-# rungs were reworked; every general-W atom must reproduce them bit for bit
+# computed with numpy's float64 pow on x86-64 when general W was first
+# evaluated through its partial fractions; every general-W atom must
+# reproduce them bit for bit.  Every atom of these records certifies at the
+# floor, so both tolerances give the same digest
 _GENERAL_W_SWEEP_DIGESTS = {
-    1e-8: "5b2ed9488472a2beee27e06a1c956ae4adbb46ec39d7f7db0669d6c273b474d2",
-    1e-10: "c01f79c032487ef88cc86a2984e6bae564ed27fb1a10c3d2e67dac3be3e9d015",
+    1e-8: "1b6e5c82ac792bb59e457945a7d6730b373c2ec84781c07e4ce1d31e246833b3",
+    1e-10: "1b6e5c82ac792bb59e457945a7d6730b373c2ec84781c07e4ce1d31e246833b3",
 }
 
 
@@ -300,11 +302,11 @@ def test_general_w_records_of_the_default_sweep_golden(tol):
 
 
 # sha256 of the report lines of the whole cold default sweep, as computed
-# with numpy's float64 pow on x86-64 before the region evaluator was summed
-# in row blocks; the same caveat as the digests above
+# with numpy's float64 pow on x86-64 when every atom was first given one
+# certified value; the same caveat as the digests above
 _DEFAULT_SWEEP_DIGESTS = {
-    1e-8: "904bf5474b296df4d5e1c6ba06e455bd8f7f128338a499f782ca95e8c3a9d7b1",
-    1e-10: "aaf2079a6e212c9f66340718a4b1bd4dcfdb9e1e8a1d78ee5c0c4cf724d3e6bf",
+    1e-8: "4bf5da29416b80ce40c9c3d359d3a0ad9a63dec94be88e8b38f51071621396bf",
+    1e-10: "4f28ade68ff479a683d93aec187665cb3fb250a1076176029a0e2c683c3f708c",
 }
 
 
@@ -326,6 +328,24 @@ def test_default_sweep_report_golden(tol):
 def test_default_sweep_pool_is_byte_identical_at_1e10():
     tol = 1e-10
     assert _cold_default_sweep_lines(tol, threads=2) == _cold_default_sweep_lines(tol)
+
+
+def test_default_sweep_pool_is_byte_identical_at_1e8():
+    tol = 1e-8
+    assert _cold_default_sweep_lines(tol, threads=2) == _cold_default_sweep_lines(tol)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_default_sweep_lines_do_not_depend_on_record_order(tol):
+    # each atom has one certified value, so checking the records backwards
+    # in one workspace must give every line byte for byte
+    from wreduce.series import clear_caches
+
+    records = [build_identity(i, p) for i in DEFAULT_SWEEP_IDS for p in default_parameters(i)]
+    cfg = SummationConfig(tolerance=tol)
+    clear_caches()
+    backwards = [check(r, cfg) for r in reversed(records)]
+    assert format_report_lines(backwards[::-1]) == _cold_default_sweep_lines(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +449,7 @@ def test_sweep_verdicts_do_not_depend_on_chunk_assignment(monkeypatch, workers):
     clear_caches()
     assert [r.record for r in pooled] == [r.record for r in serial]
     assert [r.verdict for r in pooled] == [r.verdict for r in serial]
+    assert format_report_lines(pooled) == format_report_lines(serial)
 
 
 def test_probe_sweep_discriminates_variants(cfg6):
