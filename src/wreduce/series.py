@@ -432,7 +432,8 @@ def clear_caches() -> None:
     """Drop memoized evaluations, tables and LP tail forms (used for cold
     timing runs).
 
-    The Euler-Maclaurin forms of ``_unit_resum`` depend on (p, k) alone and
+    The Euler-Maclaurin forms of ``_unit_resum`` depend on (p, k) alone, and
+    the exact rewrites of ``reduce.reduce_general_witten`` on s alone; both
     are kept.
     """
     _WS.clear()
