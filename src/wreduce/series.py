@@ -23,9 +23,8 @@ engine holds for integer ``u >= 1``.  All bracketing facts used here
 LP builders and composed with interval arithmetic, so each evaluator is an
 assembly of audited pieces rather than a bespoke estimate.  Each builder's
 form is built once per workspace and shared, read-only, by every later
-request in it; a form that holds a floor-certified zeta constant is keyed
-by the caps, the atom-level constants of the depth-3 tails are added per
-call, and ``clear_caches()`` drops every form.  The form arithmetic
+request in it; a form that holds an atom's value as a constant is keyed by
+the caps, and ``clear_caches()`` drops every form.  The form arithmetic
 multiplies intervals inline with the expressions of ``_imul``, so a shared
 form is bit for bit the form a rebuild would give.
 
@@ -39,11 +38,16 @@ so every atom is a 1-D sum.  The slot order given is the slot order
 summed; relabeling twins are computed by genuinely different loops, which
 is what makes the symmetry check in ``verify`` meaningful.
 
-Each atom has one certified value per workspace and caps: the value the
-1e-12 floor certifies answers every request.  Only an atom the floor
-refuses is evaluated at the request's tolerance, and every outcome, value
-or refusal, is memoized under the atom, the caps and the tolerance it was
-computed at.  So a result never depends on which requests came before it.
+Each atom has one certified value per workspace and caps: its ladder stops
+at the first cutoff whose tail radius is no larger than its box radius,
+which puts most atoms near 1e-14, well below the 1e-12 floor of the
+requests.  The value, or a refusal that no tolerance can lift, is memoized
+under the atom and the caps alone, and the constants inside other atoms
+(zetas in the tail forms and tables, the depth-2 limits of the depth-3
+tails, the terminals of the general rewrite) are those same values.  Terms
+and combinations are interval arithmetic on them, and the public
+evaluators compare the result with the request's tolerance in one place,
+``_checked``.  So a result never depends on which requests came before it.
 """
 
 from __future__ import annotations
@@ -84,7 +88,10 @@ class SummationConfig:
     """Evaluation budget and target accuracy.
 
     ``max_terms`` caps every cutoff: the 1-D sums and the collapsed and hub
-    outer sums that every triple sum comes down to.
+    outer sums that every triple sum comes down to.  ``tolerance`` is the
+    largest radius a request accepts.  It never steers an evaluation: each
+    atom is evaluated once under the caps, and a result whose radius is
+    above the tolerance is refused.
     """
 
     tolerance: float = 1e-6
@@ -285,9 +292,11 @@ def _lp_integral(f: Exact) -> Exact:
     return out
 
 
-# (p, k) -> the form of _unit_resum; it depends on nothing else, so it
-# outlives clear_caches().  Callers only read the forms.
+# (p, k) -> the form of _unit_resum, and U -> (p, k) -> its value at U;
+# they depend on nothing else, so they outlive clear_caches().  Callers
+# only read the forms.
 _EM_FORMS: dict[tuple[float, int], LogPower] = {}
+_EM_TAILS: dict[int, dict[tuple[float, int], Interval]] = {}
 
 
 def _unit_resum(p: float, k: int) -> LogPower:
@@ -318,7 +327,7 @@ def _unit_resum(p: float, k: int) -> LogPower:
 
 def _lp_tail(lp: LogPower, U: int) -> Interval:
     """Enclosure of sum_{u>U} of the LP form, U >= 1."""
-    unit_tails = _memo(("T", U), dict)  # (p, k) -> sum_{u>U} u^-p ln(u)^k
+    unit_tails = _EM_TAILS.setdefault(U, {})  # (p, k) -> sum_{u>U} u^-p ln(u)^k
     mid = absmid = rad = 0.0
     for key, (am, ar) in lp.items():
         t = unit_tails.get(key)
@@ -348,7 +357,7 @@ def _lp_resum(lp: LogPower) -> LogPower:
 
 # LP building blocks.  All are pointwise-valid enclosures for u >= 2.  The
 # builders are pure, so each form is built once per workspace, keyed by the
-# caps wherever a floor-certified zeta enters it, and shared: do not mutate.
+# caps wherever an atom's value enters it, and shared: do not mutate.
 
 def _lp_tailzeta(j: int) -> LogPower:
     """tailzeta(u, j) = sum_{n>u} n^-j as an LP form in u, j >= 2."""
@@ -391,29 +400,22 @@ def _lp_prefix_prev(j: int, cfg: SummationConfig) -> LogPower:
 
 
 def _lp_zeta(j: int, cfg: SummationConfig) -> LogPower:
-    """The constant zeta(j), certified at the floor."""
-    z = _zeta_getter(cfg)(j)
+    """The constant zeta(j) at its best value under the caps."""
+    z = _zeta_value(j, cfg)
     return _lp_const(z.midpoint, z.radius)
 
 
 # ---------------------------------------------------------------------------
-# certified tables
-
-def _power_array(U: int, e: int) -> np.ndarray:
-    """[0, 1^-e, 2^-e, ..., U^-e] with an unused zero slot."""
-    arr = np.zeros(U + 1)
-    arr[1:] = np.arange(1, U + 1, dtype=float) ** float(-e)
-    return arr
-
+# the workspace, certified tables and the cutoff ladder
 
 class _Workspace:
     """Per-process cache of atom outcomes and certified tables.
 
-    An atom's outcome, a value or a refusal, is keyed by the atom, the caps
-    and the tolerance it was computed at, and ``_evaluate`` asks for the
-    floor outcome first.  So every request gets the same answer whatever
-    was evaluated before it, and a sweep's output does not depend on record
-    order or on how records are dealt to worker processes.
+    An atom's outcome is its best certified value, or a refusal that no
+    tolerance can lift, and it is keyed by the atom and the caps alone.  So
+    every request gets the same answer whatever was evaluated before it,
+    and a sweep's output does not depend on record order or on how records
+    are dealt to worker processes.
     """
 
     def __init__(self):
@@ -429,12 +431,12 @@ _WS = _Workspace()
 
 
 def clear_caches() -> None:
-    """Drop memoized evaluations, tables and LP tail forms (used for cold
+    """Drop memoized atom values, tables and LP tail forms (used for cold
     timing runs).
 
-    The Euler-Maclaurin forms of ``_unit_resum`` depend on (p, k) alone, and
-    the exact rewrites of ``reduce.reduce_general_witten`` on s alone; both
-    are kept.
+    The Euler-Maclaurin forms of ``_unit_resum`` and their values at each
+    cutoff depend on (p, k) and the cutoff alone, and the exact rewrites of
+    ``reduce.reduce_general_witten`` on s alone; they are kept.
     """
     _WS.clear()
 
@@ -447,9 +449,35 @@ def _memo(key: tuple, build):
     return hit
 
 
-def _with_tol(cfg: SummationConfig, tol: float) -> SummationConfig:
-    """``cfg`` with its caps and the tolerance ``tol``, clamped at the floor."""
-    return SummationConfig(max(tol, TOLERANCE_FLOOR), cfg.max_terms)
+# Every ladder stops by 256 on the default sweep, and numpy costs per call,
+# not per entry, at that length: one build of this length serves them all.
+_TABLE_LEN = 256
+
+
+def _table(key: tuple, U: int, build) -> tuple[np.ndarray, ...]:
+    """Entries 0..U of the cached arrays under ``key``; ``build(n)`` gives
+    arrays of n + 1 entries (shared: do not mutate).
+
+    Every table is prefix-stable, entry k the same whatever the length, so
+    a longer cached table answers a shorter request and the rungs of a
+    ladder read slices of one table.
+    """
+    hit = _WS.tables.get(key)
+    if hit is None or hit[0].size <= U:
+        hit = _WS.tables[key] = build(max(U, _TABLE_LEN))
+    n = U + 1
+    return tuple([a[:n] for a in hit])
+
+
+def _power_array(U: int, e: int) -> np.ndarray:
+    """[0, 1^-e, 2^-e, ..., U^-e] with an unused zero slot."""
+
+    def build(n: int) -> tuple[np.ndarray]:
+        arr = np.zeros(n + 1)
+        arr[1:] = np.arange(1, n + 1, dtype=float) ** float(-e)
+        return (arr,)
+
+    return _table(("pow", e), U, build)[0]
 
 
 def _caps(cfg: SummationConfig) -> tuple[int]:
@@ -457,106 +485,93 @@ def _caps(cfg: SummationConfig) -> tuple[int]:
     return (cfg.max_terms,)
 
 
-def _cached_atom(key: tuple, tol: float, compute) -> Evaluation:
-    """The outcome of ``compute()`` memoized under ``key + (tol,)``: its
+def _cached_atom(key: tuple, caps: tuple, compute) -> Evaluation:
+    """The outcome of ``compute()`` memoized under ``key + caps``: its
     value, or its refusal, raised again on every later request."""
-    hit = _WS.atoms.get(key + (tol,))
+    key += caps
+    hit = _WS.atoms.get(key)
     if hit is None:
         try:
             hit = compute()
         except WreduceError as exc:
             # the class and message only: a traceback would pin the frames
-            _WS.atoms[key + (tol,)] = (type(exc), exc.message)
+            _WS.atoms[key] = (type(exc), exc.message)
             raise
-        _WS.atoms[key + (tol,)] = hit
+        _WS.atoms[key] = hit
     if isinstance(hit, Evaluation):
         return hit
     kind, message = hit
     raise kind(message)
 
 
-def _evaluate(key: tuple, cfg: SummationConfig, compute) -> Evaluation:
-    """The certified value of the atom ``key`` for the request ``cfg``.
-
-    ``compute(c)`` evaluates the atom at ``c.tolerance``.  The floor value
-    answers every request; only when the floor refuses is the atom
-    evaluated at the request's own tolerance.
-    """
-    key += _caps(cfg)
-    floor = _with_tol(cfg, TOLERANCE_FLOOR)
-    try:
-        return _cached_atom(key, TOLERANCE_FLOOR, lambda: compute(floor))
-    except ToleranceUnreachable:
-        if cfg.tolerance <= TOLERANCE_FLOOR:
-            raise
-    return _cached_atom(key, cfg.tolerance, lambda: compute(cfg))
+def _checked(ev: Evaluation, cfg: SummationConfig, what) -> Evaluation:
+    """``ev`` if its radius is within the request's tolerance, else the
+    refusal naming ``what()``: the one place a tolerance is compared."""
+    if ev.radius > cfg.tolerance:
+        raise ToleranceUnreachable(
+            f"{what()}: certified radius {ev.radius:.3e} exceeds {cfg.tolerance:.3e}"
+        )
+    return ev
 
 
-def _cutoff(tail_at, budget: float, start: int, cap: int) -> tuple[int, Interval]:
-    """The first cutoff of start, 2 start, 4 start, ... whose tail fits budget.
+def _cutoff(tail_at, box_at, cap: int, start: int = 32) -> Evaluation:
+    """The sum cut at the first of start, 2 start, 4 start, ... whose tail
+    radius is no larger than its box radius, or at ``cap``, which clamps
+    the ladder.
 
-    The ladder is clamped to ``cap``; when the cap itself misses the
-    budget it is returned anyway, and the caller's radius check refuses.
-    Returns the cutoff and ``tail_at`` of it.
+    ``tail_at(n)`` and ``box_at(n)`` enclose the sum past n and up to n.  The
+    box radius, the rounding of a longer sum, only grows with n, so a later
+    cutoff would certify at least half of this radius.
     """
     n = min(start, cap)
     while True:
         tail = tail_at(n)
-        if tail[1] <= budget or n >= cap:
-            return n, tail
+        box = box_at(n)
+        if tail[1] <= box[1] or n >= cap:
+            return Evaluation(box[0] + tail[0], tail[1] + box[1], n)
         n = min(2 * n, cap)
 
 
 # ---------------------------------------------------------------------------
 # single zeta
 
-def eval_zeta(s: int, cfg: SummationConfig) -> Evaluation:
-    def compute(cfg: SummationConfig) -> Evaluation:
-        tol = cfg.tolerance
 
-        lp = {(float(s), 0): (1.0, 0.0)}
-        N, (tmid, trad) = _cutoff(lambda n: _lp_tail(lp, n), tol / 2.0, 32, cfg.max_terms)
-        part = float(np.sum(np.arange(1, N + 1, dtype=float) ** float(-s)))
-        radius = trad + _gamma(N) * part  # the terms are positive
-        if radius > tol:
-            raise ToleranceUnreachable(
-                f"zeta({s}): certified radius {radius:.3e} exceeds {tol:.3e}"
-            )
-        return Evaluation(part + tmid, radius, N)
-
-    return _evaluate(("Z", s), cfg.validated(), compute)
+def _zeta_value(s: int, cfg: SummationConfig) -> Evaluation:
+    """zeta(s) at its best value under the caps (no tolerance involved)."""
+    return _cached_atom(("Z", s), _caps(cfg), lambda: _zeta(s, cfg))
 
 
-def _zeta_getter(cfg: SummationConfig):
-    inner = _with_tol(cfg, TOLERANCE_FLOOR)
+def _zeta(s: int, cfg: SummationConfig) -> Evaluation:
+    lp = {(float(s), 0): (1.0, 0.0)}
 
-    def zeta_of(j: int) -> Evaluation:
-        return eval_zeta(j, inner)
+    def box_at(N: int) -> Interval:
+        P, prad = _prefix_table(s, N)
+        return P[N], prad[N]
 
-    return zeta_of
+    return _cutoff(lambda n: _lp_tail(lp, n), box_at, cfg.max_terms)
 
 
 def _prefix_table(j: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     """(mid, rad) arrays of P_j[u] = sum_{m<=u} m^-j for u = 0..U."""
 
-    def build() -> tuple[np.ndarray, np.ndarray]:
+    def build(n: int) -> tuple[np.ndarray, np.ndarray]:
         if j == 0:
-            return (np.arange(U + 1, dtype=float), np.zeros(U + 1))  # integers, exact
-        return _prefix_sums(np.arange(1, U + 1, dtype=float) ** float(-j))
+            return (np.arange(n + 1, dtype=float), np.zeros(n + 1))  # integers, exact
+        return _prefix_sums(_power_array(n, j)[1:])
 
-    return _memo(("P", j, U), build)
+    return _table(("P", j), U, build)
 
 
 def _tailzeta_table(j: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray, np.ndarray]:
     """(mid, rad) arrays of t[u] = sum_{m>u} m^-j for u = 0..U."""
 
-    def build() -> tuple[np.ndarray, np.ndarray]:
-        z = _zeta_getter(cfg)(j)
-        P, prad = _prefix_table(j, U)
+    def build(n: int) -> tuple[np.ndarray, np.ndarray]:
+        z = _zeta_value(j, cfg)
+        P, prad = _prefix_table(j, n)
         t = z.midpoint - P
         return (t, z.radius + prad + EPS * np.abs(t))
 
-    return _memo(("tz", j, U), build)
+    return _table(("tz", j) + _caps(cfg), U, build)
 
 
 # ---------------------------------------------------------------------------
@@ -587,37 +602,39 @@ def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray,
         if f < 2:
             raise ConvergenceUnverified("inner pair sum needs f >= 2 when c = 0")
         return _tailzeta_table(f, U, cfg)
-    if f == 0:
-        if c < 2:
-            raise ConvergenceUnverified("inner pair sum needs c >= 2 when f = 0")
-        z = _zeta_getter(cfg)(c)
-        return np.full(U + 1, z.midpoint), np.full(U + 1, z.radius)
+    if f == 0 and c < 2:
+        raise ConvergenceUnverified("inner pair sum needs c >= 2 when f = 0")
     if c + f < 2:
         raise ConvergenceUnverified("inner pair sum diverges")
 
-    u = np.arange(0, U + 1, dtype=float)
-    u[0] = 1.0  # avoid 0^-k warnings; slot 0 is unused
-    A, B = _g_pf_coeffs(c, f)
-    zeta_of = _zeta_getter(cfg)
-    # (coef, power, (mid, rad) of the piece): A_1 H_u (B_1 is paired into
-    # it), the zetas of A_2.. and the zeta tails of B_2..
-    parts = [A[0] + (_prefix_table(1, U),)]
-    for coef, pw in A[1:]:
-        z = zeta_of(c + f - pw)
-        parts.append((coef, pw, (z.midpoint, z.radius)))
-    for j, (coef, pw) in enumerate(B[1:], start=2):
-        parts.append((coef, pw, _tailzeta_table(j, U, cfg)))
+    def build(n: int) -> tuple[np.ndarray, np.ndarray]:
+        if f == 0:
+            z = _zeta_value(c, cfg)
+            return np.full(n + 1, z.midpoint), np.full(n + 1, z.radius)
+        u = np.arange(0, n + 1, dtype=float)
+        u[0] = 1.0  # avoid 0^-k warnings; slot 0 is unused
+        A, B = _g_pf_coeffs(c, f)
+        # (coef, power, (mid, rad) of the piece): A_1 H_u (B_1 is paired into
+        # it), the zetas of A_2.. and the zeta tails of B_2..
+        parts = [A[0] + (_prefix_table(1, n),)]
+        for coef, pw in A[1:]:
+            z = _zeta_value(c + f - pw, cfg)
+            parts.append((coef, pw, (z.midpoint, z.radius)))
+        for j, (coef, pw) in enumerate(B[1:], start=2):
+            parts.append((coef, pw, _tailzeta_table(j, n, cfg)))
 
-    mid, absmid, rad = np.zeros((3, U + 1))
-    for coef, pw, (pmid, prad) in parts:
-        scale = coef * u ** float(-pw)
-        term = scale * pmid
-        mid += term
-        absmid += np.abs(term)
-        rad += np.abs(scale) * prad
-    # the signs alternate, so the rounding is charged against the pieces
-    rad += _gamma(len(parts)) * (absmid + rad)
-    return mid, rad
+        mid, absmid, rad = np.zeros((3, n + 1))
+        for coef, pw, (pmid, prad) in parts:
+            scale = coef * u ** float(-pw)
+            term = scale * pmid
+            mid += term
+            absmid += np.abs(term)
+            rad += np.abs(scale) * prad
+        # the signs alternate, so the rounding is charged against the pieces
+        rad += _gamma(len(parts)) * (absmid + rad)
+        return mid, rad
+
+    return _table(("Gt", c, f) + _caps(cfg), U, build)
 
 
 def _lp_g_bracket(c: int, f: int, cfg: SummationConfig) -> LogPower:
@@ -643,32 +660,19 @@ def _lp_g_bracket(c: int, f: int, cfg: SummationConfig) -> LogPower:
 # ---------------------------------------------------------------------------
 # Mordell-Tornheim double sums
 
-def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
-    def compute(cfg: SummationConfig) -> Evaluation:
-        a, b, c = atom.a, atom.b, atom.c
-        tol = cfg.tolerance
-        if c == 0:
-            za = eval_zeta(a, _with_tol(cfg, 0.25 * cfg.tolerance))
-            zb = eval_zeta(b, _with_tol(cfg, 0.25 * cfg.tolerance))
-            m, r = _imul((za.midpoint, za.radius), (zb.midpoint, zb.radius))
-            return Evaluation(m, r, max(za.terms, zb.terms))
+def _mt(a: int, b: int, c: int, cfg: SummationConfig) -> Evaluation:
+    if c == 0:
+        return _product([_zeta_value(a, cfg), _zeta_value(b, cfg)])
 
-        # outer sum over m2 of m2^-b G_{a,c}(m2); the LP bracket of G gives
-        # a two-sided parametric tail
-        lp = _lp_shift(_lp_g_bracket(a, c, cfg), float(b))
-        M, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 32, cfg.max_terms)
+    # outer sum over m2 of m2^-b G_{a,c}(m2); the LP bracket of G gives
+    # a two-sided parametric tail
+    lp = _lp_shift(_lp_g_bracket(a, c, cfg), float(b))
 
+    def box_at(M: int) -> Interval:
         gmid, grad = _g_tables(a, c, M, cfg)
-        box, boxrad = _dot(_power_array(M, b)[1:], gmid[1:], grad[1:])
+        return _dot(_power_array(M, b)[1:], gmid[1:], grad[1:])
 
-        radius = tail[1] + boxrad
-        if radius > tol:
-            raise ToleranceUnreachable(
-                f"{atom.render()}: certified radius {radius:.3e} exceeds {tol:.3e}"
-            )
-        return Evaluation(box + tail[0], radius, M)
-
-    return _evaluate(("MT", atom.a, atom.b, atom.c), cfg.validated(), compute)
+    return _cutoff(lambda n: _lp_tail(lp, n), box_at, cfg.max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -682,104 +686,68 @@ def _euler2_tail_lp(s1: int, s2: int, cfg: SummationConfig) -> LogPower:
     )
 
 
-def eval_euler(atom: EulerSum, cfg: SummationConfig) -> Evaluation:
-    idx = atom.indices
-
-    def compute(cfg: SummationConfig) -> Evaluation:
-        if len(idx) == 2:
-            return _euler2(idx[0], idx[1], cfg)
-        return _euler3(idx[0], idx[1], idx[2], cfg)
-
-    return _evaluate(("E",) + idx, cfg.validated(), compute)
-
-
 def _euler2(s1: int, s2: int, cfg: SummationConfig) -> Evaluation:
-    tol = cfg.tolerance
     lp = _euler2_tail_lp(s1, s2, cfg)
-    X, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 32, cfg.max_terms)
 
-    inner, irad = _prefix_table(s2, X)
-    outer = np.arange(2, X + 1, dtype=float) ** float(-s1)
-    part, rounding = _dot(outer, inner[1:-1], irad[1:-1])
+    def box_at(X: int) -> Interval:
+        inner, irad = _prefix_table(s2, X)
+        return _dot(_power_array(X, s1)[2:], inner[1:-1], irad[1:-1])
 
-    radius = tail[1] + rounding
-    if radius > tol:
-        raise ToleranceUnreachable(f"E({s1},{s2}): radius {radius:.3e} exceeds {tol:.3e}")
-    return Evaluation(part + tail[0], radius, X)
+    return _cutoff(lambda n: _lp_tail(lp, n), box_at, cfg.max_terms)
 
 
 def _euler3_tail_lp(s1: int, s2: int, s3: int, cfg: SummationConfig) -> LogPower:
     """LP form (in x) of x^-s1 * D(x-1) where D(n) = sum_{y<=n} y^-s2 P_{s3}(y-1).
 
-    The pieces that do not depend on the tolerance are built once per
-    workspace; the certified constants D_inf, E(s3,1) and zeta(s3+1) are
-    added per call.
+    The form of D(x-1), with the best values of its constants D_inf,
+    E(s3,1) and zeta(s3+1), is built once per workspace and caps.
     """
-    caps = _caps(cfg)
-    if s2 >= 2:
-        # D(x-1) = D_inf - sum_{y>=x} y^-s2 P_{s3}(y-1)
-        dinf = eval_euler(EulerSum((s2, s3)), _with_tol(cfg, 0.1 * cfg.tolerance))
 
-        def minus_ge_x() -> LogPower:
+    def d_form() -> LogPower:
+        if s2 >= 2:
+            # D(x-1) = D_inf - sum_{y>=x} y^-s2 P_{s3}(y-1)
+            dinf = _atom_value(EulerSum((s2, s3)), cfg)
             summand = _euler2_tail_lp(s2, s3, cfg)  # y^-s2 P_{s3}(y-1) in y
             ge_x = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x} + at x
-            return _lp_scale(ge_x, (-1.0, 0.0))
-
-        d_lp = _lp_sum(
-            _lp_const(dinf.midpoint, dinf.radius), _memo(("LPe3ge", s2, s3) + caps, minus_ge_x)
-        )
-        return _lp_shift(d_lp, float(s1))
-    if s3 >= 2:
-        # D(n) = zeta(s3) H_n - kappa + sum_{y>n} y^-1 tailzeta(y-1, s3)
-        # with kappa = sum_m m^-s3 H_m = E(s3,1) + zeta(s3+1)
-        e_part = eval_euler(EulerSum((s3, 1)), _with_tol(cfg, 0.1 * cfg.tolerance))
-
-        def pieces() -> tuple[LogPower, LogPower]:
+            return _lp_sum(_lp_const(dinf.midpoint, dinf.radius), _lp_scale(ge_x, (-1.0, 0.0)))
+        if s3 >= 2:
+            # D(n) = zeta(s3) H_n - kappa + sum_{y>n} y^-1 tailzeta(y-1, s3)
+            # with kappa = sum_m m^-s3 H_m = E(s3,1) + zeta(s3+1)
+            e_part = _atom_value(EulerSum((s3, 1)), cfg)
             summand = _lp_shift(_lp_tailzeta_prev(s3), 1.0)  # y^-1 tailzeta(y-1,s3)
             gt_prev = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x-1}
-            return _lp_mul(_lp_prefix_prev(1, cfg), _lp_zeta(s3, cfg)), gt_prev
-
-        zeta_h, gt_prev = _memo(("LPe3zh", s3) + caps, pieces)
-        d_lp = _lp_sum(
-            zeta_h,
-            _lp_const(-e_part.midpoint, e_part.radius),
-            _lp_scale(_lp_zeta(s3 + 1, cfg), (-1.0, 0.0)),
-            gt_prev,
-        )
-        return _lp_shift(d_lp, float(s1))
-
-    # s2 = s3 = 1: D(n) = (H_n^2 - H_n^(2)) / 2 exactly
-    def d_form() -> LogPower:
+            return _lp_sum(
+                _lp_mul(_lp_prefix_prev(1, cfg), _lp_zeta(s3, cfg)),
+                _lp_const(-e_part.midpoint, e_part.radius),
+                _lp_scale(_lp_zeta(s3 + 1, cfg), (-1.0, 0.0)),
+                gt_prev,
+            )
+        # s2 = s3 = 1: D(n) = (H_n^2 - H_n^(2)) / 2 exactly
         h_prev = _lp_prefix_prev(1, cfg)
         h2_prev = _lp_prefix_prev(2, cfg)
         hh = _lp_sum(_lp_mul(h_prev, h_prev), _lp_scale(h2_prev, (-1.0, 0.0)))
         return _lp_scale(hh, (0.5, 0.0))
 
-    return _lp_shift(_memo(("LPe3hh",) + caps, d_form), float(s1))
+    return _lp_shift(_memo(("LPe3", s2, s3) + _caps(cfg), d_form), float(s1))
 
 
 def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
-    tol = cfg.tolerance
     lp = _euler3_tail_lp(s1, s2, s3, cfg)
-    X, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 3.0, 32, cfg.max_terms)
 
-    n = np.arange(1, X + 1, dtype=float)
-
-    def d_table() -> tuple[np.ndarray, np.ndarray]:
-        q, qrad = _prefix_table(s3, X)
-        w = n ** float(-s2)
+    def d_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+        q, qrad = _prefix_table(s3, n)
+        w = _power_array(n, s2)[1:]
         return _prefix_sums(w * q[:-1], w * qrad[:-1])
 
-    d, drad = _memo(("D", s2, s3, X), d_table)  # D(k) = sum_{y<=k} y^-s2 P_{s3}(y-1)
-    # D(0) = D(1) = 0, so the outer sum starts at x = 3
-    part, rounding = _dot(n[2:] ** float(-s1), d[2:-1], drad[2:-1])
+    def box_at(X: int) -> Interval:
+        # D(k) = sum_{y<=k} y^-s2 P_{s3}(y-1); D(0) = D(1) = 0, so the
+        # outer sum starts at x = 3
+        d, drad = _table(("D", s2, s3), X, d_table)
+        return _dot(_power_array(X, s1)[3:], d[2:-1], drad[2:-1])
 
-    radius = tail[1] + rounding
-    if radius > tol:
-        raise ToleranceUnreachable(
-            f"E({s1},{s2},{s3}): radius {radius:.3e} exceeds {tol:.3e}"
-        )
-    return Evaluation(part + tail[0], radius, X)
+    # at 32 the tail radius is above the box radius for every depth-3 sum of
+    # the default sweep and the THM22 grid, so the ladder starts one rung up
+    return _cutoff(lambda n: _lp_tail(lp, n), box_at, cfg.max_terms, start=64)
 
 
 # ---------------------------------------------------------------------------
@@ -798,13 +766,13 @@ def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
 def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     """(mid, rad) arrays of S_{a,b}(u) for u = 0..U; S(0) = S(1) = 0 exactly."""
 
-    def build() -> tuple[np.ndarray, np.ndarray]:
-        u = np.arange(2, U + 1, dtype=float)
-        mid = np.zeros(U + 1)
-        rad = np.zeros(U + 1)
+    def build(n: int) -> tuple[np.ndarray, np.ndarray]:
+        u = np.arange(2, n + 1, dtype=float)
+        mid = np.zeros(n + 1)
+        rad = np.zeros(n + 1)
         weights = pair_sum_weights(a, b)
         for j, w in weights.items():
-            P, prad = _prefix_table(j, U)
+            P, prad = _prefix_table(j, n)
             scale = w * u ** float(j - a - b)
             mid[2:] += scale * P[1:-1]
             rad[2:] += scale * prad[1:-1]
@@ -812,7 +780,7 @@ def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, np.ndarray]:
         rad += _gamma(len(weights)) * (mid + rad)
         return mid, rad
 
-    return _memo(("S", a, b, U), build)
+    return _table(("S", a, b), U, build)
 
 
 def _collapsed_s12_lp(a: int, b: int, cfg: SummationConfig) -> LogPower:
@@ -831,8 +799,6 @@ def _weighted_product_sum(w: np.ndarray, x: tuple, y: tuple) -> Interval:
 
 def _eval_w4_collapsed(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
     s1, s2, s3, s4, _s5, s6 = s
-    tol = cfg.tolerance
-
     c, f = s3, s6
     if c + f < 2 or (f == 0 and c < 2) or (c == 0 and f < 2):
         raise ConvergenceUnverified(f"W{s}: the m3 direction cannot be certified")
@@ -841,15 +807,13 @@ def _eval_w4_collapsed(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
         _lp_shift(_collapsed_s12_lp(s1, s2, cfg), float(s4)),
         _lp_g_bracket(c, f, cfg),
     )
-    U, tail = _cutoff(lambda n: _lp_tail(lp_outer, n), tol / 2.0, 32, cfg.max_terms)
 
-    box, boxrad = _weighted_product_sum(
-        _power_array(U, s4), _pair_sum_table(s1, s2, U), _g_tables(c, f, U, cfg)
-    )
-    radius = tail[1] + boxrad
-    if radius > tol:
-        raise ToleranceUnreachable(f"W{s}: certified radius {radius:.3e} exceeds {tol:.3e}")
-    return Evaluation(box + tail[0], radius, U)
+    def box_at(U: int) -> Interval:
+        return _weighted_product_sum(
+            _power_array(U, s4), _pair_sum_table(s1, s2, U), _g_tables(c, f, U, cfg)
+        )
+
+    return _cutoff(lambda n: _lp_tail(lp_outer, n), box_at, cfg.max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +824,6 @@ def _eval_w4_collapsed(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
 
 def _eval_w4_hub(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
     s1, s2, s3, s4, s5, _s6 = s
-    tol = cfg.tolerance
     for cc, ff in ((s1, s4), (s3, s5)):
         if cc + ff < 2 or (cc == 0 and ff < 2):
             raise ConvergenceUnverified(f"W{s}: an arm of the split sum diverges")
@@ -869,68 +832,125 @@ def _eval_w4_hub(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
         _lp_shift(_lp_g_bracket(s1, s4, cfg), float(s2)),
         _lp_g_bracket(s3, s5, cfg),
     )
-    M, tail = _cutoff(lambda n: _lp_tail(lp, n), tol / 2.0, 32, cfg.max_terms)
 
-    box, boxrad = _weighted_product_sum(
-        _power_array(M, s2), _g_tables(s1, s4, M, cfg), _g_tables(s3, s5, M, cfg)
-    )
-    radius = tail[1] + boxrad
-    if radius > tol:
-        raise ToleranceUnreachable(f"W{s}: certified radius {radius:.3e} exceeds {tol:.3e}")
-    return Evaluation(box + tail[0], radius, M)
+    def box_at(M: int) -> Interval:
+        return _weighted_product_sum(
+            _power_array(M, s2), _g_tables(s1, s4, M, cfg), _g_tables(s3, s5, M, cfg)
+        )
+
+    return _cutoff(lambda n: _lp_tail(lp, n), box_at, cfg.max_terms)
 
 
 # ---------------------------------------------------------------------------
 # triple-sum dispatch
 
-def eval_witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
+def _witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
     s = atom.s
-
-    def compute(cfg: SummationConfig) -> Evaluation:
-        s1, s2, s3, s4, s5, s6 = s
-        if s1 + s4 + s6 == 0 or s2 + s4 + s5 + s6 == 0 or s3 + s5 + s6 == 0:
-            raise ConvergenceUnverified(f"W{s}: a summation variable carries no weight")
-        if s4 == 0 and s5 == 0 and s6 == 0:
-            # no composite factor: a plain product of single zetas
-            if min(s1, s2, s3) < 2:
-                raise ConvergenceUnverified(f"W{s}: a factored direction diverges")
-            result = (1.0, 0.0)
-            terms = 0
-            for e in (s1, s2, s3):
-                z = eval_zeta(e, _with_tol(cfg, 0.2 * cfg.tolerance))
-                result = _imul(result, (z.midpoint, z.radius))
-                terms = max(terms, z.terms)
-            return Evaluation(result[0], result[1], terms)
-        if s5 == 0:
-            return _eval_w4_collapsed(s, cfg)
-        if s4 == 0:
-            # relabel m1 <-> m3 onto the collapsed form; never used by the
-            # symmetry identity, whose tuples keep both composites positive
-            m = atom.mirror().s
-            return _eval_w4_collapsed(m, cfg)
-        # outside the collapsed family, certification is offered only on
-        # the directional-exponent gate
-        sigma1 = s1 + s4 + s6
-        sigma2 = s2 + s4 + s5 + s6
-        sigma3 = s3 + s5 + s6
-        if min(sigma1, sigma2, sigma3) < 3 or sum(s) < 4:
-            raise ConvergenceUnverified(
-                f"W{s}: directional exponents {(sigma1, sigma2, sigma3)} "
-                "below the certifiable range"
-            )
-        if s6 == 0:
-            return _eval_w4_hub(s, cfg)
-        if s1 == s2 == s3 == 0 and s6 < 2:
-            # convergent, but its Euler sums would lead with a 1
-            raise ToleranceUnreachable(f"W{s}: a triangle with s6 = 1 has no certified evaluator")
-        # every composite exponent positive: the exact partial fractions
-        return eval_lincomb(reduce_general_witten(atom), cfg)
-
-    return _evaluate(("W",) + s, cfg.validated(), compute)
+    s1, s2, s3, s4, s5, s6 = s
+    if s1 + s4 + s6 == 0 or s2 + s4 + s5 + s6 == 0 or s3 + s5 + s6 == 0:
+        raise ConvergenceUnverified(f"W{s}: a summation variable carries no weight")
+    if s4 == 0 and s5 == 0 and s6 == 0:
+        # no composite factor: a plain product of single zetas
+        if min(s1, s2, s3) < 2:
+            raise ConvergenceUnverified(f"W{s}: a factored direction diverges")
+        return _product([_zeta_value(e, cfg) for e in (s1, s2, s3)])
+    if s5 == 0:
+        return _eval_w4_collapsed(s, cfg)
+    if s4 == 0:
+        # relabel m1 <-> m3 onto the collapsed form; never used by the
+        # symmetry identity, whose tuples keep both composites positive
+        return _eval_w4_collapsed(atom.mirror().s, cfg)
+    # outside the collapsed family, certification is offered only on
+    # the directional-exponent gate
+    sigma1 = s1 + s4 + s6
+    sigma2 = s2 + s4 + s5 + s6
+    sigma3 = s3 + s5 + s6
+    if min(sigma1, sigma2, sigma3) < 3 or sum(s) < 4:
+        raise ConvergenceUnverified(
+            f"W{s}: directional exponents {(sigma1, sigma2, sigma3)} "
+            "below the certifiable range"
+        )
+    if s6 == 0:
+        return _eval_w4_hub(s, cfg)
+    if s1 == s2 == s3 == 0 and s6 < 2:
+        # convergent, but its Euler sums would lead with a 1
+        raise ToleranceUnreachable(f"W{s}: a triangle with s6 = 1 has no certified evaluator")
+    # every composite exponent positive: the exact partial fractions, each
+    # terminal at its best value
+    return _combination(
+        reduce_general_witten(atom),
+        lambda term: _product([_atom_value(a, cfg) for a in term.factors]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # atoms, terms, combinations
+#
+# Each atom is evaluated once per workspace and caps, to the radius its own
+# ladder reaches; products and combinations are interval arithmetic on those
+# values.  The public functions compare the result with the request's
+# tolerance and refuse what does not fit; nothing inside them does.
+
+def _atom_value(atom: Atom, cfg: SummationConfig) -> Evaluation:
+    """The atom's best certified value under the caps, or its refusal."""
+    if isinstance(atom, SingleZeta):
+        return _zeta_value(atom.s, cfg)
+    if isinstance(atom, EulerSum):
+        kernel = _euler2 if len(atom.indices) == 2 else _euler3
+        return _cached_atom(("E",) + atom.indices, _caps(cfg), lambda: kernel(*atom.indices, cfg))
+    if isinstance(atom, MordellTornheim3):
+        key = ("MT", atom.a, atom.b, atom.c)
+        return _cached_atom(key, _caps(cfg), lambda: _mt(atom.a, atom.b, atom.c, cfg))
+    if isinstance(atom, WittenSl4):
+        return _cached_atom(("W",) + atom.s, _caps(cfg), lambda: _witten4(atom, cfg))
+    raise UnsupportedParams(f"unknown atom {atom!r}")
+
+
+def _product(evs: list[Evaluation]) -> Evaluation:
+    """The product of the factors' enclosures; 1 for no factor."""
+    if not evs:
+        return Evaluation(1.0, 0.0, 0)
+    result = (evs[0].midpoint, evs[0].radius)
+    for ev in evs[1:]:
+        result = _imul(result, (ev.midpoint, ev.radius))
+    return Evaluation(result[0], result[1], max(ev.terms for ev in evs))
+
+
+def _combination(lc: LinearCombination, term_value) -> Evaluation:
+    """Enclosure of sum c * term over ``lc``, each term given by ``term_value``."""
+    entries = lc.items()
+    mid = absmid = rad = 0.0
+    terms = 0
+    for term, coef in entries:
+        c = float(coef)
+        ev = term_value(term)
+        mid += c * ev.midpoint
+        absmid += abs(c * ev.midpoint)
+        rad += abs(c) * ev.radius
+        terms = max(terms, ev.terms)
+    rad += _gamma(len(entries)) * (absmid + rad)
+    return Evaluation(mid, rad, terms)
+
+
+def eval_zeta(s: int, cfg: SummationConfig) -> Evaluation:
+    cfg = cfg.validated()
+    return _checked(_zeta_value(s, cfg), cfg, lambda: f"zeta({s})")
+
+
+def eval_euler(atom: EulerSum, cfg: SummationConfig) -> Evaluation:
+    cfg = cfg.validated()
+    return _checked(_atom_value(atom, cfg), cfg, atom.render)
+
+
+def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
+    cfg = cfg.validated()
+    return _checked(_atom_value(atom, cfg), cfg, atom.render)
+
+
+def eval_witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
+    cfg = cfg.validated()
+    return _checked(_atom_value(atom, cfg), cfg, atom.render)
+
 
 def eval_atom(atom: Atom, cfg: SummationConfig) -> Evaluation:
     if isinstance(atom, SingleZeta):
@@ -946,47 +966,10 @@ def eval_atom(atom: Atom, cfg: SummationConfig) -> Evaluation:
 
 def eval_term(term: Term, cfg: SummationConfig) -> Evaluation:
     cfg = cfg.validated()
-    factors = term.factors
-    if not factors:
-        return Evaluation(1.0, 0.0, 0)
-    if len(factors) == 1:
-        return eval_atom(factors[0], cfg)
-
-    # coarse magnitudes decide how the tolerance splits across factors
-    coarse_cfg = _with_tol(cfg, 1e-3)
-    mags = [abs(eval_atom(f, coarse_cfg).midpoint) + 1e-3 for f in factors]
-    k = len(factors)
-    result = (1.0, 0.0)
-    max_terms_used = 0
-    for i, factor in enumerate(factors):
-        others = math.prod(mags[:i] + mags[i + 1:])
-        f_tol = cfg.tolerance / (2.0 * k * max(others, 1e-9))
-        ev = eval_atom(factor, _with_tol(cfg, f_tol))
-        result = _imul(result, (ev.midpoint, ev.radius))
-        max_terms_used = max(max_terms_used, ev.terms)
-    return Evaluation(result[0], result[1], max_terms_used)
+    return _checked(_product([eval_atom(f, cfg) for f in term.factors]), cfg, term.render)
 
 
 def eval_lincomb(lc: LinearCombination, cfg: SummationConfig) -> Evaluation:
     cfg = cfg.validated()
-    entries = lc.items()
-    if not entries:
-        return Evaluation(0.0, 0.0, 0)
-    n = len(entries)
-    mid = absmid = rad = 0.0
-    max_terms_used = 0
-    for term, coef in entries:
-        c = float(coef)
-        share = cfg.tolerance / (2.0 * n * max(1.0, abs(c)))
-        ev = eval_term(term, _with_tol(cfg, share))
-        mid += c * ev.midpoint
-        absmid += abs(c * ev.midpoint)
-        rad += abs(c) * ev.radius
-        max_terms_used = max(max_terms_used, ev.terms)
-    rad += _gamma(n) * (absmid + rad)
-    if rad > cfg.tolerance:
-        # shares clamped at the floor can add up past the request
-        raise ToleranceUnreachable(
-            f"combination of {n} terms: certified radius {rad:.3e} exceeds {cfg.tolerance:.3e}"
-        )
-    return Evaluation(mid, rad, max_terms_used)
+    ev = _combination(lc, lambda term: eval_term(term, cfg))
+    return _checked(ev, cfg, lambda: f"combination of {len(lc.items())} terms")

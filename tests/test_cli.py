@@ -76,8 +76,8 @@ def test_eval_divergence_gate_exits_three(capsys):
 
 
 def test_eval_radius_above_tolerance_exits_three(capsys):
-    # every share is clamped at the 1e-12 floor, so three terms weighted
-    # by 1000 cannot add up to a radius within 1e-11
+    # each zeta certifies about 1e-14 to 3e-14, so three of them weighted
+    # by 1000 add up to a radius near 7e-11, above 1e-11
     argv = ["eval", "1000 * Z(2) + 1000 * Z(3) + 1000 * Z(4)", "--tol", "1e-11"]
     assert main(argv) == 3
     assert "TOLERANCE_UNREACHABLE" in capsys.readouterr().err

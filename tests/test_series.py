@@ -22,6 +22,7 @@ from wreduce.series import (
     clear_caches,
     eval_atom,
     eval_lincomb,
+    eval_term,
 )
 
 
@@ -84,10 +85,10 @@ def test_cutoff_ladder_stops_at_max_terms():
         assert ev.radius <= cfg.tolerance
         assert ev.terms <= cfg.max_terms, atom
     clear_caches()
-    # a tail that never fits its budget ends on the clamp itself
-    n, tail = _cutoff(lambda n: (0.0, 1.0), 1e-6, 1024, 3000)
-    assert n == 3000
-    assert tail == (0.0, 1.0)
+    # a tail that never gets below its box radius ends on the clamp itself
+    ev = _cutoff(lambda n: (0.0, 1.0), lambda n: (0.0, 0.0), 3000)
+    assert ev.terms == 3000
+    assert (ev.midpoint, ev.radius) == (0.0, 1.0)
 
 
 def test_atom_cache_keys_on_caps():
@@ -103,9 +104,40 @@ def test_atom_cache_keys_on_caps():
     clear_caches()
 
 
+def test_one_value_per_atom_whatever_the_tolerance():
+    # each atom is evaluated once under the caps and checked against the
+    # request afterwards: both certify at the floor, and every tolerance
+    # gets the same bits, each from a cold workspace
+    for atom in (WittenSl4((1, 0, 1, 0, 0, 3)), MordellTornheim3(2, 2, 6)):
+        outcomes = set()
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+            clear_caches()
+            ev = eval_atom(atom, SummationConfig(tolerance=tol))
+            assert ev.radius <= tol, (atom, tol)
+            outcomes.add((ev.midpoint.hex(), ev.radius.hex(), ev.terms))
+        assert len(outcomes) == 1, atom
+    clear_caches()
+
+
+def test_product_terms_fit_the_request_or_are_refused():
+    # a product's radius carries each factor's radius times the others, so
+    # factors that fit the request do not make a term that fits it
+    mt = MordellTornheim3(2, 2, 6)
+    z2, z3 = SingleZeta(2), SingleZeta(3)
+    for factors in ((mt, z2), (mt, z2, z3, z2, z2)):
+        for tol in (1e-12, 1e-11, 1e-10):
+            clear_caches()
+            try:
+                ev = eval_term(Term(factors), SummationConfig(tolerance=tol))
+            except ToleranceUnreachable:
+                continue
+            assert ev.radius <= tol, (factors, tol)
+    clear_caches()
+
+
 def test_inner_zetas_certify_under_a_small_cap():
-    # inner zetas are asked for at the 1e-12 floor whatever the caller's
-    # tolerance, so they must get there well inside max_terms
+    # inner zetas take their best value under the caps whatever the
+    # caller's tolerance, so their ladders must stop well inside max_terms
     clear_caches()
     ev = eval_atom(EulerSum((2, 1, 1)), SummationConfig(tolerance=1e-6, max_terms=3000))
     assert ev.radius <= 1e-6
@@ -184,6 +216,36 @@ def test_reductions_charge_rounding_through_one_helper():
                 and node.attr in dots
             ) or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
                 offenders.append(fn.name)
+    assert not offenders
+
+
+def test_only_the_check_helper_reads_the_tolerance():
+    import ast
+    import inspect
+
+    from wreduce import series
+
+    tree = ast.parse(inspect.getsource(series))
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions += [fn for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            functions.append(node)
+    names = {fn.name for fn in functions}
+    allowed = {"validated", "_checked"}
+    assert allowed <= names
+    assert not names & {"_with_tol", "_zeta_getter", "_evaluate"}
+    offenders = set()
+    for fn in functions:
+        if fn.name in allowed:
+            continue
+        for node in ast.walk(fn):
+            called = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(node, ast.Attribute) and node.attr == "tolerance") or (
+                getattr(called, "id", getattr(called, "attr", None)) in {"SummationConfig", "replace"}
+            ):
+                offenders.add(fn.name)
     assert not offenders
 
 
@@ -320,8 +382,9 @@ def test_collapsed_gate_rejects_unit_row_sums(cfg6):
 
 
 def test_tolerance_unreachable_reports_certified_radius():
-    # the zeta-tail table t_3(u) = zeta(3) - P_3(u) carries the floor radius
-    # of zeta(3) into every entry, and the collapsed sum weights it by H_{u-1}
+    # the zeta-tail table t_3(u) = zeta(3) - P_3(u) carries the radius of
+    # zeta(3) into every entry, and the collapsed sum weights it by H_{u-1}:
+    # the best value of this atom is about 7e-12
     cfg = SummationConfig(tolerance=1e-12)
     with pytest.raises(ToleranceUnreachable) as exc:
         eval_atom(WittenSl4((1, 0, 0, 0, 0, 3)), cfg)
@@ -393,9 +456,9 @@ def test_em_forms_survive_clear_caches():
 # sha256 over W(a,b,c,d,0,f) and its complete Euler-sum reduction at every
 # THM22 grid point at 1e-8, each point in a cold workspace: the hex midpoint
 # and radius of each side, or its refusal code.  Computed with numpy's
-# float64 pow on x86-64 when every atom was first given one certified
-# value, the floor's; another pow can move the last bits
-_FULL_REDUCTION_DIGEST = "ec2d952707695814d9553c3ed873793d5a38755375026c67de1ca43b14530d3c"
+# float64 pow on x86-64 when every atom was first evaluated once under its
+# caps, whatever the tolerance; another pow can move the last bits
+_FULL_REDUCTION_DIGEST = "175837f76af296e0c7f4aea54d05ab6ae50c731c50ca71db7fe7049a9a1b2400"
 
 
 def _full_reduction_outcomes(tol):
@@ -442,9 +505,7 @@ def _lp_form_builders():
         "LPtzp": series._lp_tailzeta_prev,
         "LPpp": capped(series._lp_prefix_prev),
         "LPe2": capped(series._euler2_tail_lp),
-        "LPe3ge": capped(lambda s2, s3, cfg: series._euler3_tail_lp(2, s2, s3, cfg)),
-        "LPe3zh": capped(lambda s3, cfg: series._euler3_tail_lp(2, 1, s3, cfg)),
-        "LPe3hh": capped(lambda cfg: series._euler3_tail_lp(2, 1, 1, cfg)),
+        "LPe3": capped(lambda s2, s3, cfg: series._euler3_tail_lp(2, s2, s3, cfg)),
         "G": capped(series._lp_g_bracket),
         "S12": capped(series._collapsed_s12_lp),
     }

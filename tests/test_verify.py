@@ -273,13 +273,13 @@ def test_region_evaluator_matches_the_row_loop(tol):
 
 # sha256 over the verdict and the hex midpoints and radii of both sides of
 # every SYMMETRY_EQ6 and COMBINE_EQ17 record of the cold default sweep, as
-# computed with numpy's float64 pow on x86-64 when general W was first
-# evaluated through its partial fractions; every general-W atom must
-# reproduce them bit for bit.  Every atom of these records certifies at the
-# floor, so both tolerances give the same digest
+# computed with numpy's float64 pow on x86-64 when every atom was first
+# evaluated once under its caps; every general-W atom must reproduce them
+# bit for bit.  No atom's value depends on the tolerance, and every record
+# passes at both, so both tolerances give the same digest
 _GENERAL_W_SWEEP_DIGESTS = {
-    1e-8: "1b6e5c82ac792bb59e457945a7d6730b373c2ec84781c07e4ce1d31e246833b3",
-    1e-10: "1b6e5c82ac792bb59e457945a7d6730b373c2ec84781c07e4ce1d31e246833b3",
+    1e-8: "cb73d47113cc5d7d9a6326f0135ed1f5c2083badad50bee1b3275e9030f1d743",
+    1e-10: "cb73d47113cc5d7d9a6326f0135ed1f5c2083badad50bee1b3275e9030f1d743",
 }
 
 
@@ -302,11 +302,11 @@ def test_general_w_records_of_the_default_sweep_golden(tol):
 
 
 # sha256 of the report lines of the whole cold default sweep, as computed
-# with numpy's float64 pow on x86-64 when every atom was first given one
-# certified value; the same caveat as the digests above
+# with numpy's float64 pow on x86-64 when every atom was first evaluated
+# once under its caps; the same caveat as the digests above
 _DEFAULT_SWEEP_DIGESTS = {
-    1e-8: "4bf5da29416b80ce40c9c3d359d3a0ad9a63dec94be88e8b38f51071621396bf",
-    1e-10: "4f28ade68ff479a683d93aec187665cb3fb250a1076176029a0e2c683c3f708c",
+    1e-8: "ff74c22299324b7dd1b6a8505b879d704f0f203db5274c606a55e519ca5bf4da",
+    1e-10: "2a31a90b8826c934d78268dfbac4fc975c3a3c745ef6a46cdca72154d048071e",
 }
 
 
