@@ -888,8 +888,9 @@ def _witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
 #
 # Each atom is evaluated once per workspace and caps, to the radius its own
 # ladder reaches; products and combinations are interval arithmetic on those
-# values.  The public functions compare the result with the request's
-# tolerance and refuse what does not fit; nothing inside them does.
+# values.  Only the public functions compare a result with the request's
+# tolerance, so an atom or a term above it is refused by name before the
+# combination that holds it.
 
 def _atom_value(atom: Atom, cfg: SummationConfig) -> Evaluation:
     """The atom's best certified value under the caps, or its refusal."""
