@@ -145,6 +145,28 @@ def test_inner_zetas_certify_under_a_small_cap():
     clear_caches()
 
 
+def test_tables_are_prefix_stable():
+    # a ladder's rungs read slices of one cached table per key, so entry k
+    # must come out bit for bit the same whatever length the table is built at
+    from wreduce import series
+
+    cfg = SummationConfig(tolerance=1e-8)
+    builds = (
+        lambda U: series._prefix_table(3, U),
+        lambda U: series._tailzeta_table(4, U, cfg),
+        lambda U: series._g_tables(2, 5, U, cfg),
+        lambda U: series._pair_sum_table(2, 3, U),
+        lambda U: (series._power_array(U, 5),),
+    )
+    for build in builds:
+        clear_caches()
+        short = [a.tobytes() for a in build(40)]
+        clear_caches()
+        long = [a[:41].tobytes() for a in build(3000)]
+        assert short == long
+    clear_caches()
+
+
 def test_pair_sum_table_contains_direct_convolution():
     from wreduce.series import _pair_sum_table
 
