@@ -346,7 +346,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=None, help="certified radius target")
     sub.add_argument(
         "--max-terms", type=int, default=None, dest="max_terms",
-        help="per-axis term budget for 1-D and 2-D sums",
+        help="cap on every cutoff of the series evaluator",
     )
     sub.add_argument(
         "--format", choices=_FORMATS, default=None, help="output format"

@@ -185,53 +185,26 @@ def _build_factor(params: tuple[int, ...]) -> IdentityRecord:
     )
 
 
-def _region_params_ok(params: tuple[int, ...]) -> None:
+def _build_region(ident: str, params: tuple[int, ...]) -> IdentityRecord:
     if len(params) != 4 or min(params) < 2:
         raise UnsupportedParams(
             "region checks take (a, b, c, d) with every exponent >= 2; the "
             "coarse remainder caps need that much decay"
         )
-
-
-def _build_region13(params: tuple[int, ...]) -> IdentityRecord:
-    _region_params_ok(params)
     a, b, c, d = params
-    atom = WittenSl4((a, b, 0, c, 0, d))
+    slots, weight = {
+        "REGION_EQ13": ((a, b, 0, c, 0, d), "tail beyond n1+n2"),
+        "REGION_EQ14": ((a, 0, b, c, 0, d), "prefix below n1"),
+        "REGION_EQ15": ((0, 0, a, b, c, d), "prefix strictly between n1 and n1+n2"),
+    }[ident]
+    atom = WittenSl4(slots)
     return IdentityRecord(
-        "REGION_EQ13",
+        ident,
         params,
         _atom_lc(atom),
         _atom_lc(atom),
-        note="rhs recomputed as the pair sum weighted by the power tail "
-        "beyond n1+n2, independent of the engine dispatch",
-    )
-
-
-def _build_region14(params: tuple[int, ...]) -> IdentityRecord:
-    _region_params_ok(params)
-    a, b, c, d = params
-    atom = WittenSl4((a, 0, b, c, 0, d))
-    return IdentityRecord(
-        "REGION_EQ14",
-        params,
-        _atom_lc(atom),
-        _atom_lc(atom),
-        note="rhs recomputed as the pair sum weighted by the power prefix "
-        "below n1, independent of the engine dispatch",
-    )
-
-
-def _build_region15(params: tuple[int, ...]) -> IdentityRecord:
-    _region_params_ok(params)
-    a, b, c, d = params
-    atom = WittenSl4((0, 0, a, b, c, d))
-    return IdentityRecord(
-        "REGION_EQ15",
-        params,
-        _atom_lc(atom),
-        _atom_lc(atom),
-        note="rhs recomputed as the pair sum weighted by the power prefix "
-        "strictly between n1 and n1+n2, independent of the engine dispatch",
+        note=f"rhs recomputed as the pair sum weighted by the power {weight}, "
+        "independent of the engine dispatch",
     )
 
 
@@ -498,9 +471,9 @@ def _build_typo_probe(params: tuple[int, ...]) -> IdentityRecord:
 _BUILDERS = {
     "SYMMETRY_EQ6": _build_symmetry,
     "FACTOR_EQ12": _build_factor,
-    "REGION_EQ13": _build_region13,
-    "REGION_EQ14": _build_region14,
-    "REGION_EQ15": _build_region15,
+    "REGION_EQ13": lambda p: _build_region("REGION_EQ13", p),
+    "REGION_EQ14": lambda p: _build_region("REGION_EQ14", p),
+    "REGION_EQ15": lambda p: _build_region("REGION_EQ15", p),
     "COMBINE_EQ16": lambda p: _build_combine("COMBINE_EQ16", p),
     "COMBINE_EQ17": lambda p: _build_combine("COMBINE_EQ17", p),
     "LEMMA21_INSTANCE": _build_lemma21,
@@ -656,38 +629,59 @@ def default_parameters(identity_id: str, weight_cap: int = DEFAULT_WEIGHT_CAP) -
 # ---------------------------------------------------------------------------
 # the constrained-region cross evaluator
 #
-# Deliberately naive: plain lattice sums over a square box, prefix and
-# tail weight tables built in place, and coarse closed-form caps for
+# Deliberately naive: lattice sums over the square box n1, n2 <= N, prefix
+# and tail weight tables built in place, and coarse closed-form caps for
 # everything outside the box.  It shares no code with the engine's
 # dispatch, which is the point.  The caps use zeta(x) <= _ZCAP for
 # x >= 2, which is why the region grids insist on exponents >= 2.
 #
-# The box is summed in blocks of _REGION_BLOCK rows: each block's cells
-# are the same products, formed in the same order, as one row at a time,
-# read through sliding windows of the 1-D tables; each row is still one
-# contiguous np.sum (numpy's pairwise sum), and the row sums are added
-# to the total one by one in row order.  So the value and radius are those
-# of a row-by-row loop, bit for bit.
+# The box is summed along its diagonals u = n1 + n2: entry u - 2 of the
+# full np.convolve of two length-N arrays sums the cells of diagonal u,
+# and one dot against weights in u finishes the box.  One rounding model:
+# a sum of n products, each factor within two ulps, errs by at most
+# gamma_n = (n + 2) EPS times the sum of their magnitudes, in any order.
+# np.convolve takes one dot per output, never an FFT, so output k, of
+# n_k = min(k + 1, 2N - 1 - k) products, carries gamma_{n_k} c[k]; entry
+# k of a running sum carries gamma_k P[k]; and the final dot carries
+# gamma_n sum |w s| plus w times the radii of s.
 
 _EPS = 2.3e-16
 _ZCAP = 1.6449340668482273 + 1e-12
 _REGION_LADDER = (500, 1500, 4000)
-_REGION_BLOCK = 32
-_windows = np.lib.stride_tricks.sliding_window_view
 
 
-def _power_tail_table(limit: int, d: int) -> tuple[np.ndarray, float]:
-    """tails[x] encloses the sum of v^-d over v > x, for x = 0..limit."""
-    span = limit + 60000
-    v = np.arange(1, span + 1, dtype=np.float64)
-    pref = np.cumsum(v ** float(-d))
-    lo = (span + 1) ** (1 - d) / (d - 1)
-    hi = span ** (1 - d) / (d - 1)
-    tails = np.empty(limit + 1)
-    tails[0] = pref[-1] + (lo + hi) / 2
-    tails[1:] = pref[-1] - pref[:limit] + (lo + hi) / 2
-    rad = (hi - lo) / 2 + _EPS * pref[-1] * (span + 8)
-    return tails, rad
+def _gamma(n):
+    return (n + 2) * _EPS
+
+
+def _diagonals(x: np.ndarray, y: np.ndarray, xfac=None) -> tuple[np.ndarray, np.ndarray]:
+    """c[k] = sum_{i+j=k} x[i] y[j] for x, y >= 0 of length N, with radii.
+
+    With x[i] known to within xfac[i] x[i], xfac nondecreasing, output k
+    adds xfac[min(k, N - 1)] c[k], since it reads i <= min(k, N - 1) only.
+    """
+    c = np.convolve(x, y)
+    k = np.arange(c.size)
+    g = _gamma(np.minimum(k + 1, c.size - k))
+    if xfac is None:
+        return c, g * c
+    return c, (g + (1.0 + g) * xfac[np.minimum(k, x.size - 1)]) * c
+
+
+def _power_tail_table(limit: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """t[u] encloses sum_{v>u} v^-d to within trad[u], for u = 0..limit = L.
+
+    A running sum from v = L down to u + 1, on top of the part beyond L,
+    which a convex decreasing summand puts between the trapezoid and the
+    midpoint rules: int_{L+1}^inf + (L+1)^-d / 2 and int_{L+1/2}^inf.
+    """
+    lo = (limit + 1.0) ** (1 - d) / (d - 1) + (limit + 1.0) ** -d / 2
+    hi = (limit + 0.5) ** (1 - d) / (d - 1)
+    terms = np.arange(limit, 0, -1, dtype=np.float64) ** float(-d)
+    t = np.cumsum(np.concatenate(([(lo + hi) / 2], terms)))[::-1]
+    # entry u sums limit - u + 1 terms; the bracket and its rounding on top
+    trad = _gamma(np.arange(limit + 1, 0, -1, dtype=np.float64)) * t
+    return t, trad + ((hi - lo) / 2 + 4 * _EPS * hi)
 
 
 def _tail_cap(base: int, p: int) -> float:
@@ -706,76 +700,50 @@ def _region_remainder(identity_id: str, params: tuple[int, ...], box: int) -> fl
     return _ZCAP * _ZCAP * (_tail_cap(box, a + d) + _tail_cap(box, b + d))
 
 
-def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
+def _by_diagonal(identity_id: str, params: tuple[int, ...], box: int):
+    """The box n1, n2 <= box as sum_u w[u] s[u], u = 2..2 box: (w, s, radius of s)."""
     a, b, c, d = params
+    n = np.arange(1, box + 1, dtype=np.float64)
+    u = np.arange(2, 2 * box + 1, dtype=np.float64)
+    pairs, prad = _diagonals(n ** float(-a), n ** float(-b))
+    if identity_id == "REGION_EQ13":
+        # sum over v > n1+n2 of v^-d n1^-a n2^-b (n1+n2)^-c
+        t, trad = _power_tail_table(4 * box, d)
+        t, trad = t[2 : 2 * box + 1], trad[2 : 2 * box + 1]
+        return u ** float(-c), pairs * t, prad * t + trad * (pairs + prad)
+    if identity_id == "REGION_EQ14":
+        # sum over v < n1 of v^-a n1^-c n2^-b (n1+n2)^-d; P_a(n1 - 1) is
+        # an (n1 - 1)-term running sum
+        pref = np.concatenate(([0.0], np.cumsum(n[:-1] ** float(-a))))
+        inner, irad = _diagonals(pref * n ** float(-c), n ** float(-b), _gamma(np.arange(box)))
+        return u ** float(-d), inner, irad
+    # sum over n1 < v < n1+n2 of v^-c n1^-a n2^-b (n1+n2)^-d: P_c(u - 1)
+    # pairs(u) - sum_{n1+n2=u} n1^-a P_c(n1) n2^-b, with P_c(m) an m-term
+    # running sum; the difference is charged a rounding of each part
+    pref = np.cumsum(np.arange(1, 2 * box, dtype=np.float64) ** float(-c))
+    inner, irad = _diagonals(n ** float(-a) * pref[:box], n ** float(-b), _gamma(n))
+    outer = pref * pairs
+    orad = pref * prad + _gamma(u - 1) * pref * (pairs + prad)
+    return u ** float(-d), outer - inner, orad + irad + _EPS * (outer + inner)
+
+
+def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
     tol = cfg.tolerance
-    last = None
     for box in _REGION_LADDER:
         remainder = _region_remainder(identity_id, params, box)
-        if remainder / 2 > tol and box != _REGION_LADDER[-1]:
+        radius = remainder / 2
+        if radius > tol:
             continue  # the radius is at least remainder / 2, so this rung cannot certify
-        n = np.arange(1, box + 1, dtype=np.float64)
-        wide = np.arange(1, 2 * box + 1, dtype=np.float64)
-        cells = np.empty((_REGION_BLOCK, box))
-        # rows lo..hi-1 (1-based); row i reads window i of each windowed
-        # table, except window i + 1 of tails
-        blocks = [(i, min(i + _REGION_BLOCK, box + 1)) for i in range(1, box + 1, _REGION_BLOCK)]
-        total = 0.0
-        if identity_id == "REGION_EQ13":
-            # sum over v > n1+n2 of v^-d n1^-a n2^-b (n1+n2)^-c
-            tails, tailrad = _power_tail_table(2 * box, d)
-            pa = n ** float(-a)
-            pb = n ** float(-b)
-            spow = _windows(wide ** float(-c), box)
-            tails = _windows(tails, box)
-            core = np.empty_like(cells)
-            wsum = 0.0
-            for lo, hi in blocks:
-                k = hi - lo
-                np.multiply(pa[lo - 1 : hi - 1, None], pb, out=core[:k])
-                core[:k] *= spow[lo:hi]
-                np.multiply(core[:k], tails[lo + 1 : hi + 1], out=cells[:k])
-                for x in np.sum(cells[:k], axis=1).tolist():
-                    total += x
-                for x in np.sum(core[:k], axis=1).tolist():
-                    wsum += x
-            aux = wsum * tailrad
-        elif identity_id == "REGION_EQ14":
-            # sum over v < n1 of v^-a n1^-c n2^-b (n1+n2)^-d
-            pref = np.concatenate(([0.0], np.cumsum(n ** float(-a))))
-            pb = n ** float(-b)
-            pc = n ** float(-c)
-            spow = _windows(wide ** float(-d), box)
-            for lo, hi in blocks:
-                k = hi - lo
-                np.multiply(pb, spow[lo:hi], out=cells[:k])
-                rows = pref[lo - 1 : hi - 1] * pc[lo - 1 : hi - 1] * np.sum(cells[:k], axis=1)
-                for x in rows.tolist():
-                    total += x
-            aux = 0.0
-        else:
-            # sum over n1 < v < n1+n2 of v^-c n1^-a n2^-b (n1+n2)^-d
-            pref = np.concatenate(([0.0], np.cumsum(wide ** float(-c))))
-            pa = n ** float(-a)
-            pb = n ** float(-b)
-            spow = _windows(wide ** float(-d), box)
-            between = _windows(pref, box)
-            for lo, hi in blocks:
-                k = hi - lo
-                np.subtract(between[lo:hi], pref[lo:hi, None], out=cells[:k])
-                cells[:k] *= pb
-                cells[:k] *= spow[lo:hi]
-                for x in (pa[lo - 1 : hi - 1] * np.sum(cells[:k], axis=1)).tolist():
-                    total += x
-            aux = 0.0
-        floats = _EPS * total * (box + 64)
-        radius = remainder / 2 + aux + floats
-        last = Evaluation(total + remainder / 2, radius, box)
+        w, s, srad = _by_diagonal(identity_id, params, box)
+        total = float(w @ s)
+        g = _gamma(w.size)
+        mid = total + remainder / 2  # rounded once more, hence EPS * mid
+        radius += g * float(w @ np.abs(s)) + (1.0 + g) * float(w @ srad) + _EPS * mid
         if radius <= tol:
-            return last
+            return Evaluation(mid, radius, box)
     raise ToleranceUnreachable(
-        f"constrained-region sum for {identity_id}{params} certifies only "
-        f"{last.radius:.3e} at box {last.terms}, above the requested {tol:.3e}"
+        f"constrained-region sum for {identity_id}{params} cannot certify below "
+        f"{radius:.3e} at box {box}, above the requested {tol:.3e}"
     )
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -176,24 +177,44 @@ def test_region_evaluator_agrees_with_brute_force(cfg8):
 
 def test_region_evaluator_pinned_at_tight_tolerances():
     # rungs whose closed-form remainder alone exceeds the request are
-    # skipped; the value and the refusal must be those of the full ladder
+    # skipped unsummed; a refusal quotes remainder / 2 of the last rung
     from wreduce.errors import ToleranceUnreachable
     from wreduce.verify import _region_value
 
     ev = _region_value("REGION_EQ14", (2, 2, 2, 2), SummationConfig(tolerance=1e-10))
     assert (ev.midpoint.hex(), ev.radius.hex(), ev.terms) == (
-        "0x1.bc8bc94e663bap-5", "0x1.f1a11645c32afp-37", 4000
+        "0x1.bc8bc94e66393p-5", "0x1.f35cdd0fabc80p-37", 4000
     )
     with pytest.raises(ToleranceUnreachable) as exc:
         _region_value("REGION_EQ14", (2, 2, 2, 2), SummationConfig(tolerance=1e-12))
     assert str(exc.value).endswith(
-        "constrained-region sum for REGION_EQ14(2, 2, 2, 2) certifies only "
-        "1.414e-11 at box 4000, above the requested 1.000e-12"
+        "constrained-region sum for REGION_EQ14(2, 2, 2, 2) cannot certify below "
+        "1.409e-11 at box 4000, above the requested 1.000e-12"
     )
 
 
+def _reference_power_tail_table(limit, d):
+    # the row loop's tail table: tails[x] encloses the sum of v^-d over
+    # v > x, x = 0..limit, to within one uniform radius
+    import numpy as np
+
+    from wreduce import verify
+
+    span = limit + 60000
+    v = np.arange(1, span + 1, dtype=np.float64)
+    pref = np.cumsum(v ** float(-d))
+    lo = (span + 1) ** (1 - d) / (d - 1)
+    hi = span ** (1 - d) / (d - 1)
+    tails = np.empty(limit + 1)
+    tails[0] = pref[-1] + (lo + hi) / 2
+    tails[1:] = pref[-1] - pref[:limit] + (lo + hi) / 2
+    rad = (hi - lo) / 2 + verify._EPS * pref[-1] * (span + 8)
+    return tails, rad
+
+
 def _reference_region_value(identity_id, params, cfg):
-    # reference: the region evaluator summing its box one row at a time
+    # reference: the region evaluator summing its box one row at a time,
+    # with a blanket rounding charge
     import numpy as np
 
     from wreduce import verify
@@ -211,7 +232,7 @@ def _reference_region_value(identity_id, params, cfg):
         idx = np.arange(1, box + 1)
         total = 0.0
         if identity_id == "REGION_EQ13":
-            tails, tailrad = verify._power_tail_table(2 * box, d)
+            tails, tailrad = _reference_power_tail_table(2 * box, d)
             pa = n ** float(-a)
             pb = n ** float(-b)
             spow = np.arange(1, 2 * box + 1, dtype=np.float64) ** float(-c)
@@ -253,22 +274,116 @@ def _reference_region_value(identity_id, params, cfg):
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
 def test_region_evaluator_matches_the_row_loop(tol):
-    # the row blocks must give every REGION record the value, radius, box
-    # and refusal of a row-by-row loop, bit for bit
+    # the diagonal sums stop at the row loop's box, with an enclosure that
+    # overlaps it and a radius at most 1.01 times its radius; at the floor,
+    # where the row loop refuses all nine records, EQ13 certifies and
+    # overlaps the engine's value
     from wreduce.errors import ToleranceUnreachable
+    from wreduce.series import eval_lincomb
     from wreduce.verify import _region_value
 
-    def outcome(evaluate, ident, params):
-        try:
-            ev = evaluate(ident, params, SummationConfig(tolerance=tol))
-        except ToleranceUnreachable as exc:
-            return str(exc)
-        return (ev.midpoint.hex(), ev.radius.hex(), ev.terms)
-
+    cfg = SummationConfig(tolerance=tol)
     for ident in ("REGION_EQ13", "REGION_EQ14", "REGION_EQ15"):
         for params in default_parameters(ident):
-            want = outcome(_reference_region_value, ident, params)
-            assert outcome(_region_value, ident, params) == want, (ident, params)
+            if tol < 1e-10:
+                with pytest.raises(ToleranceUnreachable):
+                    _reference_region_value(ident, params, cfg)
+                if ident != "REGION_EQ13":
+                    with pytest.raises(ToleranceUnreachable):
+                        _region_value(ident, params, cfg)
+                    continue
+                want = eval_lincomb(build_identity(ident, params).lhs, cfg)
+            else:
+                want = _reference_region_value(ident, params, cfg)
+            got = _region_value(ident, params, cfg)
+            assert abs(got.midpoint - want.midpoint) <= got.radius + want.radius, (ident, params)
+            if tol >= 1e-10:
+                assert got.terms == want.terms, (ident, params)
+                assert got.radius <= 1.01 * want.radius, (ident, params)
+
+
+def test_diagonal_sums_stay_inside_their_rounding_bound():
+    # np.convolve output k must lie within gamma_{n_k} c[k] of the exact
+    # diagonal sum, summed here in integers.  The inputs mix magnitudes 1
+    # and 2^-30, and the small terms' low bits sit just under half an ulp
+    # of the running sums, so their roundings pile up in one direction
+    import numpy as np
+
+    from wreduce.verify import _diagonals
+
+    small = 2.0**-30 * (1 + 0.49 * 2.0**-20)
+    x = np.where(np.arange(257) < 8, 1.0, small)
+    y = x[::-1].copy()
+    c, rad = _diagonals(x, y)
+    # every entry is an integer multiple of 2^-82
+    assert all((Fraction(v) * 2**82).denominator == 1 for v in x)
+    xi = [int(Fraction(v) * 2**82) for v in x]
+    yi = xi[::-1]
+    exact = [0] * c.size
+    for i, xv in enumerate(xi):
+        for j, yv in enumerate(yi):
+            exact[i + j] += xv * yv
+    errors = [abs(Fraction(ck) - Fraction(e, 2**164)) for ck, e in zip(c.tolist(), exact)]
+    assert all(err <= Fraction(r) for err, r in zip(errors, rad.tolist()))
+    assert any(errors)
+
+
+# sums of v^-d, 30 digits
+_ZETA = {
+    2: Fraction("1.644934066848226436472415166646"),
+    3: Fraction("1.202056903159594285399738161511"),
+    4: Fraction("1.082323233711138191516003696541"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(_ZETA))
+@pytest.mark.parametrize("limit", [40, 3000])
+def test_power_tail_table_encloses_the_zeta_tails(d, limit):
+    # t[u] encloses zeta(d) - sum_{v<=u} v^-d entry by entry
+    from wreduce.verify import _power_tail_table
+
+    t, trad = _power_tail_table(limit, d)
+    assert t.shape == trad.shape == (limit + 1,)
+    tail = _ZETA[d]
+    for u in range(limit + 1):
+        if u:
+            tail -= Fraction(1, u**d)
+        assert abs(Fraction(t[u]) - tail) <= Fraction(trad[u]), u
+
+
+def test_region_evaluator_uses_no_engine_code():
+    # the cross-evaluator and every helper it calls may take nothing from
+    # series but the Evaluation it returns; annotations are not evaluated
+    import ast
+    import inspect
+
+    from wreduce import verify
+
+    tree = ast.parse(inspect.getsource(verify))
+    engine = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "series"
+        for alias in node.names
+    }
+    forbidden = engine - {"Evaluation"}
+    assert {"SummationConfig", "eval_lincomb"} <= forbidden
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = set(), ["_region_value"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for stmt in functions[name].body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    assert node.id not in forbidden, (name, node.id)
+                    if node.id in functions:
+                        todo.append(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    assert node.value.id != "series", (name, node.attr)
+    assert {"_by_diagonal", "_diagonals", "_power_tail_table", "_region_remainder"} <= seen
 
 
 # sha256 over the verdict and the hex midpoints and radii of both sides of
@@ -305,8 +420,8 @@ def test_general_w_records_of_the_default_sweep_golden(tol):
 # with numpy's float64 pow on x86-64 when every atom was first evaluated
 # once under its caps; the same caveat as the digests above
 _DEFAULT_SWEEP_DIGESTS = {
-    1e-8: "ff74c22299324b7dd1b6a8505b879d704f0f203db5274c606a55e519ca5bf4da",
-    1e-10: "2a31a90b8826c934d78268dfbac4fc975c3a3c745ef6a46cdca72154d048071e",
+    1e-8: "ea7aefc7e55f3dfb4c316c97d6a8c35498948b91d4b37c8f17d18f195586fbcc",
+    1e-10: "87e0fa7f4c548952414dd745b73f41b6c891dfc04f139f2f3741d895a4dd1335",
 }
 
 
