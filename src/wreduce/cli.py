@@ -46,7 +46,6 @@ _FORMATS = ("text", "json", "csv")
 _ENV_SPEC = {
     "tol": ("WREDUCE_TOL", float),
     "max_terms": ("WREDUCE_MAX_TERMS", int),
-    "threads": ("WREDUCE_THREADS", int),
     "format": ("WREDUCE_FORMAT", str),
     "out": ("WREDUCE_OUT", str),
     "variant": ("WREDUCE_VARIANT", str),
@@ -214,7 +213,23 @@ def _verify_params(args: argparse.Namespace) -> tuple[int, ...]:
             f"unknown identity id {ident!r}; known ids: {', '.join(IDENTITY_IDS)}"
         )
     if args.params:
-        return tuple(args.params)
+        values = list(args.params)
+    else:
+        values = _named_params(args, ident)
+    # v comes from --variant or WREDUCE_VARIANT; unset, the builder picks 1
+    if ident == "TYPO_PROBE" and _resolve(args, "variant", None) is not None:
+        variant = _variant(args)
+        index = VARIANTS.index(variant)
+        if len(values) == 5:
+            values.append(index)
+        elif len(values) == 6 and values[5] != index:
+            raise _UsageError(
+                f"TYPO_PROBE parameter v={values[5]} contradicts variant {variant!r}"
+            )
+    return tuple(values)
+
+
+def _named_params(args: argparse.Namespace, ident: str) -> list[int]:
     values: list[int] = []
     for name, arity in _PARAM_SLOTS[ident]:
         got = getattr(args, name, None)
@@ -228,9 +243,7 @@ def _verify_params(args: argparse.Namespace) -> tuple[int, ...]:
             values.extend(got)
         else:
             values.append(got)
-    if ident == "TYPO_PROBE" and getattr(args, "variant", None) is not None:
-        values.append(VARIANTS.index(_variant(args)))
-    return tuple(values)
+    return values
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -296,7 +309,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fmt = _format(args)
     timings = bool(args.timings)
     weight = _resolve(args, "weight", DEFAULT_WEIGHT_CAP)
-    threads = _resolve(args, "threads", os.cpu_count() or 1)
     ids_text = _resolve(args, "ids", None)
     ids = None
     if ids_text:
@@ -307,7 +319,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"unknown identity ids: {', '.join(unknown)}; "
                 f"known ids: {', '.join(IDENTITY_IDS)}"
             )
-    reports = sweep(ids=ids, weight_cap=weight, cfg=cfg, threads=threads)
+    reports = sweep(ids=ids, weight_cap=weight, cfg=cfg)
     out = _resolve(args, "out", None)
     if fmt == "json":
         _emit(_reports_json(reports, timings), out)
@@ -404,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--ids", default=None,
                       help="comma-separated identity ids (default: all but the probe)")
     p_sw.add_argument("--weight", type=int, default=None, help="total weight cap")
-    p_sw.add_argument("--threads", type=int, default=None)
     p_sw.add_argument("--timings", action="store_true")
     p_sw.add_argument("--allow-inconclusive", action="store_true",
                       dest="allow_inconclusive")

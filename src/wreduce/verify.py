@@ -15,8 +15,8 @@ radii and compares:
              bound, so slack in the error analysis cannot explain it)
     INCONCLUSIVE otherwise, or when either side refuses to evaluate
 
-``sweep`` runs whole parameter grids, optionally across processes, and
-the writers emit one pipe-separated line per report plus a CSV summary.
+``sweep`` runs whole parameter grids in this process, and the writers
+emit one pipe-separated line per report plus a CSV summary.
 Reports are byte-stable for a fixed configuration: grids are fixed or
 seeded, evaluation is deterministic, and runtimes are zeroed in files
 unless timings are requested.
@@ -34,10 +34,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -791,31 +789,23 @@ def check(record: IdentityRecord, cfg: Optional[SummationConfig] = None) -> Repo
     )
 
 
-def _check_task(args: tuple[IdentityRecord, SummationConfig]) -> Report:
-    record, cfg = args
-    return check(record, cfg)
-
-
 def sweep(
     ids: Optional[Sequence[str]] = None,
     weight_cap: int = DEFAULT_WEIGHT_CAP,
     cfg: Optional[SummationConfig] = None,
     threads: int = 1,
-    cap_limit: int = DEFAULT_WEIGHT_CAP,
 ) -> list[Report]:
-    """Check every default grid point of the chosen families.
+    """Check every default grid point of the chosen families, in this process.
 
-    Report order is the deterministic grid order, independent of
-    ``threads``.  ``threads`` worker processes check the records, but
-    never more than the CPU count, since the pool starts every worker it
-    is given.  Every atom has one certified value, whatever was evaluated
-    before it, so the reports are byte-identical for every ``threads``
-    value and chunk assignment.  Per-record evaluation errors become
+    Report order is the deterministic grid order.  Every atom has one
+    certified value, whatever was evaluated before it, so no report depends
+    on what the caches already hold.  Per-record evaluation errors become
     INCONCLUSIVE verdicts; the sweep itself never aborts on one record.
+    ``threads`` is ignored and kept only for callers that still pass it.
     """
-    if weight_cap > cap_limit:
+    if weight_cap > DEFAULT_WEIGHT_CAP:
         raise UnsupportedParams(
-            f"weight cap {weight_cap} exceeds the configured limit {cap_limit}"
+            f"weight cap {weight_cap} exceeds the configured limit {DEFAULT_WEIGHT_CAP}"
         )
     cfg = (cfg or SummationConfig()).validated()
     chosen = list(ids) if ids is not None else list(DEFAULT_SWEEP_IDS)
@@ -827,13 +817,8 @@ def sweep(
         seen.add(ident)
         for params in default_parameters(ident, weight_cap):
             records.append(build_identity(ident, params))
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1 or len(records) <= 1:
-        return [check(r, cfg) for r in records]
-    payload = [(r, cfg) for r in records]
-    chunk = max(1, len(payload) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_check_task, payload, chunksize=chunk))
+    # through the module global, so a patched ``check`` sees every record
+    return [check(r, cfg) for r in records]
 
 
 def failure_count(reports: Sequence[Report]) -> int:

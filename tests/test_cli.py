@@ -221,6 +221,55 @@ def test_verify_probe_variant_flag_selects_validated_one(capsys):
     assert "|PASS|" in out
 
 
+def test_verify_probe_positional_params_take_variant_flag(capsys):
+    argv = ["verify", "TYPO_PROBE", "2", "1", "2", "1", "2", "--variant", "eq22"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "|(2,1,2,1,2,0)|" in out
+    assert "|PASS|" in out
+
+
+@pytest.mark.parametrize("positional", [False, True])
+def test_verify_probe_takes_variant_from_env(capsys, monkeypatch, positional):
+    monkeypatch.setenv("WREDUCE_VARIANT", "eq22")
+    if positional:
+        argv = ["verify", "TYPO_PROBE", "2", "1", "2", "1", "2"]
+    else:
+        argv = ["verify", "TYPO_PROBE", "--a", "2", "--b", "1", "--c", "2",
+                "--d", "1", "--f", "2"]
+    assert main(argv) == 0
+    assert "|(2,1,2,1,2,0)|" in capsys.readouterr().out
+
+
+def test_verify_probe_variant_flag_beats_env(capsys, monkeypatch):
+    monkeypatch.setenv("WREDUCE_VARIANT", "eq22")
+    argv = ["verify", "TYPO_PROBE", "2", "1", "2", "1", "2", "--variant", "paper-final"]
+    assert main(argv) == 0
+    assert "|(2,1,2,1,2,1)|" in capsys.readouterr().out
+    monkeypatch.setenv("WREDUCE_VARIANT", "paper-final")
+    assert main(argv[:-1] + ["eq22"]) == 0
+    assert "|(2,1,2,1,2,0)|" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("from_env", [False, True])
+def test_verify_probe_sixth_param_contradicting_variant_exits_two(
+    capsys, monkeypatch, from_env
+):
+    argv = ["verify", "TYPO_PROBE", "2", "1", "2", "1", "2", "1"]
+    if from_env:
+        monkeypatch.setenv("WREDUCE_VARIANT", "eq22")
+    else:
+        argv += ["--variant", "eq22"]
+    assert main(argv) == 2
+    assert "contradicts" in capsys.readouterr().err
+
+
+def test_verify_probe_sixth_param_agreeing_with_variant_runs(capsys):
+    argv = ["verify", "TYPO_PROBE", "2", "1", "2", "1", "2", "0", "--variant", "eq22"]
+    assert main(argv) == 0
+    assert "|(2,1,2,1,2,0)|" in capsys.readouterr().out
+
+
 def test_verify_inconclusive_exit_logic(capsys):
     # the region cross-evaluator cannot reach the floor within its largest box
     argv = ["verify", "REGION_EQ14", "2", "2", "2", "2", "--tol", "1e-12"]
@@ -293,14 +342,6 @@ def test_sweep_weight_above_cap_exits_two(capsys):
     assert "UNSUPPORTED_PARAMS" in capsys.readouterr().err
 
 
-def test_sweep_thread_count_does_not_change_stdout(capsys):
-    argv = ["sweep", "--ids", "LEMMA24_EQ19", "--weight", "8"]
-    assert main(argv + ["--threads", "1"]) == 0
-    first = capsys.readouterr().out
-    assert main(argv + ["--threads", "2"]) == 0
-    assert capsys.readouterr().out == first
-
-
 def test_sweep_out_writes_pair_of_files(capsys, tmp_path):
     target = tmp_path / "report.txt"
     argv = ["sweep", "--ids", "LEMMA24_EQ20", "--weight", "6", "--out", str(target)]
@@ -315,3 +356,26 @@ def test_sweep_json_document_carries_probe_summary(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["reports"]) == 8
     assert "validated" in doc["probe_summary"]
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+def test_import_loads_no_process_pool():
+    # a fresh interpreter, so modules other tests loaded do not count
+    import os
+    import subprocess
+    import sys
+
+    import wreduce
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wreduce.__file__)))
+    code = (
+        "import sys, wreduce.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -425,11 +425,11 @@ _DEFAULT_SWEEP_DIGESTS = {
 }
 
 
-def _cold_default_sweep_lines(tol, threads=1):
+def _cold_default_sweep_lines(tol):
     from wreduce.series import clear_caches
 
     clear_caches()
-    return format_report_lines(sweep(cfg=SummationConfig(tolerance=tol), threads=threads))
+    return format_report_lines(sweep(cfg=SummationConfig(tolerance=tol)))
 
 
 @pytest.mark.parametrize("tol", sorted(_DEFAULT_SWEEP_DIGESTS))
@@ -438,16 +438,6 @@ def test_default_sweep_report_golden(tol):
 
     lines = _cold_default_sweep_lines(tol)
     assert hashlib.sha256(lines.encode()).hexdigest() == _DEFAULT_SWEEP_DIGESTS[tol]
-
-
-def test_default_sweep_pool_is_byte_identical_at_1e10():
-    tol = 1e-10
-    assert _cold_default_sweep_lines(tol, threads=2) == _cold_default_sweep_lines(tol)
-
-
-def test_default_sweep_pool_is_byte_identical_at_1e8():
-    tol = 1e-8
-    assert _cold_default_sweep_lines(tol, threads=2) == _cold_default_sweep_lines(tol)
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
@@ -485,86 +475,29 @@ def test_sweep_empty_ids_gives_empty_report(cfg6):
     assert format_report_lines([]) == ""
 
 
-def test_sweep_parallel_output_is_byte_identical(cfg6):
-    ids = ["LEMMA24_EQ19", "LEMMA24_EQ20"]
-    serial = sweep(ids=ids, weight_cap=8, cfg=cfg6, threads=1)
-    parallel = sweep(ids=ids, weight_cap=8, cfg=cfg6, threads=2)
-    assert format_report_lines(serial, timings=False) == format_report_lines(
-        parallel, timings=False
-    )
-
-
-def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, cfg6):
-    # a stand-in pool that records its size and maps in-process: no real
-    # pool of that size is ever started
-    import os
-
-    from wreduce import verify
-
-    asked = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            assert chunksize >= 1
-            return map(fn, items)
-
-    ids = ["LEMMA24_EQ19", "LEMMA24_EQ20"]
-    serial = format_report_lines(sweep(ids=ids, weight_cap=8, cfg=cfg6, threads=1))
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
-    pooled = format_report_lines(sweep(ids=ids, weight_cap=8, cfg=cfg6, threads=10**4))
-    cpus = os.cpu_count() or 1
-    assert asked == ([cpus] if cpus > 1 else [])
-    assert pooled == serial
-
-
 @pytest.mark.parametrize("workers", [2, 4])
-def test_sweep_verdicts_do_not_depend_on_chunk_assignment(monkeypatch, workers):
-    # a stand-in pool that deals the chunks round-robin to simulated
-    # workers, each starting from an empty workspace, and maps in-process
-    import os
-
-    from wreduce import verify
+def test_sweep_verdicts_do_not_depend_on_chunk_assignment(workers):
+    # deal the records in chunks round-robin to simulated workers, each
+    # starting from an empty workspace: a record's line must not depend on
+    # what its workspace already held
     from wreduce.series import clear_caches
-
-    class RoundRobinPool:
-        def __init__(self, max_workers):
-            assert max_workers == workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            chunks = [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
-            done = [None] * len(chunks)
-            for worker in range(workers):
-                clear_caches()
-                for c in range(worker, len(chunks), workers):
-                    done[c] = [fn(item) for item in chunks[c]]
-            return [out for chunk in done for out in chunk]
 
     cfg = SummationConfig(tolerance=1e-10)
     clear_caches()
     serial = sweep(cfg=cfg)
-    monkeypatch.setattr(os, "cpu_count", lambda: workers)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RoundRobinPool)
-    pooled = sweep(cfg=cfg, threads=workers)
+    records = [build_identity(i, p) for i in DEFAULT_SWEEP_IDS for p in default_parameters(i)]
+    size = max(1, len(records) // (workers * 4))
+    chunks = [records[i : i + size] for i in range(0, len(records), size)]
+    done = [None] * len(chunks)
+    for worker in range(workers):
+        clear_caches()
+        for c in range(worker, len(chunks), workers):
+            done[c] = [check(r, cfg) for r in chunks[c]]
     clear_caches()
-    assert [r.record for r in pooled] == [r.record for r in serial]
-    assert [r.verdict for r in pooled] == [r.verdict for r in serial]
-    assert format_report_lines(pooled) == format_report_lines(serial)
+    dealt = [rep for chunk in done for rep in chunk]
+    assert [r.record for r in dealt] == [r.record for r in serial]
+    assert [r.verdict for r in dealt] == [r.verdict for r in serial]
+    assert format_report_lines(dealt) == format_report_lines(serial)
 
 
 def test_probe_sweep_discriminates_variants(cfg6):
