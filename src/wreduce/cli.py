@@ -168,7 +168,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                 "input": f"W({a},{b},{c},{d},0,{f})",
                 "variant": variant,
                 "full": expand,
-                "terms": len(lc.items()),
+                "terms": len(lc),
                 "reduction": lc.render(),
             },
             sort_keys=True,
@@ -212,13 +212,16 @@ def _verify_params(args: argparse.Namespace) -> tuple[int, ...]:
         raise _UsageError(
             f"unknown identity id {ident!r}; known ids: {', '.join(IDENTITY_IDS)}"
         )
+    if args.variant is not None and ident != "TYPO_PROBE":
+        raise _UsageError(f"--variant applies to TYPO_PROBE only, not {ident}")
     if args.params:
         values = list(args.params)
     else:
         values = _named_params(args, ident)
-    # v comes from --variant or WREDUCE_VARIANT; unset, the builder picks 1
-    if ident == "TYPO_PROBE" and _resolve(args, "variant", None) is not None:
-        variant = _variant(args)
+    # v comes from --variant or WREDUCE_VARIANT; unset, the builder picks 1.
+    # WREDUCE_VARIANT is checked on every identity but used by the probe only.
+    variant = _variant(args) if _resolve(args, "variant", None) is not None else None
+    if ident == "TYPO_PROBE" and variant is not None:
         index = VARIANTS.index(variant)
         if len(values) == 5:
             values.append(index)

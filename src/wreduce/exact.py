@@ -23,6 +23,7 @@ verified identities, so nothing here may silently fold them together.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -226,7 +227,9 @@ class LinearCombination:
     Behaves like an immutable value: arithmetic returns new instances and
     zero coefficients are dropped eagerly, so equality is exact equality of
     the represented expression.  Each operation accumulates its result in
-    one fresh dict and never mutates an operand.
+    one fresh dict and never mutates an operand.  The memoized rewrites of
+    ``reduce`` hand one instance to every caller, so no method may change
+    the entries of an instance after it is built.
     """
 
     __slots__ = ("_entries", "_sorted")
@@ -360,11 +363,13 @@ _COEF_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 _ARITY = {"Z": (1, 1), "E": (2, 3), "MT": (3, 3), "W": (6, 6)}
 
 
+@functools.cache
 def parse_atom(text: str) -> Atom:
     """Parse one atom literal such as ``MT(2,2,2)`` or ``W(1,2,3,4,0,6)``.
 
     ``W4`` is accepted as an input alias for ``W``; rendering always
-    emits ``W``, so round trips stay stable.
+    emits ``W``, so round trips stay stable.  Atoms are memoized per
+    literal; a literal that raises is not cached and raises again.
     """
     m = _ATOM_RE.match(text.strip())
     if not m:

@@ -25,6 +25,12 @@ numerically.  Everything here is exact Fraction arithmetic; no floats.
 The four-term exchange relation (``four_term_lhs`` / ``four_term_rhs``)
 is exposed for the verifier: it is the engine behind the main reduction
 and is checked as an identity in its own right.
+
+``reduce_unit_witten``, its rows, ``reduce_mt`` and the general rewrite
+are memoized per process: each depends only on its integers, so a full
+reduction rewrites each remainder, row and double sum once, and
+``series.clear_caches`` keeps them.  Callers share the returned
+combinations, which no method of ``LinearCombination`` mutates.
 """
 
 from __future__ import annotations
@@ -100,6 +106,7 @@ def _euler(indices: tuple[int, ...]) -> EulerSum:
         ) from exc
 
 
+@functools.cache
 def reduce_mt(atom: MordellTornheim3) -> LinearCombination:
     """Double sum with one composite factor as depth-two Euler sums.
 
@@ -234,6 +241,14 @@ def unit_pair_split(alpha: int, delta: int) -> tuple[WittenSl4, LinearCombinatio
     return tail, rest
 
 
+@functools.cache
+def _unit_row(alpha: int, delta: int) -> tuple[LinearCombination, LinearCombination]:
+    """Row W(alpha,0,1,delta,0,1) as its split rest and its expanded tail."""
+    _tail, rest = unit_pair_split(alpha, delta)
+    return rest, unit_tail_expand(alpha, delta + 1)
+
+
+@functools.cache
 def reduce_unit_witten(a: int, b: int, d: int) -> LinearCombination:
     """W(a,b,1,d,0,1) as depth-three Euler sums.
 
@@ -244,19 +259,14 @@ def reduce_unit_witten(a: int, b: int, d: int) -> LinearCombination:
     """
     if a < 0 or b < 0 or d < 0 or a + b < 1:
         raise InadmissibleIndex("unit reduction needs a+b >= 1 and no negative exponents")
-
-    def expand_row(alpha: int, delta: int) -> tuple[LinearCombination, LinearCombination]:
-        _tail, rest = unit_pair_split(alpha, delta)
-        return rest, unit_tail_expand(alpha, delta + 1)
-
     if a == 0 or b == 0:
         if d < 1:
             raise InadmissibleIndex("unit reduction with a boundary row needs d >= 1")
-        return LinearCombination.combine((piece, 1) for piece in expand_row(a + b, d))
+        return LinearCombination.combine((piece, 1) for piece in _unit_row(a + b, d))
     return LinearCombination.combine(
         (piece, wgt)
         for i, wgt in exchange_weights(a, b)
-        for piece in expand_row(i, a + b + d - i)
+        for piece in _unit_row(i, a + b + d - i)
     )
 
 

@@ -435,8 +435,10 @@ def clear_caches() -> None:
     timing runs).
 
     The Euler-Maclaurin forms of ``_unit_resum`` and their values at each
-    cutoff depend on (p, k) and the cutoff alone, and the exact rewrites of
-    ``reduce.reduce_general_witten`` on s alone; they are kept.
+    cutoff depend on (p, k) and the cutoff alone; the exact rewrites of
+    ``reduce.reduce_general_witten``, ``reduce.reduce_unit_witten`` (and
+    its rows) and ``reduce.reduce_mt``, and the atoms of
+    ``exact.parse_atom``, on their integers or literal alone.  They are kept.
     """
     _WS.clear()
 
@@ -973,4 +975,4 @@ def eval_term(term: Term, cfg: SummationConfig) -> Evaluation:
 def eval_lincomb(lc: LinearCombination, cfg: SummationConfig) -> Evaluation:
     cfg = cfg.validated()
     ev = _combination(lc, lambda term: eval_term(term, cfg))
-    return _checked(ev, cfg, lambda: f"combination of {len(lc.items())} terms")
+    return _checked(ev, cfg, lambda: f"combination of {len(lc)} terms")

@@ -323,17 +323,28 @@ def mt_ref(a: int, b: int, c: int, N: int = 4000) -> tuple[float, float]:
 
 
 def w4_ref_partial(s: tuple[int, ...], N: int) -> float:
-    """Plain triple partial sum over [1, N]^3, numpy slab per n3."""
+    """Plain triple partial sum over [1, N]^3, numpy slab per n3.
+
+    The total-sum factor (m1+m2+n3)^-s6 of each slab is read from one
+    table of k^-s6, k = 1..3N: entry (i, j) of the window starting at
+    n3 + 1 is (i+j+2+n3)^-s6, the same float ``**`` gives.  Each slab is
+    the left-to-right product base * n3^-s3 * (m2+n3)^-s5 * window,
+    built in one reused buffer.
+    """
     s1, s2, s3, s4, s5, s6 = s
     m = np.arange(1, N + 1, dtype=float)
     M1 = m[:, None]
     M2 = m[None, :]
     base = (m**-s1)[:, None] * (m**-s2)[None, :] * (M1 + M2) ** -s4
+    total = np.arange(1, 3 * N + 1, dtype=float) ** -s6
+    hankel = np.lib.stride_tricks.sliding_window_view(total, N)  # [i, j] = total[i + j]
+    slab = np.empty_like(base)
     tot = 0.0
     for n3 in range(1, N + 1):
-        tot += float(
-            np.sum(base * (n3**-s3) * (M2 + n3) ** -s5 * (M1 + M2 + n3) ** -s6)
-        )
+        np.multiply(base, n3**-s3, out=slab)
+        np.multiply(slab, (M2 + n3) ** -s5, out=slab)
+        np.multiply(slab, hankel[n3 + 1 : n3 + 1 + N], out=slab)
+        tot += float(np.sum(slab))
     return tot
 
 

@@ -270,6 +270,31 @@ def test_verify_probe_sixth_param_agreeing_with_variant_runs(capsys):
     assert "|(2,1,2,1,2,0)|" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("variant", ["eq22", "paper-final"])
+def test_verify_variant_flag_off_the_probe_exits_two(capsys, variant):
+    assert main(["verify", "HWZ_EQ3", "2", "2", "2", "--variant", variant]) == 2
+    err = capsys.readouterr().err
+    assert "TYPO_PROBE" in err and "HWZ_EQ3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "HWZ_EQ3", "2", "2", "2"], ["verify", "TYPO_PROBE", "2", "1", "2", "1", "2"]],
+)
+def test_verify_rejects_an_unknown_env_variant(capsys, monkeypatch, argv):
+    monkeypatch.setenv("WREDUCE_VARIANT", "bogus")
+    assert main(argv) == 2
+    assert "unknown variant 'bogus'" in capsys.readouterr().err
+
+
+def test_verify_ignores_a_valid_env_variant_off_the_probe(capsys, monkeypatch):
+    assert main(["verify", "HWZ_EQ3", "2", "2", "2"]) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("WREDUCE_VARIANT", "paper-final")
+    assert main(["verify", "HWZ_EQ3", "2", "2", "2"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_verify_inconclusive_exit_logic(capsys):
     # the region cross-evaluator cannot reach the floor within its largest box
     argv = ["verify", "REGION_EQ14", "2", "2", "2", "2", "--tol", "1e-12"]

@@ -8,6 +8,7 @@ binomial coefficient shows up as a nonzero rational difference.
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,12 @@ from wreduce.exact import (
     SingleZeta,
     Term,
     WittenSl4,
+    parse,
+    parse_atom,
 )
 from wreduce.reduce import (
     VARIANTS,
+    _unit_row,
     exchange_weights,
     four_term_lhs,
     four_term_rhs,
@@ -362,6 +366,71 @@ def test_full_reductions_render_golden():
     ]
     assert len(renders) == 792
     assert hashlib.sha256("\n".join(renders).encode()).hexdigest() == FULL_REDUCTION_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the memoized rewrites: shared results, same renders, errors not cached
+
+_MEMOIZED = (reduce_unit_witten, _unit_row, reduce_mt, parse_atom)
+
+
+def _full_render(params) -> str:
+    a, b, c, d, f = params
+    lc = reduce_witten(WittenSl4((a, b, c, d, 0, f)), expand_remainder=True, expand_mt=True)
+    text = lc.render()
+    assert parse(text) == lc, params
+    return text
+
+
+def test_memoized_rewrites_render_the_same_warm_as_cold():
+    grid = [t for t in itertools.product(range(1, 9), repeat=5) if sum(t) <= 12]
+    cold = {}
+    for params in grid:
+        for fn in _MEMOIZED:
+            fn.cache_clear()
+        cold[params] = _full_render(params)
+    shuffled = list(grid)
+    random.Random(15).shuffle(shuffled)
+    warm = {params: _full_render(params) for params in shuffled}
+    assert reduce_unit_witten.cache_info().hits > 0 and _unit_row.cache_info().hits > 0
+    assert reduce_mt.cache_info().hits > 0 and parse_atom.cache_info().hits > 0
+    assert warm == cold
+    renders = "\n".join(cold[params] for params in grid)
+    assert hashlib.sha256(renders.encode()).hexdigest() == FULL_REDUCTION_DIGEST
+
+
+def test_memoized_results_survive_edits_of_their_items():
+    calls = [
+        lambda: reduce_unit_witten(2, 1, 3),
+        lambda: reduce_unit_witten(0, 2, 2),
+        lambda: reduce_mt(MordellTornheim3(2, 1, 3)),
+        lambda: reduce_witten(WittenSl4((2, 1, 2, 1, 0, 2)), expand_remainder=True, expand_mt=True),
+    ]
+    for call in calls:
+        want = call().render()
+        items = call().items()
+        items.append((Term((SingleZeta(2),)), Fraction(7)))
+        assert call().render() == want
+        call().items().clear()
+        assert call().render() == want
+
+
+def test_memoized_rewrites_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(InadmissibleIndex):
+            reduce_unit_witten(0, 0, 1)
+        with pytest.raises(InadmissibleIndex):
+            reduce_unit_witten(1, 0, 0)
+        with pytest.raises(InadmissibleIndex):
+            parse_atom("Z(1)")
+        with pytest.raises(InadmissibleIndex):
+            parse_atom("Q(2)")
+        with pytest.raises(InadmissibleIndex):
+            _unit_row(1, 0)
+
+
+def test_parse_atom_strips_before_the_cache_decides():
+    assert parse_atom(" E(3,1) ") == parse_atom("E(3,1)") == EulerSum((3, 1))
 
 
 # one tuple per rule of the general rewrite: A, A, C, B, triangle, triangle,
