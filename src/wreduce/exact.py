@@ -9,8 +9,10 @@ combinations of four atom kinds:
 * ``W(s1,...,s6)``      triple sum with denominators m1, m2, m3, m1+m2,
                         m2+m3, m1+m2+m3
 
-Coefficients are ``fractions.Fraction``; no floats enter this module.  The
-serialized form of a combination is grammar-stable, e.g.::
+Coefficients are ``fractions.Fraction``; no floats enter this module: a
+combination refuses any coefficient that is not an ``int`` or a
+``Fraction`` with ``UnsupportedParams``.  The serialized form of a
+combination is grammar-stable, e.g.::
 
     3/2 * Z(3)*MT(2,2,2) + -1 * E(4,2)
 
@@ -19,6 +21,12 @@ order they were built with: the m1 <-> m3 relabeling gives every tuple a
 twin, and evaluating both orientations independently is itself one of the
 verified identities, so nothing here may silently fold them together.
 ``canonical_atom`` exposes the folding for callers that want it.
+
+Each distinct term is built once per process: ``intern_term`` shares one
+``Term`` per factor tuple, and a term keeps its hash, sort key and text,
+as an atom keeps its ``atom_key``.  The parsed atom and term literals
+(``parse_atom``, ``parse_term``) are memoized too.  All of these depend
+only on their integers or literals, so ``series.clear_caches`` keeps them.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .errors import InadmissibleIndex
+from .errors import InadmissibleIndex, UnsupportedParams
 
 RationalLike = Union[int, Fraction]
 
@@ -158,15 +166,25 @@ _ATOM_RANK = {SingleZeta: 0, EulerSum: 1, MordellTornheim3: 2, WittenSl4: 3}
 
 
 def atom_key(atom: Atom) -> tuple:
-    """Deterministic sort key used for term ordering and rendering."""
+    """Deterministic sort key used for term ordering and rendering.
+
+    Computed once per atom and kept on it.
+    """
+    try:
+        return atom._key
+    except AttributeError:
+        pass
     rank = _ATOM_RANK[type(atom)]
     if isinstance(atom, SingleZeta):
-        return (rank, (atom.s,))
-    if isinstance(atom, EulerSum):
-        return (rank, (len(atom.indices),) + atom.indices)
-    if isinstance(atom, MordellTornheim3):
-        return (rank, (atom.a, atom.b, atom.c))
-    return (rank, atom.s)
+        key = (rank, (atom.s,))
+    elif isinstance(atom, EulerSum):
+        key = (rank, (len(atom.indices),) + atom.indices)
+    elif isinstance(atom, MordellTornheim3):
+        key = (rank, (atom.a, atom.b, atom.c))
+    else:
+        key = (rank, atom.s)
+    object.__setattr__(atom, "_key", key)
+    return key
 
 
 def canonical_atom(atom: Atom) -> Atom:
@@ -183,7 +201,11 @@ def canonical_atom(atom: Atom) -> Atom:
 
 @dataclass(frozen=True)
 class Term:
-    """A product of atoms; the empty product is the constant 1."""
+    """A product of atoms; the empty product is the constant 1.
+
+    Build terms through ``intern_term`` to share one instance per factor
+    tuple; ``Term(factors)`` makes an equal, unshared one.
+    """
 
     factors: tuple[Atom, ...] = ()
 
@@ -192,23 +214,53 @@ class Term:
         if len(factors) > 1:
             factors = tuple(sorted(factors, key=atom_key))
         object.__setattr__(self, "factors", factors)
-        # terms are the dict keys of every accumulation: hash them once
+        # terms are the dict keys of every accumulation and the sort keys of
+        # every render: hash and key them once, render them at most once
         object.__setattr__(self, "_hash", hash(factors))
+        object.__setattr__(
+            self,
+            "_key",
+            (sum(f.weight for f in factors), len(factors), tuple(atom_key(f) for f in factors)),
+        )
+        object.__setattr__(self, "_text", None)
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def weight(self) -> int:
-        return sum(f.weight for f in self.factors)
+        return self._key[0]
 
     def render(self) -> str:
-        if not self.factors:
-            return "1"
-        return "*".join(f.render() for f in self.factors)
+        text = self._text
+        if text is None:
+            text = "*".join(f.render() for f in self.factors) if self.factors else "1"
+            object.__setattr__(self, "_text", text)
+        return text
 
     def sort_key(self) -> tuple:
-        return (self.weight, len(self.factors), tuple(atom_key(f) for f in self.factors))
+        return self._key
+
+
+@functools.cache
+def intern_term(factors: tuple[Atom, ...]) -> Term:
+    """The one shared ``Term`` of ``factors``, given in any order.
+
+    Memoized per factor tuple; every permutation of one tuple returns the
+    same instance, so a term's hash, sort key and text are computed once
+    per process.
+    """
+    term = Term(factors)
+    return term if term.factors == factors else intern_term(term.factors)
+
+
+def _rational(coef: RationalLike) -> Fraction:
+    """``coef`` as a Fraction; floats and every other type are refused."""
+    if type(coef) is Fraction:
+        return coef
+    if isinstance(coef, (int, Fraction)):
+        return Fraction(coef)
+    raise UnsupportedParams(f"coefficient {coef!r} is not an int or a Fraction")
 
 
 def _accumulate(acc: dict, term: Term, coef: Fraction) -> None:
@@ -239,7 +291,7 @@ class LinearCombination:
         if entries:
             pairs = entries.items() if isinstance(entries, dict) else entries
             for term, coef in pairs:
-                _accumulate(acc, term, coef if type(coef) is Fraction else Fraction(coef))
+                _accumulate(acc, term, coef if type(coef) is Fraction else _rational(coef))
         self._entries = acc
         self._sorted = None  # the entries in items() order, sorted on first use
 
@@ -263,7 +315,7 @@ class LinearCombination:
 
     @staticmethod
     def from_atom(atom: Atom, coef: RationalLike = 1) -> "LinearCombination":
-        return LinearCombination([(Term((atom,)), coef)])
+        return LinearCombination([(intern_term((atom,)), coef)])
 
     @staticmethod
     def combine(
@@ -272,7 +324,7 @@ class LinearCombination:
         """The sum of ``coef * lc`` over ``parts``, accumulated in one dict."""
         acc: dict[Term, Fraction] = {}
         for lc, coef in parts:
-            coef = Fraction(coef)
+            coef = _rational(coef)
             unit = coef == 1
             for term, c in lc._entries.items():
                 _accumulate(acc, term, c if unit else c * coef)
@@ -283,7 +335,7 @@ class LinearCombination:
     def items(self) -> list[tuple[Term, Fraction]]:
         """Entries in deterministic (weight, structure) order (a fresh list)."""
         if self._sorted is None:
-            self._sorted = sorted(self._entries.items(), key=lambda kv: kv[0].sort_key())
+            self._sorted = sorted(self._entries.items(), key=lambda kv: kv[0]._key)
         return list(self._sorted)
 
     def coefficient(self, term: Term) -> Fraction:
@@ -307,7 +359,7 @@ class LinearCombination:
         return LinearCombination.combine([(self, 1), (other, -1)])
 
     def scale(self, coef: RationalLike) -> "LinearCombination":
-        coef = Fraction(coef)
+        coef = _rational(coef)
         if not coef:
             return LinearCombination()
         return LinearCombination._wrap({t: c * coef for t, c in self._entries.items()})
@@ -325,7 +377,7 @@ class LinearCombination:
         out: dict[Term, Fraction] = {}
         for t1, c1 in self._entries.items():
             for t2, c2 in other._entries.items():
-                _accumulate(out, Term(t1.factors + t2.factors), c1 * c2)
+                _accumulate(out, intern_term(t1.factors + t2.factors), c1 * c2)
         return LinearCombination._wrap(out)
 
     def __eq__(self, other) -> bool:
@@ -349,7 +401,7 @@ def canonicalize(lc: LinearCombination) -> LinearCombination:
     """Fold every atom to its canonical orientation (may merge terms)."""
     out: list[tuple[Term, Fraction]] = []
     for term, coef in lc.items():
-        folded = Term(tuple(canonical_atom(f) for f in term.factors))
+        folded = intern_term(tuple(canonical_atom(f) for f in term.factors))
         out.append((folded, coef))
     return LinearCombination(out)
 
@@ -390,11 +442,17 @@ def parse_atom(text: str) -> Atom:
     return WittenSl4(args)
 
 
+@functools.cache
 def parse_term(text: str) -> Term:
+    """Parse one term literal such as ``Z(2)*MT(1,1,2)`` or ``1``.
+
+    Memoized per literal, like ``parse_atom``; a literal that raises is
+    not cached and raises again.
+    """
     text = text.strip()
     if text == "1":
-        return Term(())
-    return Term(tuple(parse_atom(p) for p in text.split("*")))
+        return intern_term(())
+    return intern_term(tuple(parse_atom(p) for p in text.split("*")))
 
 
 def parse(text: str) -> LinearCombination:

@@ -26,11 +26,13 @@ The four-term exchange relation (``four_term_lhs`` / ``four_term_rhs``)
 is exposed for the verifier: it is the engine behind the main reduction
 and is checked as an identity in its own right.
 
-``reduce_unit_witten``, its rows, ``reduce_mt`` and the general rewrite
-are memoized per process: each depends only on its integers, so a full
-reduction rewrites each remainder, row and double sum once, and
-``series.clear_caches`` keeps them.  Callers share the returned
-combinations, which no method of ``LinearCombination`` mutates.
+``reduce_unit_witten``, its rows, ``reduce_mt``, the general rewrite and
+the Euler-sum atoms are memoized per process, and every term is built
+through ``exact.intern_term``: each depends only on its integers, so a
+full reduction rewrites each remainder, row and double sum once, builds
+each distinct atom and term once, and ``series.clear_caches`` keeps them.
+Callers share the returned combinations, which no method of
+``LinearCombination`` mutates.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .exact import (
     Term,
     WittenSl4,
     binomial,
+    intern_term,
 )
 
 VARIANTS = ("eq22", "paper-final")
@@ -97,6 +100,7 @@ def pair_sum_weights(a: int, b: int) -> dict[int, int]:
     }
 
 
+@functools.cache
 def _euler(indices: tuple[int, ...]) -> EulerSum:
     try:
         return EulerSum(indices)
@@ -121,15 +125,18 @@ def reduce_mt(atom: MordellTornheim3) -> LinearCombination:
     """
     a, b, c = atom.a, atom.b, atom.c
     if c == 0:
-        return LinearCombination.from_term(Term((SingleZeta(a), SingleZeta(b))))
+        return LinearCombination.from_term(intern_term((SingleZeta(a), SingleZeta(b))))
     if a == 0 and b == 0:
         return LinearCombination(
-            [(Term((SingleZeta(c - 1),)), 1), (Term((SingleZeta(c),)), -1)]
+            [(intern_term((SingleZeta(c - 1),)), 1), (intern_term((SingleZeta(c),)), -1)]
         )
     if a == 0:
         return LinearCombination.from_atom(_euler((c, b)))
     return LinearCombination(
-        [(Term((_euler((a + b + c - j, j)),)), w) for j, w in pair_sum_weights(a, b).items()]
+        [
+            (intern_term((_euler((a + b + c - j, j)),)), w)
+            for j, w in pair_sum_weights(a, b).items()
+        ]
     )
 
 
@@ -145,10 +152,10 @@ def four_term_lhs(a: int, b: int, s: tuple[int, int, int]) -> LinearCombination:
     s1, s2, s3 = s
     return LinearCombination(
         [
-            (Term((WittenSl4((s1, s2, a, s3, 0, b)),)), (-1) ** a),
-            (Term((WittenSl4((s1, s2, b, s3, 0, a)),)), (-1) ** b),
-            (Term((WittenSl4((a, 0, s2, s1, b, s3)),)), 1),
-            (Term((WittenSl4((b, 0, s1, s2, a, s3)),)), 1),
+            (intern_term((WittenSl4((s1, s2, a, s3, 0, b)),)), (-1) ** a),
+            (intern_term((WittenSl4((s1, s2, b, s3, 0, a)),)), (-1) ** b),
+            (intern_term((WittenSl4((a, 0, s2, s1, b, s3)),)), 1),
+            (intern_term((WittenSl4((b, 0, s1, s2, a, s3)),)), 1),
         ]
     )
 
@@ -171,7 +178,7 @@ def four_term_rhs(a: int, b: int, s: tuple[int, int, int]) -> LinearCombination:
         if i == 1:
             stray[mt] = stray.get(mt, 0) + coeff
         else:
-            pairs.append((Term((SingleZeta(i), mt)), coeff))
+            pairs.append((intern_term((SingleZeta(i), mt)), coeff))
 
     for i in range(1, max(a, b) + 1):
         add_column(
@@ -180,13 +187,13 @@ def four_term_rhs(a: int, b: int, s: tuple[int, int, int]) -> LinearCombination:
     for i in range(1, a + 1):
         coeff = binomial(a + b - i - 1, b - 1)
         add_column(i, coeff)
-        pairs.append((Term((MordellTornheim3(s1 + i, s2, s3 + a + b - i),)), -coeff))
-        pairs.append((Term((MordellTornheim3(s1, s2, s3 + a + b),)), -coeff))
+        pairs.append((intern_term((MordellTornheim3(s1 + i, s2, s3 + a + b - i),)), -coeff))
+        pairs.append((intern_term((MordellTornheim3(s1, s2, s3 + a + b),)), -coeff))
     for i in range(1, b + 1):
         coeff = binomial(a + b - i - 1, a - 1)
         add_column(i, coeff)
-        pairs.append((Term((MordellTornheim3(s2 + i, s1, s3 + a + b - i),)), -coeff))
-        pairs.append((Term((MordellTornheim3(s1, s2, s3 + a + b),)), -coeff))
+        pairs.append((intern_term((MordellTornheim3(s2 + i, s1, s3 + a + b - i),)), -coeff))
+        pairs.append((intern_term((MordellTornheim3(s1, s2, s3 + a + b),)), -coeff))
     for mt, coeff in stray.items():
         if coeff != 0:
             raise InternalNoncancellation(
@@ -220,8 +227,8 @@ def unit_tail_expand(alpha: int, cap: int) -> LinearCombination:
     """
     if alpha < 1 or cap < 2:
         raise InadmissibleIndex("unit tail expansion needs alpha >= 1 and cap >= 2")
-    pairs = [(Term((_euler((cap, alpha, 1)),)), 1)]
-    pairs += [(Term((_euler((cap, alpha + 1 - i, i)),)), 1) for i in range(1, alpha + 1)]
+    pairs = [(intern_term((_euler((cap, alpha, 1)),)), 1)]
+    pairs += [(intern_term((_euler((cap, alpha + 1 - i, i)),)), 1) for i in range(1, alpha + 1)]
     return LinearCombination(pairs)
 
 
@@ -236,7 +243,7 @@ def unit_pair_split(alpha: int, delta: int) -> tuple[WittenSl4, LinearCombinatio
         raise InadmissibleIndex("unit pair split needs alpha >= 1 and delta >= 1")
     tail = WittenSl4((alpha, 0, 1, 0, 0, delta + 1))
     rest = LinearCombination(
-        [(Term((_euler((delta + 2 - i, i, alpha)),)), 1) for i in range(1, delta + 1)]
+        [(intern_term((_euler((delta + 2 - i, i, alpha)),)), 1) for i in range(1, delta + 1)]
     )
     return tail, rest
 
@@ -306,7 +313,9 @@ def reduce_witten(
     if c < 1 or f < 1:
         if f == 0 and c >= 2:
             # no total-sum factor: the third variable separates off
-            out = LinearCombination.from_term(Term((SingleZeta(c), MordellTornheim3(a, b, d))))
+            out = LinearCombination.from_term(
+                intern_term((SingleZeta(c), MordellTornheim3(a, b, d)))
+            )
             return _substitute(out, _mt_rewrite) if expand_mt else out
         raise UnsupportedParams(
             "reduction needs positive exponents on the third variable and the total sum"
@@ -321,7 +330,7 @@ def reduce_witten(
     sign_c = (-1) ** c
     pairs: list[tuple[Term, int]] = [
         (
-            Term((SingleZeta(i), MordellTornheim3(a, b, c + d + f - i))),
+            intern_term((SingleZeta(i), MordellTornheim3(a, b, c + d + f - i))),
             binomial(c + f - i - 1, f - 1) * sign_c * (-1) ** i,
         )
         for i in range(2, c + 1)
@@ -330,10 +339,10 @@ def reduce_witten(
         outer = binomial(c + f - i - 1, c - 1) * sign_c
         for j in range(1, a + 1):
             inner = _variant_binomial(a, b, j, b - 1, variant)
-            pairs.append((Term((_euler((i, w - i - j, j)),)), outer * inner))
+            pairs.append((intern_term((_euler((i, w - i - j, j)),)), outer * inner))
         for j in range(1, b + 1):
             inner = _variant_binomial(a, b, j, a - 1, variant)
-            pairs.append((Term((_euler((i, w - i - j, j)),)), outer * inner))
+            pairs.append((intern_term((_euler((i, w - i - j, j)),)), outer * inner))
     rem_coeff = -sign_c * binomial(c + f - 2, c - 1)
     if expand_remainder:
         remainder = reduce_unit_witten(a, b, c + d + f - 2)
@@ -362,16 +371,17 @@ def _substitute(lc: LinearCombination, rewrite) -> LinearCombination:
     factors.  All terms are collected into one combination.
     """
     pairs: list[tuple[Term, Fraction]] = []
-    for term, coeff in lc.items():
+    # unsorted: exact sums do not depend on the order, and render() sorts
+    for term, coeff in lc._entries.items():
         partial: list[tuple[tuple, Fraction]] = [((), coeff)]
         for factor in term.factors:
             sub = rewrite(factor)
             if sub is None:
                 partial = [(fs + (factor,), c) for fs, c in partial]
             else:
-                subs = sub.items()
+                subs = sub._entries.items()
                 partial = [(fs + t.factors, c * k) for fs, c in partial for t, k in subs]
-        pairs += [(Term(fs), c) for fs, c in partial]
+        pairs += [(intern_term(fs), c) for fs, c in partial]
     return LinearCombination(pairs)
 
 
@@ -435,7 +445,7 @@ def _triangle(a: int, b: int, c: int) -> LinearCombination:
     pairs = [((c, a, b), 1), ((c, b, a), 1), ((c, a + b), 1)]
     for j, w in pair_sum_weights(a, b).items():
         pairs += [((c, a + b - j, j), -w), ((c + a + b - j, j), -w)]
-    return LinearCombination([(Term((_euler(idx),)), coef) for idx, coef in pairs])
+    return LinearCombination([(intern_term((_euler(idx),)), coef) for idx, coef in pairs])
 
 
 def reduce_any(

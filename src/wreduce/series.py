@@ -437,8 +437,9 @@ def clear_caches() -> None:
     The Euler-Maclaurin forms of ``_unit_resum`` and their values at each
     cutoff depend on (p, k) and the cutoff alone; the exact rewrites of
     ``reduce.reduce_general_witten``, ``reduce.reduce_unit_witten`` (and
-    its rows) and ``reduce.reduce_mt``, and the atoms of
-    ``exact.parse_atom``, on their integers or literal alone.  They are kept.
+    its rows) and ``reduce.reduce_mt``, the interned Euler-sum atoms and
+    terms, and the literals of ``exact.parse_atom`` and ``exact.parse_term``,
+    on their integers or literal alone.  They are kept.
     """
     _WS.clear()
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wreduce.errors import InadmissibleIndex
+from wreduce.errors import InadmissibleIndex, UnsupportedParams
 from wreduce.exact import (
     EulerSum,
     LinearCombination,
@@ -56,6 +56,29 @@ def test_linear_combination_merges_duplicates_exactly():
     z = lc - LinearCombination.from_term(t, Fraction(1))
     assert z == LinearCombination.zero()
     assert z.render() == "0"
+
+
+def test_non_rational_coefficients_are_refused():
+    t = Term((SingleZeta(2),))
+    x = LinearCombination.from_term(t, 3)
+    builds = [
+        lambda: LinearCombination([(t, 0.1)]),
+        lambda: LinearCombination({t: 0.5}),
+        lambda: LinearCombination.from_term(t, 0.1),
+        lambda: LinearCombination.from_atom(SingleZeta(2), 2.0),
+        lambda: LinearCombination.combine([(x, 0.1)]),
+        lambda: x.scale(0.1),
+        lambda: x.scale(0.0),
+        lambda: x * 0.5,
+        lambda: 0.5 * x,
+        lambda: x.scale("1/2"),
+    ]
+    for build in builds:
+        with pytest.raises(UnsupportedParams) as info:
+            build()
+        assert info.value.code == "UNSUPPORTED_PARAMS"
+    assert x.scale(Fraction(1, 2)).render() == "3/2 * Z(2)"
+    assert LinearCombination.combine([(x, 2), (x, Fraction(-1, 3))]).render() == "5 * Z(2)"
 
 
 def test_linear_combination_algebra():

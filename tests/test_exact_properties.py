@@ -14,8 +14,10 @@ from wreduce.exact import (  # noqa: E402
     SingleZeta,
     Term,
     WittenSl4,
+    intern_term,
     parse,
 )
+from wreduce.reduce import _substitute, reduce_mt  # noqa: E402
 
 given = hypothesis.given
 
@@ -28,6 +30,7 @@ atoms = st.one_of(
     ),
     st.tuples(*[st.integers(0, 2)] * 6).map(WittenSl4),
 )
+factor_tuples = st.lists(atoms, max_size=4).map(tuple)
 terms = st.lists(atoms, max_size=3).map(lambda fs: Term(tuple(fs)))
 coefs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 combos = st.lists(st.tuples(terms, coefs), max_size=6).map(LinearCombination)
@@ -77,6 +80,37 @@ def test_operations_leave_operands_unchanged(x, y, k):
     before = (_state(x), _state(y))
     _ = (x + y, x - y, -x, x.scale(k), x.scale(0), x.product(y), y.product(x))
     assert (_state(x), _state(y)) == before
+
+
+@given(factor_tuples, st.data())
+def test_interned_term_is_the_fresh_term(fs, data):
+    t = intern_term(fs)
+    fresh = Term(fs)
+    assert t == fresh and hash(t) == hash(fresh)
+    assert t.sort_key() == fresh.sort_key()
+    assert t.render() == fresh.render()
+    assert t.weight == fresh.weight == sum(f.weight for f in fs)
+    perm = tuple(data.draw(st.permutations(fs)))
+    assert Term(perm) == t and intern_term(perm) is t
+
+
+def _rewrite(atom):
+    """Double sums to Euler sums, and an arbitrary two-term stand-in for Z(s)."""
+    if isinstance(atom, MordellTornheim3):
+        return reduce_mt(atom)
+    if isinstance(atom, SingleZeta):
+        return LinearCombination(
+            [(intern_term((atom,)), Fraction(1, 2)), (intern_term((EulerSum((atom.s, 1)),)), -1)]
+        )
+    return None
+
+
+@given(combos)
+def test_substitute_ignores_insertion_order(x):
+    y = LinearCombination(reversed(list(x._entries.items())))
+    assert list(y._entries) == list(reversed(x._entries))
+    sx, sy = _substitute(x, _rewrite), _substitute(y, _rewrite)
+    assert sx == sy and sx.render() == sy.render()
 
 
 def test_cancellation_drops_terms_and_keeps_fractions():

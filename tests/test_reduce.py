@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from wreduce.errors import InadmissibleIndex, UnsupportedParams
+from wreduce.errors import InadmissibleIndex, InadmissibleOutput, UnsupportedParams
 from wreduce.exact import (
     EulerSum,
     LinearCombination,
@@ -22,11 +22,14 @@ from wreduce.exact import (
     SingleZeta,
     Term,
     WittenSl4,
+    intern_term,
     parse,
     parse_atom,
+    parse_term,
 )
 from wreduce.reduce import (
     VARIANTS,
+    _euler,
     _unit_row,
     exchange_weights,
     four_term_lhs,
@@ -371,7 +374,15 @@ def test_full_reductions_render_golden():
 # ---------------------------------------------------------------------------
 # the memoized rewrites: shared results, same renders, errors not cached
 
-_MEMOIZED = (reduce_unit_witten, _unit_row, reduce_mt, parse_atom)
+_MEMOIZED = (
+    reduce_unit_witten,
+    _unit_row,
+    reduce_mt,
+    parse_atom,
+    intern_term,
+    _euler,
+    parse_term,
+)
 
 
 def _full_render(params) -> str:
@@ -394,6 +405,8 @@ def test_memoized_rewrites_render_the_same_warm_as_cold():
     warm = {params: _full_render(params) for params in shuffled}
     assert reduce_unit_witten.cache_info().hits > 0 and _unit_row.cache_info().hits > 0
     assert reduce_mt.cache_info().hits > 0 and parse_atom.cache_info().hits > 0
+    assert intern_term.cache_info().hits > 0 and _euler.cache_info().hits > 0
+    assert parse_term.cache_info().hits > 0
     assert warm == cold
     renders = "\n".join(cold[params] for params in grid)
     assert hashlib.sha256(renders.encode()).hexdigest() == FULL_REDUCTION_DIGEST
@@ -427,6 +440,12 @@ def test_memoized_rewrites_raise_on_every_call():
             parse_atom("Q(2)")
         with pytest.raises(InadmissibleIndex):
             _unit_row(1, 0)
+        with pytest.raises(InadmissibleIndex):
+            parse_term("Z(1)*E(2,1)")
+        with pytest.raises(InadmissibleIndex):
+            parse_term("Z(2)*")
+        with pytest.raises(InadmissibleOutput):
+            _euler((1, 2))
 
 
 def test_parse_atom_strips_before_the_cache_decides():
