@@ -1,5 +1,7 @@
 """Symbolic reduction and certified evaluation of small-rank Witten zeta values."""
 
+import importlib
+
 from .errors import (
     ConvergenceUnverified,
     InadmissibleIndex,
@@ -34,24 +36,44 @@ from .reduce import (
     unit_pair_split,
     unit_tail_expand,
 )
-from .series import Evaluation, SummationConfig, clear_caches, eval_atom, eval_lincomb
-from .verify import (
-    DEFAULT_SWEEP_IDS,
-    IDENTITY_IDS,
-    IdentityRecord,
-    Report,
-    build_identity,
-    check,
-    default_parameters,
-    failure_count,
-    format_report_lines,
-    format_summary_csv,
-    inconclusive_count,
-    probe_summary,
-    sweep,
-    symmetry_tuples,
-    write_reports,
+
+# The numeric layers load numpy, so they and their names resolve on first
+# use (PEP 562): ``import wreduce`` and symbolic work load neither of them.
+_LAZY = dict.fromkeys(
+    ("series", "Evaluation", "SummationConfig", "clear_caches", "eval_atom", "eval_lincomb"),
+    "series",
+) | dict.fromkeys(
+    (
+        "verify",
+        "DEFAULT_SWEEP_IDS",
+        "IDENTITY_IDS",
+        "IdentityRecord",
+        "Report",
+        "build_identity",
+        "check",
+        "default_parameters",
+        "failure_count",
+        "format_report_lines",
+        "format_summary_csv",
+        "inconclusive_count",
+        "probe_summary",
+        "sweep",
+        "symmetry_tuples",
+        "write_reports",
+    ),
+    "verify",
 )
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
 
 __all__ = [
     "Atom",

@@ -10,6 +10,10 @@ Four subcommands:
 Configuration resolves flag > WREDUCE_<FLAG> environment variable >
 default.  Exit codes are a stable contract: 0 all pass, 1 verification
 failure, 2 usage error, 3 convergence or tolerance error.
+
+The numeric modules (``series``, ``verify``, and numpy with them) are
+imported by the subcommands that evaluate, so ``reduce`` loads none of
+them.
 """
 
 from __future__ import annotations
@@ -19,26 +23,14 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import InadmissibleIndex, UnsupportedParams, WreduceError
 from .exact import parse
 from .reduce import VARIANTS, reduce_witten
-from .series import SummationConfig, eval_lincomb
-from .verify import (
-    DEFAULT_WEIGHT_CAP,
-    IDENTITY_IDS,
-    build_identity,
-    check,
-    failure_count,
-    format_report_line,
-    format_report_lines,
-    format_summary_csv,
-    inconclusive_count,
-    probe_summary,
-    sweep,
-    write_reports,
-)
+
+if TYPE_CHECKING:
+    from .series import SummationConfig
 
 _FORMATS = ("text", "json", "csv")
 
@@ -74,6 +66,8 @@ def _resolve(args: argparse.Namespace, name: str, default):
 
 
 def _config(args: argparse.Namespace) -> SummationConfig:
+    from .series import SummationConfig
+
     tol = _resolve(args, "tol", 1e-6)
     max_terms = _resolve(args, "max_terms", 10**6)
     return SummationConfig(tolerance=tol, max_terms=max_terms).validated()
@@ -107,6 +101,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 # eval
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .series import eval_lincomb
+
     cfg = _config(args)
     fmt = _format(args)
     lc = parse(args.expression)
@@ -207,6 +203,8 @@ _PARAM_SLOTS = {
 
 
 def _verify_params(args: argparse.Namespace) -> tuple[int, ...]:
+    from .verify import IDENTITY_IDS
+
     ident = args.identity_id
     if ident not in _PARAM_SLOTS:
         raise _UsageError(
@@ -250,26 +248,28 @@ def _named_params(args: argparse.Namespace, ident: str) -> list[int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     cfg = _config(args)
     fmt = _format(args)
     timings = bool(args.timings)
     params = _verify_params(args)
-    record = build_identity(args.identity_id, params)
-    reports = [check(record, cfg)]
+    record = verify.build_identity(args.identity_id, params)
+    reports = [verify.check(record, cfg)]
     out = _resolve(args, "out", None)
     if fmt == "json":
         _emit(_reports_json(reports, timings), out)
     elif fmt == "csv":
-        _emit(format_summary_csv(reports, timings), out)
+        _emit(verify.format_summary_csv(reports, timings), out)
     else:
-        body = format_report_lines(reports, timings)
+        body = verify.format_report_lines(reports, timings)
         if out:
-            csv_path = write_reports(reports, out, timings)
+            csv_path = verify.write_reports(reports, out, timings)
             print(f"{reports[0].verdict}: wrote {out} and {csv_path}")
         else:
             sys.stdout.write(body)
-    fails = failure_count(reports)
-    bad = inconclusive_count(reports)
+    fails = verify.failure_count(reports)
+    bad = verify.inconclusive_count(reports)
     if fails:
         return 1
     if bad and not args.allow_inconclusive:
@@ -281,6 +281,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # sweep
 
 def _reports_json(reports, timings: bool) -> str:
+    from .verify import probe_summary
+
     rows = []
     for rep in reports:
         rows.append(
@@ -308,32 +310,34 @@ def _reports_json(reports, timings: bool) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import verify
+
     cfg = _config(args)
     fmt = _format(args)
     timings = bool(args.timings)
-    weight = _resolve(args, "weight", DEFAULT_WEIGHT_CAP)
+    weight = _resolve(args, "weight", verify.DEFAULT_WEIGHT_CAP)
     ids_text = _resolve(args, "ids", None)
     ids = None
     if ids_text:
         ids = [piece.strip() for piece in ids_text.split(",") if piece.strip()]
-        unknown = [i for i in ids if i not in IDENTITY_IDS]
+        unknown = [i for i in ids if i not in verify.IDENTITY_IDS]
         if unknown:
             raise _UsageError(
                 f"unknown identity ids: {', '.join(unknown)}; "
-                f"known ids: {', '.join(IDENTITY_IDS)}"
+                f"known ids: {', '.join(verify.IDENTITY_IDS)}"
             )
-    reports = sweep(ids=ids, weight_cap=weight, cfg=cfg)
+    reports = verify.sweep(ids=ids, weight_cap=weight, cfg=cfg)
     out = _resolve(args, "out", None)
     if fmt == "json":
         _emit(_reports_json(reports, timings), out)
     elif fmt == "csv":
-        _emit(format_summary_csv(reports, timings), out)
+        _emit(verify.format_summary_csv(reports, timings), out)
     else:
         if out:
-            csv_path = write_reports(reports, out, timings)
+            csv_path = verify.write_reports(reports, out, timings)
             print(f"wrote {out} and {csv_path}")
         else:
-            sys.stdout.write(format_report_lines(reports, timings))
+            sys.stdout.write(verify.format_report_lines(reports, timings))
     verdicts = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
     for rep in reports:
         verdicts[rep.verdict] += 1
@@ -342,11 +346,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{verdicts['FAIL']} FAIL, {verdicts['INCONCLUSIVE']} INCONCLUSIVE",
         file=sys.stderr,
     )
-    summary = probe_summary(reports)
+    summary = verify.probe_summary(reports)
     if summary:
         print(summary, file=sys.stderr)
-    fails = failure_count(reports)
-    bad = inconclusive_count(reports)
+    fails = verify.failure_count(reports)
+    bad = verify.inconclusive_count(reports)
     if fails:
         return 1
     if bad and not args.allow_inconclusive:

@@ -9,10 +9,12 @@ combinations of four atom kinds:
 * ``W(s1,...,s6)``      triple sum with denominators m1, m2, m3, m1+m2,
                         m2+m3, m1+m2+m3
 
-Coefficients are ``fractions.Fraction``; no floats enter this module: a
-combination refuses any coefficient that is not an ``int`` or a
-``Fraction`` with ``UnsupportedParams``.  The serialized form of a
-combination is grammar-stable, e.g.::
+A coefficient is stored as an ``int`` whenever it is integral and as a
+``fractions.Fraction`` only when its denominator is not 1, so the integer
+combinations the reductions produce never touch ``Fraction`` arithmetic.
+No floats enter this module: a combination refuses any coefficient that
+is not an ``int`` or a ``Fraction`` with ``UnsupportedParams``.  The
+serialized form of a combination is grammar-stable, e.g.::
 
     3/2 * Z(3)*MT(2,2,2) + -1 * E(4,2)
 
@@ -24,9 +26,9 @@ verified identities, so nothing here may silently fold them together.
 
 Each distinct term is built once per process: ``intern_term`` shares one
 ``Term`` per factor tuple, and a term keeps its hash, sort key and text,
-as an atom keeps its ``atom_key``.  The parsed atom and term literals
-(``parse_atom``, ``parse_term``) are memoized too.  All of these depend
-only on their integers or literals, so ``series.clear_caches`` keeps them.
+as an atom keeps its ``atom_key``.  The parsed atom, term and coefficient
+literals are memoized too.  All of these depend only on their integers or
+literals, so ``series.clear_caches`` keeps them.
 """
 
 from __future__ import annotations
@@ -254,19 +256,30 @@ def intern_term(factors: tuple[Atom, ...]) -> Term:
     return term if term.factors == factors else intern_term(term.factors)
 
 
-def _rational(coef: RationalLike) -> Fraction:
-    """``coef`` as a Fraction; floats and every other type are refused."""
-    if type(coef) is Fraction:
+def _rational(coef: RationalLike) -> RationalLike:
+    """``coef`` as an int when it is integral, else as a Fraction.
+
+    A bool becomes its int; floats and every other type are refused.
+    """
+    if type(coef) is int:
         return coef
-    if isinstance(coef, (int, Fraction)):
-        return Fraction(coef)
-    raise UnsupportedParams(f"coefficient {coef!r} is not an int or a Fraction")
+    if type(coef) is not Fraction:
+        if not isinstance(coef, (int, Fraction)):
+            raise UnsupportedParams(f"coefficient {coef!r} is not an int or a Fraction")
+        coef = Fraction(coef)
+    return coef.numerator if coef.denominator == 1 else coef
 
 
-def _accumulate(acc: dict, term: Term, coef: Fraction) -> None:
-    """acc[term] += coef, deleting the entry when it cancels to zero."""
+def _accumulate(acc: dict, term: Term, coef: RationalLike) -> None:
+    """acc[term] += coef, deleting the entry when it cancels to zero.
+
+    ``coef`` is an int or a Fraction; the total is stored as ``_rational``
+    would return it.
+    """
     total = acc.get(term)
     total = coef if total is None else total + coef
+    if type(total) is not int and total.denominator == 1:
+        total = total.numerator
     if total:
         acc[term] = total
     else:
@@ -287,17 +300,18 @@ class LinearCombination:
     __slots__ = ("_entries", "_sorted")
 
     def __init__(self, entries: Union[dict, Iterable[tuple[Term, RationalLike]], None] = None):
-        acc: dict[Term, Fraction] = {}
+        acc: dict[Term, RationalLike] = {}
         if entries:
             pairs = entries.items() if isinstance(entries, dict) else entries
             for term, coef in pairs:
-                _accumulate(acc, term, coef if type(coef) is Fraction else _rational(coef))
+                _accumulate(acc, term, _rational(coef))
         self._entries = acc
         self._sorted = None  # the entries in items() order, sorted on first use
 
     @classmethod
     def _wrap(cls, entries: dict) -> "LinearCombination":
-        """Adopt ``entries`` as is: Fraction coefficients, none of them zero."""
+        """Adopt ``entries`` as is: coefficients as ``_rational`` returns them,
+        none of them zero."""
         out = object.__new__(cls)
         out._entries = entries
         out._sorted = None
@@ -322,7 +336,7 @@ class LinearCombination:
         parts: Iterable[tuple["LinearCombination", RationalLike]]
     ) -> "LinearCombination":
         """The sum of ``coef * lc`` over ``parts``, accumulated in one dict."""
-        acc: dict[Term, Fraction] = {}
+        acc: dict[Term, RationalLike] = {}
         for lc, coef in parts:
             coef = _rational(coef)
             unit = coef == 1
@@ -332,14 +346,14 @@ class LinearCombination:
 
     # inspection -------------------------------------------------------
 
-    def items(self) -> list[tuple[Term, Fraction]]:
+    def items(self) -> list[tuple[Term, RationalLike]]:
         """Entries in deterministic (weight, structure) order (a fresh list)."""
         if self._sorted is None:
             self._sorted = sorted(self._entries.items(), key=lambda kv: kv[0]._key)
         return list(self._sorted)
 
-    def coefficient(self, term: Term) -> Fraction:
-        return self._entries.get(term, Fraction(0))
+    def coefficient(self, term: Term) -> RationalLike:
+        return self._entries.get(term, 0)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -347,7 +361,7 @@ class LinearCombination:
     def __bool__(self) -> bool:
         return bool(self._entries)
 
-    def __iter__(self) -> Iterator[tuple[Term, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Term, RationalLike]]:
         return iter(self.items())
 
     # algebra ----------------------------------------------------------
@@ -362,7 +376,9 @@ class LinearCombination:
         coef = _rational(coef)
         if not coef:
             return LinearCombination()
-        return LinearCombination._wrap({t: c * coef for t, c in self._entries.items()})
+        return LinearCombination._wrap(
+            {t: _rational(c * coef) for t, c in self._entries.items()}
+        )
 
     def __mul__(self, coef: RationalLike) -> "LinearCombination":
         return self.scale(coef)
@@ -374,7 +390,7 @@ class LinearCombination:
 
     def product(self, other: "LinearCombination") -> "LinearCombination":
         """Bilinear product, expanding term by term."""
-        out: dict[Term, Fraction] = {}
+        out: dict[Term, RationalLike] = {}
         for t1, c1 in self._entries.items():
             for t2, c2 in other._entries.items():
                 _accumulate(out, intern_term(t1.factors + t2.factors), c1 * c2)
@@ -399,7 +415,7 @@ class LinearCombination:
 
 def canonicalize(lc: LinearCombination) -> LinearCombination:
     """Fold every atom to its canonical orientation (may merge terms)."""
-    out: list[tuple[Term, Fraction]] = []
+    out: list[tuple[Term, RationalLike]] = []
     for term, coef in lc.items():
         folded = intern_term(tuple(canonical_atom(f) for f in term.factors))
         out.append((folded, coef))
@@ -455,6 +471,15 @@ def parse_term(text: str) -> Term:
     return intern_term(tuple(parse_atom(p) for p in text.split("*")))
 
 
+@functools.cache
+def _parse_coefficient(text: str) -> RationalLike:
+    """One coefficient literal such as ``-3`` or ``3/2``, memoized per
+    literal like ``parse_term``; a literal that raises is not cached."""
+    if not _COEF_RE.match(text.strip()):
+        raise InadmissibleIndex(f"bad coefficient {text!r}")
+    return _rational(Fraction(text)) if "/" in text else int(text)
+
+
 def parse(text: str) -> LinearCombination:
     """Parse the serialized combination grammar; inverse of ``render``.
 
@@ -464,16 +489,13 @@ def parse(text: str) -> LinearCombination:
     text = text.strip()
     if text == "0":
         return LinearCombination.zero()
-    entries: list[tuple[Term, Fraction]] = []
+    acc: dict[Term, RationalLike] = {}
     for piece in text.split(" + "):
         piece = piece.strip()
         if " * " in piece:
             coeftext, termtext = piece.split(" * ", 1)
-            if not _COEF_RE.match(coeftext.strip()):
-                raise InadmissibleIndex(f"bad coefficient {coeftext!r}")
-            # an accepted token without "/" is an integer, and int() is the cheap parse
-            coef = Fraction(coeftext) if "/" in coeftext else Fraction(int(coeftext))
-            entries.append((parse_term(termtext), coef))
+            coef = _parse_coefficient(coeftext)
+            _accumulate(acc, parse_term(termtext), coef)
         else:
-            entries.append((parse_term(piece), Fraction(1)))
-    return LinearCombination(entries)
+            _accumulate(acc, parse_term(piece), 1)
+    return LinearCombination._wrap(acc)

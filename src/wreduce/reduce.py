@@ -20,7 +20,9 @@ Euler sums, by partial fractions along the A3 root relations.
 Two transcriptions of one binomial family inside the main reduction are
 circulating; both are implemented behind ``variant`` ("eq22" and
 "paper-final") so the probe in ``verify`` can show which one closes
-numerically.  Everything here is exact Fraction arithmetic; no floats.
+numerically.  Every weight here is an integer, so the reduction of an
+atom is an integer combination with Python ``int`` coefficients: exact
+arithmetic, no ``Fraction`` and no floats.
 
 The four-term exchange relation (``four_term_lhs`` / ``four_term_rhs``)
 is exposed for the verifier: it is the engine behind the main reduction
@@ -38,7 +40,6 @@ Callers share the returned combinations, which no method of
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -51,6 +52,7 @@ from .exact import (
     EulerSum,
     LinearCombination,
     MordellTornheim3,
+    RationalLike,
     SingleZeta,
     Term,
     WittenSl4,
@@ -62,8 +64,8 @@ VARIANTS = ("eq22", "paper-final")
 
 
 def pair_recurrence_weights(
-    a: int, b: int, p: Fraction, q: Fraction
-) -> tuple[list[tuple[int, Fraction]], list[tuple[int, Fraction]]]:
+    a: int, b: int, p: RationalLike, q: RationalLike
+) -> tuple[list[tuple[int, RationalLike]], list[tuple[int, RationalLike]]]:
     """Boundary weights of the two-index telescoping.
 
     For any family F obeying F(a,b,s) = p F(a-1,b,s+1) + q F(a,b-1,s+1),
@@ -205,17 +207,17 @@ def four_term_rhs(a: int, b: int, s: tuple[int, int, int]) -> LinearCombination:
 # ---------------------------------------------------------------------------
 # unit-exponent triple sums
 
-def exchange_weights(a: int, b: int) -> list[tuple[int, Fraction]]:
+def exchange_weights(a: int, b: int) -> list[tuple[int, int]]:
     """Combined boundary weights for W(a,b,1,d,0,1) -> W(i,0,1,*,0,1) rows.
 
     Both boundary columns fold onto the same row family (swapping the two
     collapsed variables fixes the sum when the middle composite is
     absent), so the two telescoping weight lists merge by column index.
     """
-    left, right = pair_recurrence_weights(a, b, Fraction(1), Fraction(1))
-    combined: dict[int, Fraction] = {}
+    left, right = pair_recurrence_weights(a, b, 1, 1)
+    combined: dict[int, int] = {}
     for i, wgt in left + right:
-        combined[i] = combined.get(i, Fraction(0)) + wgt
+        combined[i] = combined.get(i, 0) + wgt
     return sorted(combined.items())
 
 
@@ -370,10 +372,10 @@ def _substitute(lc: LinearCombination, rewrite) -> LinearCombination:
     ``None`` to keep it; each term becomes the product of its rewritten
     factors.  All terms are collected into one combination.
     """
-    pairs: list[tuple[Term, Fraction]] = []
+    pairs: list[tuple[Term, RationalLike]] = []
     # unsorted: exact sums do not depend on the order, and render() sorts
     for term, coeff in lc._entries.items():
-        partial: list[tuple[tuple, Fraction]] = [((), coeff)]
+        partial: list[tuple[tuple, RationalLike]] = [((), coeff)]
         for factor in term.factors:
             sub = rewrite(factor)
             if sub is None:

@@ -438,7 +438,7 @@ def clear_caches() -> None:
     cutoff depend on (p, k) and the cutoff alone; the exact rewrites of
     ``reduce.reduce_general_witten``, ``reduce.reduce_unit_witten`` (and
     its rows) and ``reduce.reduce_mt``, the interned Euler-sum atoms and
-    terms, and the literals of ``exact.parse_atom`` and ``exact.parse_term``,
+    terms, and the atom, term and coefficient literals of ``exact.parse``,
     on their integers or literal alone.  They are kept.
     """
     _WS.clear()

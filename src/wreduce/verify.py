@@ -172,7 +172,7 @@ def _build_factor(params: tuple[int, ...]) -> IdentityRecord:
         )
     lhs = _atom_lc(WittenSl4((a, b, c, d, 0, 0)))
     rhs = LinearCombination.from_term(
-        Term((SingleZeta(c), MordellTornheim3(a, b, d))), Fraction(1)
+        Term((SingleZeta(c), MordellTornheim3(a, b, d))), 1
     )
     return IdentityRecord(
         "FACTOR_EQ12",
@@ -227,7 +227,7 @@ def _build_combine(ident: str, params: tuple[int, ...]) -> IdentityRecord:
     lhs = _atom_lc(above) + _atom_lc(below) + _atom_lc(between)
     rhs = (
         LinearCombination.from_term(
-            Term((SingleZeta(i), MordellTornheim3(s1, s2, t))), Fraction(1)
+            Term((SingleZeta(i), MordellTornheim3(s1, s2, t))), 1
         )
         - _atom_lc(shifted)
         - _atom_lc(MordellTornheim3(s1, s2, t + i))
@@ -302,7 +302,7 @@ def _build_lemma21(params: tuple[int, ...]) -> IdentityRecord:
                 "summed telescoping instance needs a, b >= 1 and s1, s2, s3 >= 2"
             )
         lhs = _atom_lc(WittenSl4((a, 0, s2, s1, b, s3)))
-        left, right = pair_recurrence_weights(a, b, Fraction(1), Fraction(1))
+        left, right = pair_recurrence_weights(a, b, 1, 1)
         rhs = LinearCombination(
             [(Term((WittenSl4((j, 0, s2, s1, 0, s3 + a + b - j)),)), w) for j, w in right]
             + [(Term((WittenSl4((0, 0, s2, s1, j, s3 + a + b - j)),)), w) for j, w in left]
@@ -361,7 +361,7 @@ def _build_lemma24_18(params: tuple[int, ...]) -> IdentityRecord:
     if a < 1 or b < 1 or d < 1:
         raise UnsupportedParams("boundary exchange needs positive (a, b, d)")
     lhs = _atom_lc(WittenSl4((a, b, 1, d, 0, 1)))
-    left, right = pair_recurrence_weights(a, b, Fraction(1), Fraction(1))
+    left, right = pair_recurrence_weights(a, b, 1, 1)
     rhs = LinearCombination(
         [(Term((WittenSl4((j, 0, 1, a + b + d - j, 0, 1)),)), w) for j, w in right]
         + [(Term((WittenSl4((0, j, 1, a + b + d - j, 0, 1)),)), w) for j, w in left]

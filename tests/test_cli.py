@@ -404,3 +404,47 @@ def test_import_loads_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+_REDUCE_21212_FULL = (
+    "-1 * E(2,4,2) + -2 * E(2,5,1) + -2 * E(3,3,2) + -4 * E(3,4,1) + -2 * E(4,2,2)"
+    " + -4 * E(4,3,1) + -4 * E(5,1,2) + -8 * E(5,2,1) + -12 * E(6,1,1)"
+    " + 1 * Z(2)*E(4,2) + 2 * Z(2)*E(5,1)"
+)
+
+
+def test_reduce_loads_no_numeric_module():
+    # a fresh interpreter, so modules other tests loaded do not count
+    import os
+    import subprocess
+    import sys
+
+    import wreduce
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wreduce.__file__)))
+    code = "\n".join(
+        [
+            "import sys, wreduce",
+            "from wreduce.cli import main",
+            "main(['reduce', '2', '1', '2', '1', '2', '--full'])",
+            "numeric = {'numpy', 'wreduce.series', 'wreduce.verify'}",
+            "print(sorted(numeric & set(sys.modules)))",
+            # every public name still resolves
+            "for name in wreduce.__all__:",
+            "    getattr(wreduce, name)",
+            "assert wreduce.sweep is wreduce.verify.sweep",
+            "namespace = {}",
+            "exec('from wreduce import *', namespace)",
+            "assert set(wreduce.__all__) <= set(namespace)",
+            "print(wreduce.series.__name__, wreduce.verify.__name__)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines() == [
+        _REDUCE_21212_FULL,
+        "[]",
+        "wreduce.series wreduce.verify",
+    ]

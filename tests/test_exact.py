@@ -81,6 +81,17 @@ def test_non_rational_coefficients_are_refused():
     assert LinearCombination.combine([(x, 2), (x, Fraction(-1, 3))]).render() == "5 * Z(2)"
 
 
+def test_bool_coefficient_is_stored_as_its_int():
+    t = Term((SingleZeta(2),))
+    lc = LinearCombination.from_term(t, True)
+    assert lc.render() == "1 * Z(2)"
+    missing = lc.coefficient(Term(()))
+    assert type(lc.coefficient(t)) is int and type(missing) is int and missing == 0
+    with pytest.raises(UnsupportedParams) as info:
+        LinearCombination.from_term(t, 1.0)
+    assert info.value.code == "UNSUPPORTED_PARAMS"
+
+
 def test_linear_combination_algebra():
     x = LinearCombination.from_atom(SingleZeta(2))
     y = LinearCombination.from_atom(EulerSum((3, 1)))
@@ -143,9 +154,19 @@ def test_parse_bare_term_gets_unit_coefficient():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["Q(3)", "W(1,2)", "Z()", "E(2,1,1,1)", "MT(1,2)", "Z(2) *", "1/0 * Z(2)"]:
-        with pytest.raises(InadmissibleIndex):
-            parse(bad)
+    bad_inputs = ["Q(3)", "W(1,2)", "Z()", "E(2,1,1,1)", "MT(1,2)", "Z(2) *", "1/0 * Z(2)"]
+    bad_inputs += ["x * Z(2)", "1.5 * Z(2)", "2 * Z(2) + 1/0 * Z(3)"]
+    for _ in range(2):  # a refused literal is not memoized
+        for bad in bad_inputs:
+            with pytest.raises(InadmissibleIndex) as info:
+                parse(bad)
+            assert info.value.code == "INADMISSIBLE_INDEX"
+
+
+def test_parse_reads_integral_literals_as_ints():
+    lc = parse("4/2 * Z(2) + -3 * E(3,1) + 3/6 * E(2,1)")
+    assert [type(c) for _, c in lc.items()] == [int, Fraction, int]
+    assert lc.render() == "2 * Z(2) + 1/2 * E(2,1) + -3 * E(3,1)"
 
 
 def test_parse_term_products():

@@ -113,10 +113,37 @@ def test_substitute_ignores_insertion_order(x):
     assert sx == sy and sx.render() == sy.render()
 
 
+def _int_when_integral(lc):
+    """Integral coefficients are exactly ``int``, the others ``Fraction``."""
+    return all(
+        type(c) is (int if c.denominator == 1 else Fraction) for _, c in lc.items()
+    )
+
+
 def test_cancellation_drops_terms_and_keeps_fractions():
     t = Term((SingleZeta(2),))
     x = LinearCombination([(t, Fraction(1, 2)), (t, -1), (Term(()), 3)])
     assert x.coefficient(t) == Fraction(-1, 2)
     y = x + LinearCombination.from_term(t, Fraction(1, 2))
     assert len(y) == 1 and y.coefficient(t) == 0
-    assert all(type(c) is Fraction for _, c in y.items())
+    z = x + LinearCombination.from_term(t, Fraction(5, 2))
+    assert z.coefficient(t) == 2
+    assert type(x.coefficient(t)) is Fraction and type(z.coefficient(t)) is int
+    assert all(_int_when_integral(lc) for lc in (x, y, z))
+
+
+@given(combos, combos, st.one_of(coefs, st.integers(-4, 4)))
+def test_integral_coefficients_are_ints(x, y, k):
+    back = parse(x.render())
+    assert back == x
+    results = (
+        x,
+        x + y,
+        x - y,
+        x.scale(k),
+        x.product(y),
+        LinearCombination.combine([(x, k), (y, 1)]),
+        _substitute(x, _rewrite),
+        back,
+    )
+    assert all(_int_when_integral(lc) for lc in results)
