@@ -182,31 +182,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-# named-flag slots, in catalog parameter order, for each identity family
-_PARAM_SLOTS = {
-    "SYMMETRY_EQ6": (("s", 6),),
-    "FACTOR_EQ12": (("a", 1), ("b", 1), ("c", 1), ("d", 1)),
-    "REGION_EQ13": (("a", 1), ("b", 1), ("c", 1), ("d", 1)),
-    "REGION_EQ14": (("a", 1), ("b", 1), ("c", 1), ("d", 1)),
-    "REGION_EQ15": (("a", 1), ("b", 1), ("c", 1), ("d", 1)),
-    "COMBINE_EQ16": (("s", 2), ("i", 1), ("t", 1)),
-    "COMBINE_EQ17": (("s", 2), ("i", 1), ("t", 1)),
-    "LEMMA21_INSTANCE": (("mode", 1), ("a", 1), ("b", 1), ("s", 0)),
-    "HWZ_EQ3": (("a", 1), ("b", 1), ("c", 1)),
-    "THM21_EQ5": (("a", 1), ("b", 1), ("s", 3)),
-    "LEMMA24_EQ18": (("a", 1), ("b", 1), ("d", 1)),
-    "LEMMA24_EQ19": (("a", 1), ("d", 1)),
-    "LEMMA24_EQ20": (("a", 1), ("d", 1)),
-    "THM22_FINAL": (("a", 1), ("b", 1), ("c", 1), ("d", 1), ("f", 1)),
-    "TYPO_PROBE": (("a", 1), ("b", 1), ("c", 1), ("d", 1), ("f", 1)),
-}
-
-
 def _verify_params(args: argparse.Namespace) -> tuple[int, ...]:
-    from .verify import IDENTITY_IDS
+    from .verify import FAMILIES, IDENTITY_IDS
 
     ident = args.identity_id
-    if ident not in _PARAM_SLOTS:
+    if ident not in FAMILIES:
         raise _UsageError(
             f"unknown identity id {ident!r}; known ids: {', '.join(IDENTITY_IDS)}"
         )
@@ -215,7 +195,7 @@ def _verify_params(args: argparse.Namespace) -> tuple[int, ...]:
     if args.params:
         values = list(args.params)
     else:
-        values = _named_params(args, ident)
+        values = _named_params(args, ident, FAMILIES[ident].flags)
     # v comes from --variant or WREDUCE_VARIANT; unset, the builder picks 1.
     # WREDUCE_VARIANT is checked on every identity but used by the probe only.
     variant = _variant(args) if _resolve(args, "variant", None) is not None else None
@@ -230,9 +210,9 @@ def _verify_params(args: argparse.Namespace) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _named_params(args: argparse.Namespace, ident: str) -> list[int]:
+def _named_params(args: argparse.Namespace, ident: str, flags) -> list[int]:
     values: list[int] = []
-    for name, arity in _PARAM_SLOTS[ident]:
+    for name, arity in flags:
         got = getattr(args, name, None)
         if got is None:
             raise _UsageError(
@@ -247,74 +227,54 @@ def _named_params(args: argparse.Namespace, ident: str) -> list[int]:
     return values
 
 
+def _write_reports(reports, fmt: str, timings: bool, out: Optional[str]) -> Optional[str]:
+    """Emit reports in ``fmt``; returns the CSV path when text went to files."""
+    from . import verify
+
+    if fmt == "text" and out:
+        return verify.write_reports(reports, out, timings)
+    writer = {
+        "text": verify.format_report_lines,
+        "csv": verify.format_summary_csv,
+        "json": verify.format_reports_json,
+    }[fmt]
+    _emit(writer(reports, timings), out)
+    return None
+
+
+def _verdict_exit(reports, allow_inconclusive: bool) -> int:
+    from . import verify
+
+    if verify.failure_count(reports):
+        return 1
+    if verify.inconclusive_count(reports) and not allow_inconclusive:
+        return 1
+    return 0
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
     cfg = _config(args)
     fmt = _format(args)
-    timings = bool(args.timings)
     params = _verify_params(args)
     record = verify.build_identity(args.identity_id, params)
     reports = [verify.check(record, cfg)]
     out = _resolve(args, "out", None)
-    if fmt == "json":
-        _emit(_reports_json(reports, timings), out)
-    elif fmt == "csv":
-        _emit(verify.format_summary_csv(reports, timings), out)
-    else:
-        body = verify.format_report_lines(reports, timings)
-        if out:
-            csv_path = verify.write_reports(reports, out, timings)
-            print(f"{reports[0].verdict}: wrote {out} and {csv_path}")
-        else:
-            sys.stdout.write(body)
-    fails = verify.failure_count(reports)
-    bad = verify.inconclusive_count(reports)
-    if fails:
-        return 1
-    if bad and not args.allow_inconclusive:
-        return 1
-    return 0
+    csv_path = _write_reports(reports, fmt, bool(args.timings), out)
+    if csv_path:
+        print(f"{reports[0].verdict}: wrote {out} and {csv_path}")
+    return _verdict_exit(reports, args.allow_inconclusive)
 
 
 # ---------------------------------------------------------------------------
 # sweep
-
-def _reports_json(reports, timings: bool) -> str:
-    from .verify import probe_summary
-
-    rows = []
-    for rep in reports:
-        rows.append(
-            {
-                "identity_id": rep.record.identity_id,
-                "params": list(rep.record.parameters),
-                "lhs": rep.record.lhs.render(),
-                "rhs": rep.record.rhs.render(),
-                "lhs_mid": rep.lhs_eval.midpoint if rep.lhs_eval else None,
-                "lhs_rad": rep.lhs_eval.radius if rep.lhs_eval else None,
-                "rhs_mid": rep.rhs_eval.midpoint if rep.rhs_eval else None,
-                "rhs_rad": rep.rhs_eval.radius if rep.rhs_eval else None,
-                "gap": None if rep.gap != rep.gap else rep.gap,
-                "budget": None if rep.budget != rep.budget else rep.budget,
-                "verdict": rep.verdict,
-                "runtime_ms": rep.runtime_ms if timings else 0,
-                "detail": rep.detail,
-            }
-        )
-    doc: dict = {"reports": rows}
-    summary = probe_summary(reports)
-    if summary:
-        doc["probe_summary"] = summary
-    return json.dumps(doc, sort_keys=True)
-
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from . import verify
 
     cfg = _config(args)
     fmt = _format(args)
-    timings = bool(args.timings)
     weight = _resolve(args, "weight", verify.DEFAULT_WEIGHT_CAP)
     ids_text = _resolve(args, "ids", None)
     ids = None
@@ -328,16 +288,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
     reports = verify.sweep(ids=ids, weight_cap=weight, cfg=cfg)
     out = _resolve(args, "out", None)
-    if fmt == "json":
-        _emit(_reports_json(reports, timings), out)
-    elif fmt == "csv":
-        _emit(verify.format_summary_csv(reports, timings), out)
-    else:
-        if out:
-            csv_path = verify.write_reports(reports, out, timings)
-            print(f"wrote {out} and {csv_path}")
-        else:
-            sys.stdout.write(verify.format_report_lines(reports, timings))
+    csv_path = _write_reports(reports, fmt, bool(args.timings), out)
+    if csv_path:
+        print(f"wrote {out} and {csv_path}")
     verdicts = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
     for rep in reports:
         verdicts[rep.verdict] += 1
@@ -349,24 +302,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     summary = verify.probe_summary(reports)
     if summary:
         print(summary, file=sys.stderr)
-    fails = verify.failure_count(reports)
-    bad = verify.inconclusive_count(reports)
-    if fails:
-        return 1
-    if bad and not args.allow_inconclusive:
-        return 1
-    return 0
+    return _verdict_exit(reports, args.allow_inconclusive)
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=None, help="certified radius target")
-    sub.add_argument(
-        "--max-terms", type=int, default=None, dest="max_terms",
-        help="cap on every cutoff of the series evaluator",
-    )
+def _add_common(sub: argparse.ArgumentParser, evaluates: bool = True) -> None:
+    if evaluates:
+        sub.add_argument("--tol", type=float, default=None, help="certified radius target")
+        sub.add_argument(
+            "--max-terms", type=int, default=None, dest="max_terms",
+            help="cap on every cutoff of the series evaluator",
+        )
     sub.add_argument(
         "--format", choices=_FORMATS, default=None, help="output format"
     )
@@ -399,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mt-expand", action="store_true", dest="mt_expand",
         help="expand double sums into depth-two Euler sums",
     )
-    _add_common(p_red)
+    _add_common(p_red, evaluates=False)
     p_red.set_defaults(func=_cmd_reduce)
 
     p_ver = subs.add_parser("verify", help="check one catalog identity")

@@ -56,6 +56,7 @@ from .exact import (
     SingleZeta,
     Term,
     WittenSl4,
+    _accumulate,
     binomial,
     intern_term,
 )
@@ -212,13 +213,12 @@ def exchange_weights(a: int, b: int) -> list[tuple[int, int]]:
 
     Both boundary columns fold onto the same row family (swapping the two
     collapsed variables fixes the sum when the middle composite is
-    absent), so the two telescoping weight lists merge by column index.
+    absent), so the two telescoping weight lists merge by column index:
+    the merged weights are the pair-sum weights w_j of ``pair_sum_weights``.
     """
-    left, right = pair_recurrence_weights(a, b, 1, 1)
-    combined: dict[int, int] = {}
-    for i, wgt in left + right:
-        combined[i] = combined.get(i, 0) + wgt
-    return sorted(combined.items())
+    if a < 1 or b < 1:
+        raise InadmissibleIndex("telescoping needs both exponents positive")
+    return sorted(pair_sum_weights(a, b).items())
 
 
 def unit_tail_expand(alpha: int, cap: int) -> LinearCombination:
@@ -372,7 +372,7 @@ def _substitute(lc: LinearCombination, rewrite) -> LinearCombination:
     ``None`` to keep it; each term becomes the product of its rewritten
     factors.  All terms are collected into one combination.
     """
-    pairs: list[tuple[Term, RationalLike]] = []
+    acc: dict[Term, RationalLike] = {}
     # unsorted: exact sums do not depend on the order, and render() sorts
     for term, coeff in lc._entries.items():
         partial: list[tuple[tuple, RationalLike]] = [((), coeff)]
@@ -383,8 +383,9 @@ def _substitute(lc: LinearCombination, rewrite) -> LinearCombination:
             else:
                 subs = sub._entries.items()
                 partial = [(fs + t.factors, c * k) for fs, c in partial for t, k in subs]
-        pairs += [(intern_term(fs), c) for fs, c in partial]
-    return LinearCombination(pairs)
+        for fs, c in partial:
+            _accumulate(acc, intern_term(fs), c)
+    return LinearCombination._wrap(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ from .exact import (
     Term,
     WittenSl4,
 )
-from .reduce import pair_sum_weights, reduce_general_witten
+from .reduce import pair_recurrence_weights, pair_sum_weights, reduce_general_witten
 
 EPS = 2.3e-16  # one ulp of slack over float64 unit roundoff
 EULER_GAMMA = 0.5772156649015329
@@ -588,9 +588,12 @@ def _tailzeta_table(j: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray, n
 # pairing is exact because the two binomials coincide, which is asserted.
 
 def _g_pf_coeffs(c: int, f: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    A = [((-1) ** (c - j) * math.comb(c + f - j - 1, f - 1), c + f - j) for j in range(1, c + 1)]
-    B = [((-1) ** c * math.comb(c + f - j - 1, c - 1), c + f - j) for j in range(1, f + 1)]
-    if f >= 1 and c >= 1 and A[0][0] + B[0][0] != 0:
+    # x = 1/m and y = 1/(u+m) obey xy = (x - y)/u: x^c y^f telescopes at
+    # (p, q) = (-1, 1), each step giving up one power of 1/u
+    left, right = pair_recurrence_weights(c, f, -1, 1)
+    A = [(w, c + f - j) for j, w in right]
+    B = [(w, c + f - j) for j, w in left]
+    if A[0][0] + B[0][0] != 0:
         raise InternalNoncancellation(
             f"pair-sum partial fractions for (c,f)=({c},{f}) leave a divergent piece"
         )

@@ -15,8 +15,11 @@ radii and compares:
              bound, so slack in the error analysis cannot explain it)
     INCONCLUSIVE otherwise, or when either side refuses to evaluate
 
-``sweep`` runs whole parameter grids in this process, and the writers
-emit one pipe-separated line per report plus a CSV summary.
+``FAMILIES`` holds one row per identity family: its record builder,
+its default grid, the weight of a parameter tuple and its named
+command-line flags.  ``sweep`` runs whole grids in this process.  Each
+report becomes one typed row (``report_row``), which the writers emit
+as a pipe-separated line, a CSV summary or JSON.
 Reports are byte-stable for a fixed configuration: grids are fixed or
 seeded, evaluation is deterministic, and runtimes are zeroed in files
 unless timings are requested.
@@ -33,12 +36,15 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import json
 import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -61,28 +67,6 @@ from .reduce import (
     unit_tail_expand,
 )
 from .series import Evaluation, SummationConfig, eval_lincomb
-
-IDENTITY_IDS = (
-    "SYMMETRY_EQ6",
-    "FACTOR_EQ12",
-    "REGION_EQ13",
-    "REGION_EQ14",
-    "REGION_EQ15",
-    "COMBINE_EQ16",
-    "COMBINE_EQ17",
-    "LEMMA21_INSTANCE",
-    "HWZ_EQ3",
-    "THM21_EQ5",
-    "LEMMA24_EQ18",
-    "LEMMA24_EQ19",
-    "LEMMA24_EQ20",
-    "THM22_FINAL",
-    "TYPO_PROBE",
-)
-
-# the probe is opt-in: its whole point is to fail, which would poison a
-# default health check
-DEFAULT_SWEEP_IDS = tuple(i for i in IDENTITY_IDS if i != "TYPO_PROBE")
 
 DEFAULT_WEIGHT_CAP = 10
 
@@ -416,99 +400,59 @@ def _build_lemma24_20(params: tuple[int, ...]) -> IdentityRecord:
     )
 
 
-def _build_thm22(params: tuple[int, ...]) -> IdentityRecord:
-    if len(params) != 5 or min(params) < 1:
-        raise UnsupportedParams("family reduction takes positive (a, b, c, d, f)")
-    a, b, c, d, f = params
+def _build_reduction(identity_id: str, params: tuple[int, ...]) -> IdentityRecord:
+    """W(a,b,c,d,0,f) against one peeling step in the transcription v.
+
+    THM22_FINAL takes (a, b, c, d, f) and peels in the validated
+    transcription, v = 0.  TYPO_PROBE takes (a, b, c, d, f, v) with v in
+    {0, 1}; given five parameters it appends v = 1, the rejected one.
+    """
+    probe = identity_id == "TYPO_PROBE"
+    if probe and len(params) == 5:
+        params += (1,)
+    who = "transcription probe" if probe else "family reduction"
+    shape = "(a, b, c, d, f[, v]) with v in {0, 1}" if probe else "(a, b, c, d, f)"
+    if len(params) != 5 + probe or min(params[:5]) < 1 or params[5:] not in ((), (0,), (1,)):
+        raise UnsupportedParams(f"{who} takes positive {shape}")
+    a, b, c, d, f = params[:5]
+    variant = VARIANTS[params[5] if probe else 0]
     atom = WittenSl4((a, b, c, d, 0, f))
     lhs = _atom_lc(atom)
-    if c == 1 and f == 1:
-        # peeling returns its input untouched: the display is the identity
-        rhs = _atom_lc(atom)
-    else:
-        rhs = reduce_witten(atom, variant="eq22")
-    _check_homogeneous(lhs, rhs, "family reduction")
+    # at c = f = 1 peeling returns its input untouched: the display is the identity
+    rhs = lhs if c == 1 and f == 1 else reduce_witten(atom, variant=variant)
+    _check_homogeneous(lhs, rhs, who)
     return IdentityRecord(
-        "THM22_FINAL",
+        identity_id,
         params,
         lhs,
         rhs,
-        note="one peeling step: single-zeta products, depth-three sums, and "
-        "one unit-exponent remainder",
+        note=f"one peeling step under the {variant!r} transcription of the inner "
+        "binomial weights",
     )
-
-
-def _build_typo_probe(params: tuple[int, ...]) -> IdentityRecord:
-    if len(params) == 5:
-        params = tuple(params) + (1,)
-    if len(params) != 6:
-        raise UnsupportedParams(
-            "transcription probe takes (a, b, c, d, f) or (a, b, c, d, f, v) "
-            "with v in {0, 1}"
-        )
-    a, b, c, d, f, v = params
-    if min(a, b, c, d, f) < 1 or v not in (0, 1):
-        raise UnsupportedParams(
-            "transcription probe needs positive (a, b, c, d, f) and v in {0, 1}"
-        )
-    atom = WittenSl4((a, b, c, d, 0, f))
-    if c == 1 and f == 1:
-        rhs = _atom_lc(atom)
-    else:
-        rhs = reduce_witten(atom, variant=VARIANTS[v])
-    return IdentityRecord(
-        "TYPO_PROBE",
-        params,
-        _atom_lc(atom),
-        rhs,
-        note=f"family reduction under the {VARIANTS[v]!r} transcription of "
-        "the inner binomial weights",
-    )
-
-
-_BUILDERS = {
-    "SYMMETRY_EQ6": _build_symmetry,
-    "FACTOR_EQ12": _build_factor,
-    "REGION_EQ13": lambda p: _build_region("REGION_EQ13", p),
-    "REGION_EQ14": lambda p: _build_region("REGION_EQ14", p),
-    "REGION_EQ15": lambda p: _build_region("REGION_EQ15", p),
-    "COMBINE_EQ16": lambda p: _build_combine("COMBINE_EQ16", p),
-    "COMBINE_EQ17": lambda p: _build_combine("COMBINE_EQ17", p),
-    "LEMMA21_INSTANCE": _build_lemma21,
-    "HWZ_EQ3": _build_hwz,
-    "THM21_EQ5": _build_thm21,
-    "LEMMA24_EQ18": _build_lemma24_18,
-    "LEMMA24_EQ19": _build_lemma24_19,
-    "LEMMA24_EQ20": _build_lemma24_20,
-    "THM22_FINAL": _build_thm22,
-    "TYPO_PROBE": _build_typo_probe,
-}
-
-
-def build_identity(identity_id: str, parameters: Sequence[int]) -> IdentityRecord:
-    """Instantiate one catalog identity at concrete parameters."""
-    if identity_id not in _BUILDERS:
-        raise UnsupportedParams(
-            f"unknown identity id {identity_id!r}; known ids: {', '.join(IDENTITY_IDS)}"
-        )
-    return _BUILDERS[identity_id](tuple(int(x) for x in parameters))
 
 
 # ---------------------------------------------------------------------------
-# default parameter grids
+# the catalog: default grids and one row per family
 
 def _mirror6(s: tuple[int, ...]) -> tuple[int, ...]:
     return (s[2], s[1], s[0], s[4], s[3], s[5])
 
 
 def symmetry_tuples(weight_cap: int = 18, count: int = _SYMMETRY_COUNT) -> list[tuple[int, ...]]:
-    """Seeded sample of exponent tuples from {1,2,3}^6, self-images excluded."""
+    """Seeded sample of exponent tuples from {1,2,3}^6, self-images excluded.
+
+    Drawing stops at ``count`` tuples, or once every tuple that qualifies
+    (sum within the cap, not its own mirror) has been drawn.
+    """
+    qualifying = sum(
+        1
+        for s in itertools.product((1, 2, 3), repeat=6)
+        if sum(s) <= weight_cap and s != _mirror6(s)
+    )
     rng = random.Random(_SYMMETRY_SEED)
     out: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    attempts = 0
-    while len(out) < count and attempts < 100000:
-        attempts += 1
+    while len(out) < min(count, qualifying):
         s = tuple(rng.randint(1, 3) for _ in range(6))
         if sum(s) > weight_cap or s == _mirror6(s) or s in seen:
             continue
@@ -547,81 +491,123 @@ _REGION_GRID = [(2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 2)]
 
 _COMBINE_GRID = [(2, 2, 2, 2), (1, 2, 2, 2), (2, 1, 2, 3), (2, 2, 3, 2)]
 
-_LEMMA21_EXACT_AB = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (4, 3)]
+_LEMMA21_GRID = [
+    (mode, a, b, s)
+    for mode in (0, 1)
+    for (a, b) in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (4, 3)]
+    for s in (0, 1)
+] + [(2, 1, 1, 2, 2, 2), (2, 2, 1, 2, 2, 2)]
 
-_LEMMA21_SUMMED = [(2, 1, 1, 2, 2, 2), (2, 2, 1, 2, 2, 2)]
+_THM21_GRID = [
+    (a, b, s1, s2, s3)
+    for a in (1, 2, 3)
+    for b in (1, 2, 3)
+    for s1 in (2, 3)
+    for s2 in (2, 3)
+    for s3 in (2, 3)
+]
 
-_TYPO_PROBE_POINTS = [
-    (1, 1, 2, 1, 1),
-    (2, 1, 2, 1, 2),
-    (1, 2, 1, 1, 2),
-    (2, 1, 1, 1, 2),
+_TYPO_PROBE_GRID = [
+    pt + (v,)
+    for pt in [(1, 1, 2, 1, 1), (2, 1, 2, 1, 2), (1, 2, 1, 1, 2), (2, 1, 1, 1, 2)]
+    for v in (0, 1)
 ]
 
 
-# the lemma 2.4 records carry that much weight beyond their parameters
-_WEIGHT_OFFSET = {"LEMMA24_EQ18": 2, "LEMMA24_EQ19": 2, "LEMMA24_EQ20": 1}
+@dataclass(frozen=True)
+class Family:
+    """One catalog family: how it builds, grids, weighs and is spelled."""
+
+    build: Callable[[tuple[int, ...]], IdentityRecord]
+    # candidate points for a weight cap; default_parameters drops the heavy ones
+    grid: Callable[[int], Sequence[tuple[int, ...]]]
+    # the command-line flags of the parameters, in order; ("s", n) takes
+    # n values, or any number when n is 0
+    flags: tuple[tuple[str, int], ...]
+    weight: Callable[[tuple[int, ...]], int] = sum
 
 
-def _family_weight(identity_id: str, params: tuple[int, ...]) -> int:
-    if identity_id not in IDENTITY_IDS:
-        raise UnsupportedParams(f"unknown identity id {identity_id!r}")
-    if identity_id == "LEMMA21_INSTANCE":
-        return sum(params[1:]) if params[0] == 2 else 0
-    if identity_id == "TYPO_PROBE":
-        return sum(params[:5])
-    return sum(params) + _WEIGHT_OFFSET.get(identity_id, 0)
+_ABCD = (("a", 1), ("b", 1), ("c", 1), ("d", 1))
+_S2IT = (("s", 2), ("i", 1), ("t", 1))
+
+FAMILIES: dict[str, Family] = {
+    "SYMMETRY_EQ6": Family(_build_symmetry, symmetry_tuples, (("s", 6),)),
+    "FACTOR_EQ12": Family(_build_factor, lambda cap: _FACTOR_GRID, _ABCD),
+    "REGION_EQ13": Family(partial(_build_region, "REGION_EQ13"), lambda cap: _REGION_GRID, _ABCD),
+    "REGION_EQ14": Family(partial(_build_region, "REGION_EQ14"), lambda cap: _REGION_GRID, _ABCD),
+    "REGION_EQ15": Family(partial(_build_region, "REGION_EQ15"), lambda cap: _REGION_GRID, _ABCD),
+    "COMBINE_EQ16": Family(partial(_build_combine, "COMBINE_EQ16"), lambda cap: _COMBINE_GRID, _S2IT),
+    "COMBINE_EQ17": Family(partial(_build_combine, "COMBINE_EQ17"), lambda cap: _COMBINE_GRID, _S2IT),
+    # the exact surrogate records (modes 0 and 1) weigh nothing
+    "LEMMA21_INSTANCE": Family(
+        _build_lemma21,
+        lambda cap: _LEMMA21_GRID,
+        (("mode", 1), ("a", 1), ("b", 1), ("s", 0)),
+        weight=lambda p: sum(p[1:]) if p[0] == 2 else 0,
+    ),
+    "HWZ_EQ3": Family(_build_hwz, partial(_positive_tuples, 3), (("a", 1), ("b", 1), ("c", 1))),
+    "THM21_EQ5": Family(_build_thm21, lambda cap: _THM21_GRID, (("a", 1), ("b", 1), ("s", 3))),
+    # the lemma 2.4 records carry that much weight beyond their parameters
+    "LEMMA24_EQ18": Family(
+        _build_lemma24_18,
+        lambda cap: _positive_tuples(3, cap - 2),
+        (("a", 1), ("b", 1), ("d", 1)),
+        weight=lambda p: sum(p) + 2,
+    ),
+    "LEMMA24_EQ19": Family(
+        _build_lemma24_19,
+        lambda cap: _positive_tuples(2, cap - 2),
+        (("a", 1), ("d", 1)),
+        weight=lambda p: sum(p) + 2,
+    ),
+    "LEMMA24_EQ20": Family(
+        _build_lemma24_20,
+        lambda cap: [(a, dm1 + 1) for a, dm1 in _positive_tuples(2, cap - 2)],
+        (("a", 1), ("d", 1)),
+        weight=lambda p: sum(p) + 1,
+    ),
+    "THM22_FINAL": Family(
+        partial(_build_reduction, "THM22_FINAL"), partial(_positive_tuples, 5), _ABCD + (("f", 1),)
+    ),
+    "TYPO_PROBE": Family(
+        partial(_build_reduction, "TYPO_PROBE"),
+        lambda cap: _TYPO_PROBE_GRID,
+        _ABCD + (("f", 1),),
+        weight=lambda p: sum(p[:5]),
+    ),
+}
+
+IDENTITY_IDS = tuple(FAMILIES)
+
+# the probe is opt-in: its whole point is to fail, which would poison a
+# default health check
+DEFAULT_SWEEP_IDS = tuple(i for i in IDENTITY_IDS if i != "TYPO_PROBE")
+
+
+def _family(identity_id: str) -> Family:
+    if identity_id not in FAMILIES:
+        raise UnsupportedParams(
+            f"unknown identity id {identity_id!r}; known ids: {', '.join(IDENTITY_IDS)}"
+        )
+    return FAMILIES[identity_id]
+
+
+def build_identity(identity_id: str, parameters: Sequence[int]) -> IdentityRecord:
+    """Instantiate one catalog identity at concrete parameters."""
+    return _family(identity_id).build(tuple(int(x) for x in parameters))
 
 
 def default_parameters(identity_id: str, weight_cap: int = DEFAULT_WEIGHT_CAP) -> list[tuple[int, ...]]:
     """The deterministic parameter grid of one identity family.
 
     Tuples whose total weight exceeds ``weight_cap`` are dropped; exact
-    rational records count as weight zero and always survive.
+    rational records count as weight zero and always survive.  A negative
+    cap is refused.
     """
-    if identity_id == "SYMMETRY_EQ6":
-        grid = symmetry_tuples(weight_cap=weight_cap)
-    elif identity_id == "FACTOR_EQ12":
-        grid = list(_FACTOR_GRID)
-    elif identity_id in _REGION_IDS:
-        grid = list(_REGION_GRID)
-    elif identity_id in ("COMBINE_EQ16", "COMBINE_EQ17"):
-        grid = list(_COMBINE_GRID)
-    elif identity_id == "LEMMA21_INSTANCE":
-        grid = [
-            (mode, a, b, s)
-            for mode in (0, 1)
-            for (a, b) in _LEMMA21_EXACT_AB
-            for s in (0, 1)
-        ] + list(_LEMMA21_SUMMED)
-    elif identity_id == "HWZ_EQ3":
-        grid = _positive_tuples(3, weight_cap)
-    elif identity_id == "THM21_EQ5":
-        grid = [
-            (a, b, s1, s2, s3)
-            for a in (1, 2, 3)
-            for b in (1, 2, 3)
-            for s1 in (2, 3)
-            for s2 in (2, 3)
-            for s3 in (2, 3)
-        ]
-    elif identity_id == "LEMMA24_EQ18":
-        grid = _positive_tuples(3, max(weight_cap - 2, 0))
-    elif identity_id == "LEMMA24_EQ19":
-        grid = _positive_tuples(2, max(weight_cap - 2, 0))
-    elif identity_id == "LEMMA24_EQ20":
-        grid = [
-            (a, dd)
-            for (a, dm1) in _positive_tuples(2, max(weight_cap - 2, 0))
-            for dd in (dm1 + 1,)
-        ]
-    elif identity_id == "THM22_FINAL":
-        grid = _positive_tuples(5, weight_cap)
-    elif identity_id == "TYPO_PROBE":
-        grid = [pt + (v,) for pt in _TYPO_PROBE_POINTS for v in (0, 1)]
-    else:
-        raise UnsupportedParams(f"unknown identity id {identity_id!r}")
-    return [p for p in grid if _family_weight(identity_id, p) <= weight_cap]
+    family = _family(identity_id)
+    if weight_cap < 0:
+        raise UnsupportedParams(f"weight cap {weight_cap} is negative")
+    return [p for p in family.grid(weight_cap) if family.weight(p) <= weight_cap]
 
 
 # ---------------------------------------------------------------------------
@@ -884,35 +870,45 @@ _LINE_FIELDS = (
 )
 
 
-def _fmt_float(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(x)
+def report_row(rep: Report, timings: bool = False) -> dict:
+    """The ``_LINE_FIELDS`` of one report, typed, with None where a value is absent.
 
-
-def _line_values(rep: Report, timings: bool) -> list[str]:
+    The text and CSV writers format this row cell by cell; JSON carries it
+    as it is.  Runtimes read 0 unless timings are requested.
+    """
     rec = rep.record
-    params = "(" + ",".join(str(x) for x in rec.parameters) + ")"
     le, re_ = rep.lhs_eval, rep.rhs_eval
-    return [
+    values = (
         rec.identity_id,
-        params,
+        list(rec.parameters),
         rec.lhs.render(),
         rec.rhs.render(),
-        _fmt_float(le.midpoint) if le else "",
-        _fmt_float(le.radius) if le else "",
-        _fmt_float(re_.midpoint) if re_ else "",
-        _fmt_float(re_.radius) if re_ else "",
-        _fmt_float(rep.gap),
-        _fmt_float(rep.budget),
+        le.midpoint if le else None,
+        le.radius if le else None,
+        re_.midpoint if re_ else None,
+        re_.radius if re_ else None,
+        None if math.isnan(rep.gap) else rep.gap,
+        None if math.isnan(rep.budget) else rep.budget,
         rep.verdict,
-        str(rep.runtime_ms if timings else 0),
-        rep.detail.replace("|", "/"),
-    ]
+        rep.runtime_ms if timings else 0,
+        rep.detail,
+    )
+    return dict(zip(_LINE_FIELDS, values))
+
+
+def _cell(value) -> str:
+    """One text or CSV cell of a report row; a pipe never splits a line."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return "(" + ",".join(map(str, value)) + ")"
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(value)
+    return str(value).replace("|", "/")
 
 
 def format_report_line(rep: Report, timings: bool = False) -> str:
-    return "|".join(_line_values(rep, timings))
+    return "|".join(map(_cell, report_row(rep, timings).values()))
 
 
 def format_report_lines(reports: Sequence[Report], timings: bool = False) -> str:
@@ -929,8 +925,17 @@ def format_summary_csv(reports: Sequence[Report], timings: bool = False) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_LINE_FIELDS)
     for rep in reports:
-        writer.writerow(_line_values(rep, timings))
+        writer.writerow(map(_cell, report_row(rep, timings).values()))
     return buf.getvalue()
+
+
+def format_reports_json(reports: Sequence[Report], timings: bool = False) -> str:
+    """The report rows as one JSON document, with a probe summary when relevant."""
+    doc: dict = {"reports": [report_row(r, timings) for r in reports]}
+    summary = probe_summary(reports)
+    if summary:
+        doc["probe_summary"] = summary
+    return json.dumps(doc, sort_keys=True)
 
 
 def write_reports(

@@ -146,6 +146,13 @@ def test_reduce_rejects_nonpositive_exponents(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [["--tol", "1e-30"], ["--max-terms", "5"]])
+def test_reduce_refuses_the_evaluator_flags(capsys, flag):
+    # reduce evaluates nothing, so a tolerance or a cutoff cap is a usage error
+    assert main(["reduce", "2", "1", "2", "1", "2", *flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_reduce_variant_flag_changes_discriminating_point(capsys):
     assert main(["reduce", "2", "1", "2", "1", "2", "--variant", "eq22"]) == 0
     good = capsys.readouterr().out
@@ -181,6 +188,46 @@ def test_verify_named_flags(capsys):
     out = capsys.readouterr().out
     assert out.startswith("THM21_EQ5|(1,2,2,2,2)|")
     assert "|PASS|" in out
+
+
+# the first default grid point of each family, spelled with named flags
+_NAMED_FIRST_POINTS = {
+    "SYMMETRY_EQ6": ["--s", "1", "1", "2", "2", "3", "1"],
+    "FACTOR_EQ12": ["--a", "2", "--b", "2", "--c", "3", "--d", "2"],
+    "REGION_EQ13": ["--a", "2", "--b", "2", "--c", "2", "--d", "2"],
+    "REGION_EQ14": ["--a", "2", "--b", "2", "--c", "2", "--d", "2"],
+    "REGION_EQ15": ["--a", "2", "--b", "2", "--c", "2", "--d", "2"],
+    "COMBINE_EQ16": ["--s", "2", "2", "--i", "2", "--t", "2"],
+    "COMBINE_EQ17": ["--s", "2", "2", "--i", "2", "--t", "2"],
+    "LEMMA21_INSTANCE": ["--mode", "0", "--a", "1", "--b", "1", "--s", "0"],
+    "HWZ_EQ3": ["--a", "1", "--b", "1", "--c", "1"],
+    "THM21_EQ5": ["--a", "1", "--b", "1", "--s", "2", "2", "2"],
+    "LEMMA24_EQ18": ["--a", "1", "--b", "1", "--d", "1"],
+    "LEMMA24_EQ19": ["--a", "1", "--d", "1"],
+    "LEMMA24_EQ20": ["--a", "1", "--d", "2"],
+    "THM22_FINAL": ["--a", "1", "--b", "1", "--c", "1", "--d", "1", "--f", "1"],
+    "TYPO_PROBE": ["--a", "1", "--b", "1", "--c", "2", "--d", "1", "--f", "1",
+                   "--variant", "eq22"],
+}
+
+
+@pytest.mark.parametrize("ident", sorted(_NAMED_FIRST_POINTS))
+def test_verify_named_flags_build_the_positional_record(capsys, monkeypatch, ident):
+    from wreduce import verify
+
+    assert set(_NAMED_FIRST_POINTS) == set(verify.IDENTITY_IDS)
+    built = []
+    real = verify.build_identity
+    monkeypatch.setattr(
+        verify, "build_identity", lambda i, p: built.append(real(i, p)) or built[-1]
+    )
+    point = verify.default_parameters(ident)[0]
+    assert main(["verify", ident, *_NAMED_FIRST_POINTS[ident]]) == 0
+    named_out = capsys.readouterr().out
+    assert main(["verify", ident, *map(str, point)]) == 0
+    assert capsys.readouterr().out == named_out
+    assert built[0] == built[1]
+    assert built[1].parameters == point
 
 
 def test_verify_positional_params(capsys):
@@ -360,6 +407,11 @@ def test_sweep_probe_reports_summary_on_stderr(capsys):
 def test_sweep_unknown_ids_exit_two(capsys):
     assert main(["sweep", "--ids", "HWZ_EQ3,BOGUS"]) == 2
     assert "BOGUS" in capsys.readouterr().err
+
+
+def test_sweep_negative_weight_exits_two(capsys):
+    assert main(["sweep", "--weight", "-1"]) == 2
+    assert "UNSUPPORTED_PARAMS: weight cap -1 is negative" in capsys.readouterr().err
 
 
 def test_sweep_weight_above_cap_exits_two(capsys):

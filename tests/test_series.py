@@ -180,6 +180,25 @@ def test_pair_sum_table_contains_direct_convolution():
                 assert abs(mid[u] - direct) <= rad[u] + 2.0**-52 * direct, (a, b, u)
 
 
+def test_shifted_pair_sum_partial_fractions_are_exact():
+    from fractions import Fraction
+
+    from wreduce.series import _g_pf_coeffs
+
+    for c in range(1, 7):
+        for f in range(1, 7):
+            A, B = _g_pf_coeffs(c, f)
+            assert [len(A), len(B)] == [c, f]
+            for u in (1, 2, 5):
+                for m in (1, 3, 8):
+                    got = sum(
+                        Fraction(w, u**pw * m**j) for j, (w, pw) in enumerate(A, start=1)
+                    ) + sum(
+                        Fraction(w, u**pw * (u + m) ** j) for j, (w, pw) in enumerate(B, start=1)
+                    )
+                    assert got == Fraction(1, m**c * (u + m) ** f), (c, f, u, m)
+
+
 def test_dot_bound_covers_blas_on_an_adversarial_vector():
     import numpy as np
 

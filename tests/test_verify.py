@@ -2,7 +2,9 @@
 
 import csv
 import io
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from wreduce.verify import (
     failure_count,
     format_report_line,
     format_report_lines,
+    format_reports_json,
     format_summary_csv,
     inconclusive_count,
     probe_summary,
@@ -117,6 +120,32 @@ def test_symmetry_tuples_are_seeded_and_mirror_free():
     for t in ts:
         assert t != _mirror(t)
         assert sum(t) <= 18
+
+
+def test_symmetry_tuples_stop_once_every_qualifying_tuple_is_drawn(monkeypatch):
+    # at cap 7 only the four sum-7 tuples with a 2 off the mirror axis
+    # qualify; the seeded order draws the last of them on draw 785
+    randints = []
+
+    class Counting(random.Random):
+        def randint(self, a, b):
+            randints.append((a, b))
+            return super().randint(a, b)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    ts = symmetry_tuples(7)
+    assert ts == [(2, 1, 1, 1, 1, 1), (1, 1, 1, 2, 1, 1), (1, 1, 1, 1, 2, 1), (1, 1, 2, 1, 1, 1)]
+    assert len(randints) == 6 * 785
+    randints.clear()
+    assert symmetry_tuples(5) == []
+    assert randints == []
+
+
+def test_negative_weight_cap_is_refused():
+    with pytest.raises(UnsupportedParams, match="negative"):
+        default_parameters("LEMMA21_INSTANCE", -1)
+    with pytest.raises(UnsupportedParams, match="negative"):
+        sweep(ids=["HWZ_EQ3"], weight_cap=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +588,28 @@ def test_report_line_escapes_pipes_and_blanks_nan():
     assert fields[4] == fields[8] == fields[9] == ""
     assert fields[11] == "7"
     assert fields[12] == "UNSUPPORTED_PARAMS: pipes / are / not / field breaks"
+
+
+def _cell_agrees(cell: str, value) -> bool:
+    if value is None:
+        return cell == ""
+    if isinstance(value, list):
+        return cell == "(" + ",".join(map(str, value)) + ")"
+    if isinstance(value, (int, float)):
+        return float(cell) == value
+    return cell == value.replace("|", "/")
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_json_row_text_and_csv_cells_agree(cfg6, timings):
+    for rep in (check(build_identity("HWZ_EQ3", (2, 2, 2)), cfg6), _nan_report()):
+        row = json.loads(format_reports_json([rep], timings))["reports"][0]
+        header, cells = csv.reader(io.StringIO(format_summary_csv([rep], timings)))
+        text = format_report_line(rep, timings).split("|")
+        assert sorted(header) == sorted(row) and len(header) == 13
+        assert cells == text
+        for name, cell in zip(header, cells):
+            assert _cell_agrees(cell, row[name]), name
 
 
 def test_runtime_column_is_zeroed_without_timings():
