@@ -37,7 +37,6 @@ _FORMATS = ("text", "json", "csv")
 # environment fallbacks mirror the long flags with a WREDUCE_ prefix
 _ENV_SPEC = {
     "tol": ("WREDUCE_TOL", float),
-    "max_terms": ("WREDUCE_MAX_TERMS", int),
     "format": ("WREDUCE_FORMAT", str),
     "out": ("WREDUCE_OUT", str),
     "variant": ("WREDUCE_VARIANT", str),
@@ -68,9 +67,7 @@ def _resolve(args: argparse.Namespace, name: str, default):
 def _config(args: argparse.Namespace) -> SummationConfig:
     from .series import SummationConfig
 
-    tol = _resolve(args, "tol", 1e-6)
-    max_terms = _resolve(args, "max_terms", 10**6)
-    return SummationConfig(tolerance=tol, max_terms=max_terms).validated()
+    return SummationConfig(tolerance=_resolve(args, "tol", 1e-6)).validated()
 
 
 def _format(args: argparse.Namespace) -> str:
@@ -311,10 +308,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser, evaluates: bool = True) -> None:
     if evaluates:
         sub.add_argument("--tol", type=float, default=None, help="certified radius target")
-        sub.add_argument(
-            "--max-terms", type=int, default=None, dest="max_terms",
-            help="cap on every cutoff of the series evaluator",
-        )
     sub.add_argument(
         "--format", choices=_FORMATS, default=None, help="output format"
     )

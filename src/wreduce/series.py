@@ -23,8 +23,7 @@ engine holds for integer ``u >= 1``.  All bracketing facts used here
 LP builders and composed with interval arithmetic, so each evaluator is an
 assembly of audited pieces rather than a bespoke estimate.  Each builder's
 form is built once per workspace and shared, read-only, by every later
-request in it; a form that holds an atom's value as a constant is keyed by
-the caps, and ``clear_caches()`` drops every form.  The form arithmetic
+request in it, and ``clear_caches()`` drops every form.  The form arithmetic
 multiplies intervals inline with the expressions of ``_imul``, so a shared
 form is bit for bit the form a rebuild would give.
 
@@ -38,16 +37,17 @@ so every atom is a 1-D sum.  The slot order given is the slot order
 summed; relabeling twins are computed by genuinely different loops, which
 is what makes the symmetry check in ``verify`` meaningful.
 
-Each atom has one certified value per workspace and caps: its ladder stops
-at the first cutoff whose tail radius is no larger than its box radius,
-which puts most atoms near 1e-14, well below the 1e-12 floor of the
-requests.  The value, or a refusal that no tolerance can lift, is memoized
-under the atom and the caps alone, and the constants inside other atoms
-(zetas in the tail forms and tables, the depth-2 limits of the depth-3
-tails, the terminals of the general rewrite) are those same values.  Terms
-and combinations are interval arithmetic on them, and the public
+Each atom has one certified value per workspace: its ladder stops at the
+first cutoff whose tail radius is no larger than its box radius (or at the
+fixed cap ``MAX_TERMS``).  That puts most atoms near 1e-14, well below the
+1e-12 floor of the requests.  The value, or a refusal that no tolerance can
+lift, is memoized under the atom alone, and the constants inside other
+atoms (zetas in the tail forms and tables, the depth-2 limits of the
+depth-3 tails, the terminals of the general rewrite) are those same values.
+Terms and combinations are interval arithmetic on them, and the public
 evaluators compare the result with the request's tolerance in one place,
-``_checked``.  So a result never depends on which requests came before it.
+``_checked``.  So a result never depends on which requests came before it,
+and no private function is handed a ``SummationConfig``.
 """
 
 from __future__ import annotations
@@ -81,21 +81,21 @@ EPS = 2.3e-16  # one ulp of slack over float64 unit roundoff
 EULER_GAMMA = 0.5772156649015329
 
 TOLERANCE_FLOOR = 1e-12
+# the cap on every cutoff: the 1-D sums and the collapsed and hub outer
+# sums that every triple sum comes down to
+MAX_TERMS = 10**6
 
 
 @dataclass(frozen=True)
 class SummationConfig:
-    """Evaluation budget and target accuracy.
+    """The target accuracy of a request.
 
-    ``max_terms`` caps every cutoff: the 1-D sums and the collapsed and hub
-    outer sums that every triple sum comes down to.  ``tolerance`` is the
-    largest radius a request accepts.  It never steers an evaluation: each
-    atom is evaluated once under the caps, and a result whose radius is
-    above the tolerance is refused.
+    ``tolerance`` is the largest radius a request accepts.  It never steers
+    an evaluation: each atom is evaluated once, and a result whose radius
+    is above the tolerance is refused.
     """
 
     tolerance: float = 1e-6
-    max_terms: int = 10**6
 
     def validated(self) -> "SummationConfig":
         if not (self.tolerance > 0):
@@ -104,8 +104,6 @@ class SummationConfig:
             raise ToleranceUnreachable(
                 f"tolerance {self.tolerance} is below the float64 floor {TOLERANCE_FLOOR}"
             )
-        if self.max_terms < 32:
-            raise UnsupportedParams("max_terms below 32 leaves no room for any ladder")
         return self
 
 
@@ -356,8 +354,8 @@ def _lp_resum(lp: LogPower) -> LogPower:
 
 
 # LP building blocks.  All are pointwise-valid enclosures for u >= 2.  The
-# builders are pure, so each form is built once per workspace, keyed by the
-# caps wherever an atom's value enters it, and shared: do not mutate.
+# builders are pure, so each form is built once per workspace and shared:
+# do not mutate.
 
 def _lp_tailzeta(j: int) -> LogPower:
     """tailzeta(u, j) = sum_{n>u} n^-j as an LP form in u, j >= 2."""
@@ -386,7 +384,7 @@ def _lp_harmonic() -> LogPower:
     }
 
 
-def _lp_prefix_prev(j: int, cfg: SummationConfig) -> LogPower:
+def _lp_prefix_prev(j: int) -> LogPower:
     """P_j(u-1) = sum_{m<u} m^-j as an LP form in u, j >= 0."""
 
     def build() -> LogPower:
@@ -394,14 +392,14 @@ def _lp_prefix_prev(j: int, cfg: SummationConfig) -> LogPower:
             return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
         if j == 1:
             return _lp_sum(_lp_harmonic(), {(1.0, 0): (-1.0, 0.0)})  # H_{u-1} = H_u - 1/u
-        return _lp_sum(_lp_zeta(j, cfg), _lp_scale(_lp_tailzeta_prev(j), (-1.0, 0.0)))
+        return _lp_sum(_lp_zeta(j), _lp_scale(_lp_tailzeta_prev(j), (-1.0, 0.0)))
 
-    return _memo(("LPpp", j) + _caps(cfg), build)
+    return _memo(("LPpp", j), build)
 
 
-def _lp_zeta(j: int, cfg: SummationConfig) -> LogPower:
-    """The constant zeta(j) at its best value under the caps."""
-    z = _zeta_value(j, cfg)
+def _lp_zeta(j: int) -> LogPower:
+    """The constant zeta(j) at its best value."""
+    z = _zeta_value(j)
     return _lp_const(z.midpoint, z.radius)
 
 
@@ -412,10 +410,10 @@ class _Workspace:
     """Per-process cache of atom outcomes and certified tables.
 
     An atom's outcome is its best certified value, or a refusal that no
-    tolerance can lift, and it is keyed by the atom and the caps alone.  So
-    every request gets the same answer whatever was evaluated before it,
-    and a sweep's output does not depend on record order or on how records
-    are dealt to worker processes.
+    tolerance can lift, and it is keyed by the atom alone.  So every
+    request gets the same answer whatever was evaluated before it, and a
+    sweep's output does not depend on record order or on how records are
+    dealt to worker processes.
     """
 
     def __init__(self):
@@ -432,7 +430,8 @@ _WS = _Workspace()
 
 def clear_caches() -> None:
     """Drop memoized atom values, tables and LP tail forms (used for cold
-    timing runs).
+    timing runs).  Each is keyed by its atom or its integers alone, so
+    until this is called a later request reads what an earlier one built.
 
     The Euler-Maclaurin forms of ``_unit_resum`` and their values at each
     cutoff depend on (p, k) and the cutoff alone; the exact rewrites of
@@ -483,15 +482,10 @@ def _power_array(U: int, e: int) -> np.ndarray:
     return _table(("pow", e), U, build)[0]
 
 
-def _caps(cfg: SummationConfig) -> tuple[int]:
-    """The atom-key part that keeps results computed under other caps apart."""
-    return (cfg.max_terms,)
-
-
-def _cached_atom(key: tuple, caps: tuple, compute) -> Evaluation:
-    """The outcome of ``compute()`` memoized under ``key + caps``: its
-    value, or its refusal, raised again on every later request."""
-    key += caps
+def _cached_atom(kind: str, indices: tuple, compute) -> Evaluation:
+    """The outcome of ``compute()`` memoized under ``(kind,) + indices``:
+    its value, or its refusal, raised again on every later request."""
+    key = (kind,) + indices
     hit = _WS.atoms.get(key)
     if hit is None:
         try:
@@ -517,7 +511,7 @@ def _checked(ev: Evaluation, cfg: SummationConfig, what) -> Evaluation:
     return ev
 
 
-def _cutoff(tail_at, box_at, cap: int, start: int = 32) -> Evaluation:
+def _cutoff(tail_at, box_at, cap: int = MAX_TERMS, start: int = 32) -> Evaluation:
     """The sum cut at the first of start, 2 start, 4 start, ... whose tail
     radius is no larger than its box radius, or at ``cap``, which clamps
     the ladder.
@@ -526,7 +520,7 @@ def _cutoff(tail_at, box_at, cap: int, start: int = 32) -> Evaluation:
     box radius, the rounding of a longer sum, only grows with n, so a later
     cutoff would certify at least half of this radius.
     """
-    n = min(start, cap)
+    n = start
     while True:
         tail = tail_at(n)
         box = box_at(n)
@@ -539,19 +533,19 @@ def _cutoff(tail_at, box_at, cap: int, start: int = 32) -> Evaluation:
 # single zeta
 
 
-def _zeta_value(s: int, cfg: SummationConfig) -> Evaluation:
-    """zeta(s) at its best value under the caps (no tolerance involved)."""
-    return _cached_atom(("Z", s), _caps(cfg), lambda: _zeta(s, cfg))
+def _zeta_value(s: int) -> Evaluation:
+    """zeta(s) at its best value (no tolerance involved)."""
+    return _cached_atom("Z", (s,), lambda: _zeta(s))
 
 
-def _zeta(s: int, cfg: SummationConfig) -> Evaluation:
+def _zeta(s: int) -> Evaluation:
     lp = {(float(s), 0): (1.0, 0.0)}
 
     def box_at(N: int) -> Interval:
         P, prad = _prefix_table(s, N)
         return P[N], prad[N]
 
-    return _cutoff(lambda n: _lp_tail(lp, n), box_at, cfg.max_terms)
+    return _cutoff(lambda n: _lp_tail(lp, n), box_at)
 
 
 def _prefix_table(j: int, U: int) -> tuple[np.ndarray, np.ndarray]:
@@ -565,16 +559,16 @@ def _prefix_table(j: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     return _table(("P", j), U, build)
 
 
-def _tailzeta_table(j: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray, np.ndarray]:
+def _tailzeta_table(j: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     """(mid, rad) arrays of t[u] = sum_{m>u} m^-j for u = 0..U."""
 
     def build(n: int) -> tuple[np.ndarray, np.ndarray]:
-        z = _zeta_value(j, cfg)
+        z = _zeta_value(j)
         P, prad = _prefix_table(j, n)
         t = z.midpoint - P
         return (t, z.radius + prad + EPS * np.abs(t))
 
-    return _table(("tz", j) + _caps(cfg), U, build)
+    return _table(("tz", j), U, build)
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +594,14 @@ def _g_pf_coeffs(c: int, f: int) -> tuple[list[tuple[int, int]], list[tuple[int,
     return A, B
 
 
-def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray, np.ndarray]:
+def _g_tables(c: int, f: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     """(mid, rad) arrays of G_{c,f}(u) for u = 1..U (index 0 unused; shared: do not mutate)."""
     if c == 0 and f == 0:
         raise ConvergenceUnverified("inner pair sum with no weight diverges")
     if c == 0:
         if f < 2:
             raise ConvergenceUnverified("inner pair sum needs f >= 2 when c = 0")
-        return _tailzeta_table(f, U, cfg)
+        return _tailzeta_table(f, U)
     if f == 0 and c < 2:
         raise ConvergenceUnverified("inner pair sum needs c >= 2 when f = 0")
     if c + f < 2:
@@ -615,7 +609,7 @@ def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray,
 
     def build(n: int) -> tuple[np.ndarray, np.ndarray]:
         if f == 0:
-            z = _zeta_value(c, cfg)
+            z = _zeta_value(c)
             return np.full(n + 1, z.midpoint), np.full(n + 1, z.radius)
         u = np.arange(0, n + 1, dtype=float)
         u[0] = 1.0  # avoid 0^-k warnings; slot 0 is unused
@@ -624,10 +618,10 @@ def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray,
         # it), the zetas of A_2.. and the zeta tails of B_2..
         parts = [A[0] + (_prefix_table(1, n),)]
         for coef, pw in A[1:]:
-            z = _zeta_value(c + f - pw, cfg)
+            z = _zeta_value(c + f - pw)
             parts.append((coef, pw, (z.midpoint, z.radius)))
         for j, (coef, pw) in enumerate(B[1:], start=2):
-            parts.append((coef, pw, _tailzeta_table(j, n, cfg)))
+            parts.append((coef, pw, _tailzeta_table(j, n)))
 
         mid, absmid, rad = np.zeros((3, n + 1))
         for coef, pw, (pmid, prad) in parts:
@@ -640,105 +634,103 @@ def _g_tables(c: int, f: int, U: int, cfg: SummationConfig) -> tuple[np.ndarray,
         rad += _gamma(len(parts)) * (absmid + rad)
         return mid, rad
 
-    return _table(("Gt", c, f) + _caps(cfg), U, build)
+    return _table(("Gt", c, f), U, build)
 
 
-def _lp_g_bracket(c: int, f: int, cfg: SummationConfig) -> LogPower:
+def _lp_g_bracket(c: int, f: int) -> LogPower:
     """Two-sided LP enclosure of G_{c,f}(u), valid for u >= 2 (shared: do not mutate)."""
 
     def build() -> LogPower:
         if c == 0:
             return _lp_tailzeta(f)
         if f == 0:
-            return _lp_zeta(c, cfg)
+            return _lp_zeta(c)
         A, B = _g_pf_coeffs(c, f)
         # A_1 H_u absorbs the divergent B_1 piece; the rest are zetas and zeta tails
         parts = [(A[0], _lp_harmonic())]
-        parts += [((coef, pw), _lp_zeta(c + f - pw, cfg)) for coef, pw in A[1:]]
+        parts += [((coef, pw), _lp_zeta(c + f - pw)) for coef, pw in A[1:]]
         parts += [(B[j - 1], _lp_tailzeta(j)) for j in range(2, f + 1)]
         return _lp_sum(*(
             _lp_scale(_lp_shift(lp, float(pw)), (float(coef), 0.0)) for (coef, pw), lp in parts
         ))
 
-    return _memo(("G", c, f) + _caps(cfg), build)
+    return _memo(("G", c, f), build)
 
 
 # ---------------------------------------------------------------------------
 # Mordell-Tornheim double sums
 
-def _mt(a: int, b: int, c: int, cfg: SummationConfig) -> Evaluation:
+def _mt(a: int, b: int, c: int) -> Evaluation:
     if c == 0:
-        return _product([_zeta_value(a, cfg), _zeta_value(b, cfg)])
+        return _product([_zeta_value(a), _zeta_value(b)])
 
     # outer sum over m2 of m2^-b G_{a,c}(m2); the LP bracket of G gives
     # a two-sided parametric tail
-    lp = _lp_shift(_lp_g_bracket(a, c, cfg), float(b))
+    lp = _lp_shift(_lp_g_bracket(a, c), float(b))
 
     def box_at(M: int) -> Interval:
-        gmid, grad = _g_tables(a, c, M, cfg)
+        gmid, grad = _g_tables(a, c, M)
         return _dot(_power_array(M, b)[1:], gmid[1:], grad[1:])
 
-    return _cutoff(lambda n: _lp_tail(lp, n), box_at, cfg.max_terms)
+    return _cutoff(lambda n: _lp_tail(lp, n), box_at)
 
 
 # ---------------------------------------------------------------------------
 # Euler sums
 
-def _euler2_tail_lp(s1: int, s2: int, cfg: SummationConfig) -> LogPower:
+def _euler2_tail_lp(s1: int, s2: int) -> LogPower:
     """LP form (in x) of x^-s1 * P_{s2}(x-1), the double-sum tail summand
     (shared: do not mutate)."""
-    return _memo(
-        ("LPe2", s1, s2) + _caps(cfg), lambda: _lp_shift(_lp_prefix_prev(s2, cfg), float(s1))
-    )
+    return _memo(("LPe2", s1, s2), lambda: _lp_shift(_lp_prefix_prev(s2), float(s1)))
 
 
-def _euler2(s1: int, s2: int, cfg: SummationConfig) -> Evaluation:
-    lp = _euler2_tail_lp(s1, s2, cfg)
+def _euler2(s1: int, s2: int) -> Evaluation:
+    lp = _euler2_tail_lp(s1, s2)
 
     def box_at(X: int) -> Interval:
         inner, irad = _prefix_table(s2, X)
         return _dot(_power_array(X, s1)[2:], inner[1:-1], irad[1:-1])
 
-    return _cutoff(lambda n: _lp_tail(lp, n), box_at, cfg.max_terms)
+    return _cutoff(lambda n: _lp_tail(lp, n), box_at)
 
 
-def _euler3_tail_lp(s1: int, s2: int, s3: int, cfg: SummationConfig) -> LogPower:
+def _euler3_tail_lp(s1: int, s2: int, s3: int) -> LogPower:
     """LP form (in x) of x^-s1 * D(x-1) where D(n) = sum_{y<=n} y^-s2 P_{s3}(y-1).
 
     The form of D(x-1), with the best values of its constants D_inf,
-    E(s3,1) and zeta(s3+1), is built once per workspace and caps.
+    E(s3,1) and zeta(s3+1), is built once per workspace.
     """
 
     def d_form() -> LogPower:
         if s2 >= 2:
             # D(x-1) = D_inf - sum_{y>=x} y^-s2 P_{s3}(y-1)
-            dinf = _atom_value(EulerSum((s2, s3)), cfg)
-            summand = _euler2_tail_lp(s2, s3, cfg)  # y^-s2 P_{s3}(y-1) in y
+            dinf = _atom_value(EulerSum((s2, s3)))
+            summand = _euler2_tail_lp(s2, s3)  # y^-s2 P_{s3}(y-1) in y
             ge_x = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x} + at x
             return _lp_sum(_lp_const(dinf.midpoint, dinf.radius), _lp_scale(ge_x, (-1.0, 0.0)))
         if s3 >= 2:
             # D(n) = zeta(s3) H_n - kappa + sum_{y>n} y^-1 tailzeta(y-1, s3)
             # with kappa = sum_m m^-s3 H_m = E(s3,1) + zeta(s3+1)
-            e_part = _atom_value(EulerSum((s3, 1)), cfg)
+            e_part = _atom_value(EulerSum((s3, 1)))
             summand = _lp_shift(_lp_tailzeta_prev(s3), 1.0)  # y^-1 tailzeta(y-1,s3)
             gt_prev = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x-1}
             return _lp_sum(
-                _lp_mul(_lp_prefix_prev(1, cfg), _lp_zeta(s3, cfg)),
+                _lp_mul(_lp_prefix_prev(1), _lp_zeta(s3)),
                 _lp_const(-e_part.midpoint, e_part.radius),
-                _lp_scale(_lp_zeta(s3 + 1, cfg), (-1.0, 0.0)),
+                _lp_scale(_lp_zeta(s3 + 1), (-1.0, 0.0)),
                 gt_prev,
             )
         # s2 = s3 = 1: D(n) = (H_n^2 - H_n^(2)) / 2 exactly
-        h_prev = _lp_prefix_prev(1, cfg)
-        h2_prev = _lp_prefix_prev(2, cfg)
+        h_prev = _lp_prefix_prev(1)
+        h2_prev = _lp_prefix_prev(2)
         hh = _lp_sum(_lp_mul(h_prev, h_prev), _lp_scale(h2_prev, (-1.0, 0.0)))
         return _lp_scale(hh, (0.5, 0.0))
 
-    return _lp_shift(_memo(("LPe3", s2, s3) + _caps(cfg), d_form), float(s1))
+    return _lp_shift(_memo(("LPe3", s2, s3), d_form), float(s1))
 
 
-def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
-    lp = _euler3_tail_lp(s1, s2, s3, cfg)
+def _euler3(s1: int, s2: int, s3: int) -> Evaluation:
+    lp = _euler3_tail_lp(s1, s2, s3)
 
     def d_table(n: int) -> tuple[np.ndarray, np.ndarray]:
         q, qrad = _prefix_table(s3, n)
@@ -753,7 +745,7 @@ def _euler3(s1: int, s2: int, s3: int, cfg: SummationConfig) -> Evaluation:
 
     # at 32 the tail radius is above the box radius for every depth-3 sum of
     # the default sweep and the THM22 grid, so the ladder starts one rung up
-    return _cutoff(lambda n: _lp_tail(lp, n), box_at, cfg.max_terms, start=64)
+    return _cutoff(lambda n: _lp_tail(lp, n), box_at, start=64)
 
 
 # ---------------------------------------------------------------------------
@@ -789,10 +781,10 @@ def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     return _table(("S", a, b), U, build)
 
 
-def _collapsed_s12_lp(a: int, b: int, cfg: SummationConfig) -> LogPower:
+def _collapsed_s12_lp(a: int, b: int) -> LogPower:
     """Two-sided LP enclosure of S_{a,b}(u), term by term (shared: do not mutate)."""
-    return _memo(("S12", a, b) + _caps(cfg), lambda: _lp_sum(*(
-        _lp_scale(_lp_shift(_lp_prefix_prev(j, cfg), float(a + b - j)), (float(w), 0.0))
+    return _memo(("S12", a, b), lambda: _lp_sum(*(
+        _lp_scale(_lp_shift(_lp_prefix_prev(j), float(a + b - j)), (float(w), 0.0))
         for j, w in pair_sum_weights(a, b).items()
     )))
 
@@ -803,23 +795,23 @@ def _weighted_product_sum(w: np.ndarray, x: tuple, y: tuple) -> Interval:
     return _dot(w, xm * ym, np.abs(xm) * yr + np.abs(ym) * xr + xr * yr)
 
 
-def _eval_w4_collapsed(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
+def _eval_w4_collapsed(s: tuple[int, ...]) -> Evaluation:
     s1, s2, s3, s4, _s5, s6 = s
     c, f = s3, s6
     if c + f < 2 or (f == 0 and c < 2) or (c == 0 and f < 2):
         raise ConvergenceUnverified(f"W{s}: the m3 direction cannot be certified")
 
     lp_outer = _lp_mul(
-        _lp_shift(_collapsed_s12_lp(s1, s2, cfg), float(s4)),
-        _lp_g_bracket(c, f, cfg),
+        _lp_shift(_collapsed_s12_lp(s1, s2), float(s4)),
+        _lp_g_bracket(c, f),
     )
 
     def box_at(U: int) -> Interval:
         return _weighted_product_sum(
-            _power_array(U, s4), _pair_sum_table(s1, s2, U), _g_tables(c, f, U, cfg)
+            _power_array(U, s4), _pair_sum_table(s1, s2, U), _g_tables(c, f, U)
         )
 
-    return _cutoff(lambda n: _lp_tail(lp_outer, n), box_at, cfg.max_terms)
+    return _cutoff(lambda n: _lp_tail(lp_outer, n), box_at)
 
 
 # ---------------------------------------------------------------------------
@@ -828,29 +820,29 @@ def _eval_w4_collapsed(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
 # m1 and m3 interact only through m2:
 #   W = sum_{m2} m2^-s2 G_{s1,s4}(m2) G_{s3,s5}(m2).
 
-def _eval_w4_hub(s: tuple[int, ...], cfg: SummationConfig) -> Evaluation:
+def _eval_w4_hub(s: tuple[int, ...]) -> Evaluation:
     s1, s2, s3, s4, s5, _s6 = s
     for cc, ff in ((s1, s4), (s3, s5)):
         if cc + ff < 2 or (cc == 0 and ff < 2):
             raise ConvergenceUnverified(f"W{s}: an arm of the split sum diverges")
 
     lp = _lp_mul(
-        _lp_shift(_lp_g_bracket(s1, s4, cfg), float(s2)),
-        _lp_g_bracket(s3, s5, cfg),
+        _lp_shift(_lp_g_bracket(s1, s4), float(s2)),
+        _lp_g_bracket(s3, s5),
     )
 
     def box_at(M: int) -> Interval:
         return _weighted_product_sum(
-            _power_array(M, s2), _g_tables(s1, s4, M, cfg), _g_tables(s3, s5, M, cfg)
+            _power_array(M, s2), _g_tables(s1, s4, M), _g_tables(s3, s5, M)
         )
 
-    return _cutoff(lambda n: _lp_tail(lp, n), box_at, cfg.max_terms)
+    return _cutoff(lambda n: _lp_tail(lp, n), box_at)
 
 
 # ---------------------------------------------------------------------------
 # triple-sum dispatch
 
-def _witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
+def _witten4(atom: WittenSl4) -> Evaluation:
     s = atom.s
     s1, s2, s3, s4, s5, s6 = s
     if s1 + s4 + s6 == 0 or s2 + s4 + s5 + s6 == 0 or s3 + s5 + s6 == 0:
@@ -859,13 +851,13 @@ def _witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
         # no composite factor: a plain product of single zetas
         if min(s1, s2, s3) < 2:
             raise ConvergenceUnverified(f"W{s}: a factored direction diverges")
-        return _product([_zeta_value(e, cfg) for e in (s1, s2, s3)])
+        return _product([_zeta_value(e) for e in (s1, s2, s3)])
     if s5 == 0:
-        return _eval_w4_collapsed(s, cfg)
+        return _eval_w4_collapsed(s)
     if s4 == 0:
         # relabel m1 <-> m3 onto the collapsed form; never used by the
         # symmetry identity, whose tuples keep both composites positive
-        return _eval_w4_collapsed(atom.mirror().s, cfg)
+        return _eval_w4_collapsed(atom.mirror().s)
     # outside the collapsed family, certification is offered only on
     # the directional-exponent gate
     sigma1 = s1 + s4 + s6
@@ -877,7 +869,7 @@ def _witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
             "below the certifiable range"
         )
     if s6 == 0:
-        return _eval_w4_hub(s, cfg)
+        return _eval_w4_hub(s)
     if s1 == s2 == s3 == 0 and s6 < 2:
         # convergent, but its Euler sums would lead with a 1
         raise ToleranceUnreachable(f"W{s}: a triangle with s6 = 1 has no certified evaluator")
@@ -885,31 +877,31 @@ def _witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
     # terminal at its best value
     return _combination(
         reduce_general_witten(atom),
-        lambda term: _product([_atom_value(a, cfg) for a in term.factors]),
+        lambda term: _product([_atom_value(a) for a in term.factors]),
     )
 
 
 # ---------------------------------------------------------------------------
 # atoms, terms, combinations
 #
-# Each atom is evaluated once per workspace and caps, to the radius its own
+# Each atom is evaluated once per workspace, to the radius its own
 # ladder reaches; products and combinations are interval arithmetic on those
 # values.  Only the public functions compare a result with the request's
 # tolerance, so an atom or a term above it is refused by name before the
 # combination that holds it.
 
-def _atom_value(atom: Atom, cfg: SummationConfig) -> Evaluation:
-    """The atom's best certified value under the caps, or its refusal."""
+def _atom_value(atom: Atom) -> Evaluation:
+    """The atom's best certified value, or its refusal."""
     if isinstance(atom, SingleZeta):
-        return _zeta_value(atom.s, cfg)
+        return _zeta_value(atom.s)
     if isinstance(atom, EulerSum):
         kernel = _euler2 if len(atom.indices) == 2 else _euler3
-        return _cached_atom(("E",) + atom.indices, _caps(cfg), lambda: kernel(*atom.indices, cfg))
+        return _cached_atom("E", atom.indices, lambda: kernel(*atom.indices))
     if isinstance(atom, MordellTornheim3):
-        key = ("MT", atom.a, atom.b, atom.c)
-        return _cached_atom(key, _caps(cfg), lambda: _mt(atom.a, atom.b, atom.c, cfg))
+        indices = (atom.a, atom.b, atom.c)
+        return _cached_atom("MT", indices, lambda: _mt(*indices))
     if isinstance(atom, WittenSl4):
-        return _cached_atom(("W",) + atom.s, _caps(cfg), lambda: _witten4(atom, cfg))
+        return _cached_atom("W", atom.s, lambda: _witten4(atom))
     raise UnsupportedParams(f"unknown atom {atom!r}")
 
 
@@ -941,22 +933,22 @@ def _combination(lc: LinearCombination, term_value) -> Evaluation:
 
 def eval_zeta(s: int, cfg: SummationConfig) -> Evaluation:
     cfg = cfg.validated()
-    return _checked(_zeta_value(s, cfg), cfg, lambda: f"zeta({s})")
+    return _checked(_zeta_value(s), cfg, lambda: f"zeta({s})")
 
 
 def eval_euler(atom: EulerSum, cfg: SummationConfig) -> Evaluation:
     cfg = cfg.validated()
-    return _checked(_atom_value(atom, cfg), cfg, atom.render)
+    return _checked(_atom_value(atom), cfg, atom.render)
 
 
 def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
     cfg = cfg.validated()
-    return _checked(_atom_value(atom, cfg), cfg, atom.render)
+    return _checked(_atom_value(atom), cfg, atom.render)
 
 
 def eval_witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
     cfg = cfg.validated()
-    return _checked(_atom_value(atom, cfg), cfg, atom.render)
+    return _checked(_atom_value(atom), cfg, atom.render)
 
 
 def eval_atom(atom: Atom, cfg: SummationConfig) -> Evaluation:

@@ -148,8 +148,18 @@ def test_reduce_rejects_nonpositive_exponents(capsys):
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-30"], ["--max-terms", "5"]])
 def test_reduce_refuses_the_evaluator_flags(capsys, flag):
-    # reduce evaluates nothing, so a tolerance or a cutoff cap is a usage error
+    # reduce evaluates nothing, so a tolerance is a usage error; no command
+    # takes a cutoff cap
     assert main(["reduce", "2", "1", "2", "1", "2", *flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "Z(2)"], ["verify", "HWZ_EQ3", "2", "2", "2"], ["sweep"]]
+)
+def test_evaluating_commands_take_no_cutoff_cap(capsys, argv):
+    # the cutoff cap is a constant of the evaluator, not a setting
+    assert main([*argv, "--max-terms", "5"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 

@@ -126,14 +126,36 @@ def test_pair_recurrence_weights_reject_empty_sides():
 # double-sum reduction
 
 def test_reduce_mt_shell_exact():
+    # a zero exponent takes the closed forms: a = 0 is E(c, b) and
+    # a = b = 0 is Z(c-1) - Z(c), both exact on the shell
     K = 14
-    for a in range(1, 7):
-        for b in range(1, 7):
+    for a in range(7):
+        for b in range(7):
             for c in range(1, 7):
-                if a + b + c > 8:
+                if a + b + c > 8 or min(a, b) + c < 2 or a + b + c < 3:
                     continue
                 out = reduce_mt(MordellTornheim3(a, b, c))
                 assert shell_value(out, K) == oracles.mt_shell(a, b, c, K), (a, b, c)
+
+
+def test_reduce_mt_factors_without_a_composite_exponent():
+    # c = 0 is Z(a) Z(b), which the square box m1, m2 <= K truncates to
+    # P_a(K) P_b(K)
+    K = 9
+
+    def prefix(s):
+        return sum(Fraction(1, n**s) for n in range(1, K + 1))
+
+    for a in range(2, 6):
+        for b in range(2, 6):
+            out = reduce_mt(MordellTornheim3(a, b, 0))
+            ((term, coeff),) = out.items()
+            assert coeff == 1 and all(isinstance(z, SingleZeta) for z in term.factors)
+            got = prefix(term.factors[0].s) * prefix(term.factors[1].s)
+            box = sum(
+                Fraction(1, m1**a * m2**b) for m1 in range(1, K + 1) for m2 in range(1, K + 1)
+            )
+            assert got == box, (a, b)
 
 
 def test_reduce_mt_outputs_are_admissible_depth_two():

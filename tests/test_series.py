@@ -6,7 +6,6 @@ import oracles
 from wreduce.errors import (
     ConvergenceUnverified,
     ToleranceUnreachable,
-    UnsupportedParams,
 )
 from wreduce.exact import (
     EulerSum,
@@ -38,15 +37,17 @@ def test_config_validation():
         SummationConfig(tolerance=-1e-6).validated()
     with pytest.raises(ToleranceUnreachable):
         SummationConfig(tolerance=1e-18).validated()
-    with pytest.raises(UnsupportedParams):
-        SummationConfig(max_terms=16).validated()
     SummationConfig().validated()
 
 
-def test_a_small_max_terms_validates_and_certifies():
-    # every 1-D ladder starts at 32, so a cap of 512 leaves room for them
-    cfg = SummationConfig(tolerance=1e-10, max_terms=512).validated()
+def test_ladders_stop_far_inside_the_cap():
+    # every 1-D ladder starts at 32, and these stop by 512, far inside the
+    # cap MAX_TERMS
+    from wreduce.series import MAX_TERMS
+
+    cfg = SummationConfig(tolerance=1e-10)
     clear_caches()
+    assert eval_atom(EulerSum((2, 1)), cfg).terms == 128
     for atom in (
         EulerSum((2, 1)),
         EulerSum((2, 1, 1)),
@@ -54,7 +55,8 @@ def test_a_small_max_terms_validates_and_certifies():
         WittenSl4((1, 1, 1, 1, 0, 1)),
     ):
         ev = eval_atom(atom, cfg)
-        assert ev.radius <= 1e-10 and 32 <= ev.terms <= 512, atom
+        assert ev.radius <= 1e-10 and 32 <= ev.terms <= 512 < MAX_TERMS, atom
+    clear_caches()
 
 
 def test_evaluation_coerces_numpy_scalars():
@@ -77,37 +79,24 @@ def test_em_tail_refuses_divergent_exponent():
 def test_cutoff_ladder_stops_at_max_terms():
     from wreduce.series import _cutoff
 
-    # 3000 is not a power of two, so a plain doubling ladder overshoots it
-    cfg = SummationConfig(tolerance=1e-6, max_terms=3000)
+    cfg = SummationConfig(tolerance=1e-6)
     clear_caches()
     for atom in (EulerSum((2, 1)), MordellTornheim3(1, 1, 1)):
         ev = eval_atom(atom, cfg)
         assert ev.radius <= cfg.tolerance
-        assert ev.terms <= cfg.max_terms, atom
+        assert ev.terms <= 3000, atom
     clear_caches()
-    # a tail that never gets below its box radius ends on the clamp itself
+    # a tail that never gets below its box radius ends on the clamp itself;
+    # 3000 is not a power of two, so a plain doubling ladder overshoots it
     ev = _cutoff(lambda n: (0.0, 1.0), lambda n: (0.0, 0.0), 3000)
     assert ev.terms == 3000
     assert (ev.midpoint, ev.radius) == (0.0, 1.0)
 
 
-def test_atom_cache_keys_on_caps():
-    clear_caches()
-    atom = EulerSum((2, 1))
-    assert eval_atom(atom, SummationConfig(tolerance=1e-6)).terms == 128
-    try:
-        ev = eval_atom(atom, SummationConfig(tolerance=1e-6, max_terms=32))
-    except ToleranceUnreachable:
-        pass
-    else:
-        assert ev.terms <= 32
-    clear_caches()
-
-
 def test_one_value_per_atom_whatever_the_tolerance():
-    # each atom is evaluated once under the caps and checked against the
-    # request afterwards: both certify at the floor, and every tolerance
-    # gets the same bits, each from a cold workspace
+    # each atom is evaluated once and checked against the request
+    # afterwards: both certify at the floor, and every tolerance gets the
+    # same bits, each from a cold workspace
     for atom in (WittenSl4((1, 0, 1, 0, 0, 3)), MordellTornheim3(2, 2, 6)):
         outcomes = set()
         for tol in (1e-6, 1e-8, 1e-10, 1e-12):
@@ -136,10 +125,10 @@ def test_product_terms_fit_the_request_or_are_refused():
 
 
 def test_inner_zetas_certify_under_a_small_cap():
-    # inner zetas take their best value under the caps whatever the
-    # caller's tolerance, so their ladders must stop well inside max_terms
+    # inner zetas take their best value whatever the caller's tolerance, so
+    # their ladders, and the one of the sum around them, stop far below the cap
     clear_caches()
-    ev = eval_atom(EulerSum((2, 1, 1)), SummationConfig(tolerance=1e-6, max_terms=3000))
+    ev = eval_atom(EulerSum((2, 1, 1)), SummationConfig(tolerance=1e-6))
     assert ev.radius <= 1e-6
     assert ev.terms <= 3000
     clear_caches()
@@ -150,11 +139,10 @@ def test_tables_are_prefix_stable():
     # must come out bit for bit the same whatever length the table is built at
     from wreduce import series
 
-    cfg = SummationConfig(tolerance=1e-8)
     builds = (
         lambda U: series._prefix_table(3, U),
-        lambda U: series._tailzeta_table(4, U, cfg),
-        lambda U: series._g_tables(2, 5, U, cfg),
+        lambda U: series._tailzeta_table(4, U),
+        lambda U: series._g_tables(2, 5, U),
         lambda U: series._pair_sum_table(2, 3, U),
         lambda U: (series._power_array(U, 5),),
     )
@@ -288,6 +276,40 @@ def test_only_the_check_helper_reads_the_tolerance():
             ):
                 offenders.add(fn.name)
     assert not offenders
+    # and only they and the public evaluators are handed a config at all
+    public = {fn.name for fn in functions if fn.name.startswith("eval_")}
+    handed = {
+        fn.name
+        for fn in functions
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if arg.annotation is not None and "SummationConfig" in ast.unparse(arg.annotation)
+    }
+    assert handed - public - allowed == set()
+
+
+def test_a_cached_refusal_is_replayed_without_recomputing(monkeypatch, cfg6):
+    # the outcome cache holds a refusal as its class and message, and raises
+    # it again without evaluating the atom a second time
+    from wreduce import series
+
+    witten4 = series._witten4
+    calls = []
+
+    def counted(atom):
+        calls.append(atom)
+        return witten4(atom)
+
+    monkeypatch.setattr(series, "_witten4", counted)
+    clear_caches()
+    atom = WittenSl4((0, 0, 0, 2, 2, 1))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ToleranceUnreachable) as exc:
+            eval_atom(atom, cfg6)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert calls == [atom]
+    clear_caches()
 
 
 def test_zeta_against_reference(cfg8):
@@ -352,13 +374,25 @@ def test_witten_separable_corner(cfg8):
 
 
 def test_witten_collapsed_against_reference(cfg6):
+    # s1 = s2 = 0 sums the pair sum S_{0,0}(u) = u - 1, the j = 0 prefix
     for s in [(2, 2, 2, 2, 0, 2), (1, 1, 2, 2, 0, 1), (3, 1, 2, 2, 0, 1),
-              (2, 2, 3, 2, 0, 0), (1, 2, 0, 2, 0, 3)]:
+              (2, 2, 3, 2, 0, 0), (1, 2, 0, 2, 0, 3), (0, 0, 2, 3, 0, 2),
+              (0, 0, 3, 2, 0, 3)]:
         ev = eval_atom(WittenSl4(s), cfg6)
         assert ev.radius <= 1e-6
         n = max(2 * ev.terms, 400)
         n = min(n, 900)
         assert overlap(ev, oracles.w4_ref(s, n)), s
+
+
+def test_collapsed_witten_without_pair_weights_is_a_difference_of_double_sums(cfg8):
+    # S_{0,0}(u) = u - 1, so W(0,0,c,d,0,f) = sum_u (u^(1-d) - u^-d) G_{c,f}(u)
+    # = MT(c,d-1,f) - MT(c,d,f), which the MT path sums without the pair sum
+    for c, d, f in ((2, 3, 2), (3, 2, 3)):
+        w = eval_atom(WittenSl4((0, 0, c, d, 0, f)), cfg8)
+        lc = LinearCombination.from_atom(MordellTornheim3(c, d - 1, f))
+        diff = eval_lincomb(lc - LinearCombination.from_atom(MordellTornheim3(c, d, f)), cfg8)
+        assert abs(w.midpoint - diff.midpoint) <= w.radius + diff.radius < 1e-12, (c, d, f)
 
 
 def test_witten_general_against_reference(cfg6):
@@ -497,8 +531,8 @@ def test_em_forms_survive_clear_caches():
 # sha256 over W(a,b,c,d,0,f) and its complete Euler-sum reduction at every
 # THM22 grid point at 1e-8, each point in a cold workspace: the hex midpoint
 # and radius of each side, or its refusal code.  Computed with numpy's
-# float64 pow on x86-64 when every atom was first evaluated once under its
-# caps, whatever the tolerance; another pow can move the last bits
+# float64 pow on x86-64 when every atom was first evaluated once, whatever
+# the tolerance; another pow can move the last bits
 _FULL_REDUCTION_DIGEST = "175837f76af296e0c7f4aea54d05ab6ae50c731c50ca71db7fe7049a9a1b2400"
 
 
@@ -534,21 +568,18 @@ def test_full_reductions_golden():
 
 
 # tag of a per-workspace LP form -> a call that builds the form under the
-# key (tag, *args) or, with caps, (tag, *args, max_terms)
+# key (tag, *args)
 def _lp_form_builders():
     from wreduce import series
-
-    def capped(build):
-        return lambda *key: build(*key[:-1], SummationConfig(1e-8, key[-1]))
 
     return {
         "LPtz": series._lp_tailzeta,
         "LPtzp": series._lp_tailzeta_prev,
-        "LPpp": capped(series._lp_prefix_prev),
-        "LPe2": capped(series._euler2_tail_lp),
-        "LPe3": capped(lambda s2, s3, cfg: series._euler3_tail_lp(2, s2, s3, cfg)),
-        "G": capped(series._lp_g_bracket),
-        "S12": capped(series._collapsed_s12_lp),
+        "LPpp": series._lp_prefix_prev,
+        "LPe2": series._euler2_tail_lp,
+        "LPe3": lambda s2, s3: series._euler3_tail_lp(2, s2, s3),
+        "G": series._lp_g_bracket,
+        "S12": series._collapsed_s12_lp,
     }
 
 

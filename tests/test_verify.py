@@ -173,6 +173,23 @@ def test_check_pass_on_validated_transcription(cfg6):
     assert rep.verdict == "PASS"
 
 
+@pytest.mark.parametrize(
+    "gap,verdict",
+    [(0.5, "PASS"), (0.75, "INCONCLUSIVE"), (1.0, "INCONCLUSIVE"), (1.25, "FAIL")],
+)
+def test_check_verdict_bands(monkeypatch, cfg6, gap, verdict):
+    # both sides certify with radius 1/4, so the budget is 1/2: a gap within
+    # it passes, one beyond twice it fails, and the band between is neither
+    from wreduce import verify
+    from wreduce.series import Evaluation
+
+    rec = build_identity("HWZ_EQ3", (2, 2, 2))
+    sides = {id(rec.lhs): Evaluation(1.0, 0.25), id(rec.rhs): Evaluation(1.0 + gap, 0.25)}
+    monkeypatch.setattr(verify, "eval_lincomb", lambda lc, cfg: sides[id(lc)])
+    rep = check(rec, cfg6)
+    assert (rep.verdict, rep.gap, rep.budget, rep.detail) == (verdict, gap, 0.5, "")
+
+
 def test_check_turns_evaluation_errors_into_inconclusive():
     # the region cross-evaluator cannot certify this record to the floor
     # within its largest box, which must surface as a verdict, not a crash
