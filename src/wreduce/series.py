@@ -27,15 +27,20 @@ request in it, and ``clear_caches()`` drops every form.  The form arithmetic
 multiplies intervals inline with the expressions of ``_imul``, so a shared
 form is bit for bit the form a rebuild would give.
 
-The triple-sum evaluator picks a strategy from the zero pattern of the
-composite exponents: ``s5 = 0`` collapses (m1, m2) to their sum u, whose
-pair sum has a closed form in prefix power sums (the partial fractions of
-Huard, Williams and Zhang, eq. 3), ``s6 = 0`` splits over m2 into two
-shifted sums, and the general case is evaluated as the exact combination
-of ``reduce.reduce_general_witten``: collapsed triple sums and Euler sums,
-so every atom is a 1-D sum.  The slot order given is the slot order
-summed; relabeling twins are computed by genuinely different loops, which
-is what makes the symmetry check in ``verify`` meaningful.
+Every sum but zeta's ends in one kernel, ``_outer_sum``: the 1-D sum over
+u of u^-e T(u), cut by the ladder, with T(u) a certified table for the box
+and an LP enclosure of T(u) for the tail.  For MT, T is a shifted pair sum
+G; for the Euler sums of depth 2 and 3, a prefix power sum and a running
+sum of them.  The triple-sum evaluator picks T from the zero pattern of the
+composite exponents.  With ``s5 = 0`` (or ``s4 = 0``, mirrored) it collapses
+(m1, m2) to their sum u, whose pair sum has a closed form in prefix power
+sums (the partial fractions of Huard, Williams and Zhang, eq. 3), and T is
+that pair sum times a G.  With ``s6 = 0``, m1 and m3 meet only through m2,
+and T is the product of two G.  The general case is evaluated as the exact
+combination of ``reduce.reduce_general_witten``: collapsed triple sums and
+Euler sums.  The slot order given is the slot order summed; relabeling
+twins are computed by genuinely different loops, which is what makes the
+symmetry check in ``verify`` meaningful.
 
 Each atom has one certified value per workspace: its ladder stops at the
 first cutoff whose tail radius is no larger than its box radius (or at the
@@ -81,8 +86,8 @@ EPS = 2.3e-16  # one ulp of slack over float64 unit roundoff
 EULER_GAMMA = 0.5772156649015329
 
 TOLERANCE_FLOOR = 1e-12
-# the cap on every cutoff: the 1-D sums and the collapsed and hub outer
-# sums that every triple sum comes down to
+# the cap on every cutoff: of zeta and of the outer sum that every other
+# sum, triple sums included, comes down to
 MAX_TERMS = 10**6
 
 
@@ -404,7 +409,7 @@ def _lp_zeta(j: int) -> LogPower:
 
 
 # ---------------------------------------------------------------------------
-# the workspace, certified tables and the cutoff ladder
+# the workspace, certified tables, the cutoff ladder and the outer sum
 
 class _Workspace:
     """Per-process cache of atom outcomes and certified tables.
@@ -529,6 +534,24 @@ def _cutoff(tail_at, box_at, cap: int = MAX_TERMS, start: int = 32) -> Evaluatio
         n = min(2 * n, cap)
 
 
+def _outer_sum(e: int, first: int, table, lp: LogPower, start: int = 32) -> Evaluation:
+    """sum_{u>=first} u^-e T(u), cut by ``_cutoff``: the outer sum that
+    every sum but zeta's ends in.
+
+    ``table(n)`` gives the (mid, rad) arrays of T(first..n), and ``lp`` is
+    an LP enclosure of T(u) for u past the first cutoff.  The box is one
+    ``_dot`` of those arrays against the powers u^-e; the tail is ``lp``
+    shifted by e, summed by the tail engine.  With ``first = 0`` the unused
+    zero slot of the powers weights T(0) by zero.
+    """
+    lp = _lp_shift(lp, float(e))
+    return _cutoff(
+        lambda n: _lp_tail(lp, n),
+        lambda n: _dot(_power_array(n, e)[first:], *table(n)),
+        start=start,
+    )
+
+
 # ---------------------------------------------------------------------------
 # single zeta
 
@@ -595,17 +618,13 @@ def _g_pf_coeffs(c: int, f: int) -> tuple[list[tuple[int, int]], list[tuple[int,
 
 
 def _g_tables(c: int, f: int, U: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mid, rad) arrays of G_{c,f}(u) for u = 1..U (index 0 unused; shared: do not mutate)."""
-    if c == 0 and f == 0:
-        raise ConvergenceUnverified("inner pair sum with no weight diverges")
+    """(mid, rad) arrays of G_{c,f}(u) for u = 1..U (index 0 unused; shared: do not mutate).
+
+    The sum must converge: every caller checks c + f >= 2, c >= 2 when
+    f = 0 and f >= 2 when c = 0 first.
+    """
     if c == 0:
-        if f < 2:
-            raise ConvergenceUnverified("inner pair sum needs f >= 2 when c = 0")
         return _tailzeta_table(f, U)
-    if f == 0 and c < 2:
-        raise ConvergenceUnverified("inner pair sum needs c >= 2 when f = 0")
-    if c + f < 2:
-        raise ConvergenceUnverified("inner pair sum diverges")
 
     def build(n: int) -> tuple[np.ndarray, np.ndarray]:
         if f == 0:
@@ -663,20 +682,15 @@ def _lp_g_bracket(c: int, f: int) -> LogPower:
 def _mt(a: int, b: int, c: int) -> Evaluation:
     if c == 0:
         return _product([_zeta_value(a), _zeta_value(b)])
-
-    # outer sum over m2 of m2^-b G_{a,c}(m2); the LP bracket of G gives
-    # a two-sided parametric tail
-    lp = _lp_shift(_lp_g_bracket(a, c), float(b))
-
-    def box_at(M: int) -> Interval:
-        gmid, grad = _g_tables(a, c, M)
-        return _dot(_power_array(M, b)[1:], gmid[1:], grad[1:])
-
-    return _cutoff(lambda n: _lp_tail(lp, n), box_at)
+    # the outer sum over m2 of m2^-b G_{a,c}(m2); MT's own convergence
+    # conditions are those of G_{a,c}
+    return _outer_sum(
+        b, 1, lambda n: tuple([t[1:] for t in _g_tables(a, c, n)]), _lp_g_bracket(a, c)
+    )
 
 
 # ---------------------------------------------------------------------------
-# Euler sums
+# Euler sums: the outer sums over x of x^-s1 P_{s2}(x-1) and x^-s1 D(x-1)
 
 def _euler2_tail_lp(s1: int, s2: int) -> LogPower:
     """LP form (in x) of x^-s1 * P_{s2}(x-1), the double-sum tail summand
@@ -685,20 +699,17 @@ def _euler2_tail_lp(s1: int, s2: int) -> LogPower:
 
 
 def _euler2(s1: int, s2: int) -> Evaluation:
-    lp = _euler2_tail_lp(s1, s2)
-
-    def box_at(X: int) -> Interval:
-        inner, irad = _prefix_table(s2, X)
-        return _dot(_power_array(X, s1)[2:], inner[1:-1], irad[1:-1])
-
-    return _cutoff(lambda n: _lp_tail(lp, n), box_at)
+    # P_{s2}(0) = 0, so the outer sum starts at x = 2
+    return _outer_sum(
+        s1, 2, lambda n: tuple([t[1:-1] for t in _prefix_table(s2, n)]), _lp_prefix_prev(s2)
+    )
 
 
-def _euler3_tail_lp(s1: int, s2: int, s3: int) -> LogPower:
-    """LP form (in x) of x^-s1 * D(x-1) where D(n) = sum_{y<=n} y^-s2 P_{s3}(y-1).
+def _lp_d_prev(s2: int, s3: int) -> LogPower:
+    """LP form (in x) of D(x-1) where D(n) = sum_{y<=n} y^-s2 P_{s3}(y-1).
 
-    The form of D(x-1), with the best values of its constants D_inf,
-    E(s3,1) and zeta(s3+1), is built once per workspace.
+    The form, with the best values of its constants D_inf, E(s3,1) and
+    zeta(s3+1), is built once per workspace (shared: do not mutate).
     """
 
     def d_form() -> LogPower:
@@ -726,35 +737,38 @@ def _euler3_tail_lp(s1: int, s2: int, s3: int) -> LogPower:
         hh = _lp_sum(_lp_mul(h_prev, h_prev), _lp_scale(h2_prev, (-1.0, 0.0)))
         return _lp_scale(hh, (0.5, 0.0))
 
-    return _lp_shift(_memo(("LPe3", s2, s3), d_form), float(s1))
+    return _memo(("LPe3", s2, s3), d_form)
 
 
 def _euler3(s1: int, s2: int, s3: int) -> Evaluation:
-    lp = _euler3_tail_lp(s1, s2, s3)
-
     def d_table(n: int) -> tuple[np.ndarray, np.ndarray]:
         q, qrad = _prefix_table(s3, n)
         w = _power_array(n, s2)[1:]
         return _prefix_sums(w * q[:-1], w * qrad[:-1])
 
-    def box_at(X: int) -> Interval:
-        # D(k) = sum_{y<=k} y^-s2 P_{s3}(y-1); D(0) = D(1) = 0, so the
-        # outer sum starts at x = 3
-        d, drad = _table(("D", s2, s3), X, d_table)
-        return _dot(_power_array(X, s1)[3:], d[2:-1], drad[2:-1])
-
-    # at 32 the tail radius is above the box radius for every depth-3 sum of
-    # the default sweep and the THM22 grid, so the ladder starts one rung up
-    return _cutoff(lambda n: _lp_tail(lp, n), box_at, start=64)
+    # D(0) = D(1) = 0, so the outer sum starts at x = 3.  At 32 the tail
+    # radius is above the box radius for every depth-3 sum of the default
+    # sweep and the THM22 grid, so the ladder starts one rung up
+    return _outer_sum(
+        s1,
+        3,
+        lambda n: tuple([t[2:-1] for t in _table(("D", s2, s3), n, d_table)]),
+        _lp_d_prev(s2, s3),
+        start=64,
+    )
 
 
 # ---------------------------------------------------------------------------
-# triple sums: the collapsed path (s5 = 0)
+# triple sums with a zero composite exponent: one outer sum of two factors
 #
-# With u = m1 + m2 the sum factors through the pair sum
+# With s5 = 0 and u = m1 + m2 the sum factors through the pair sum
 #   S_{a,b}(u) = sum_{m1+m2=u} m1^-a m2^-b
-# and the shifted pair sum over m3:
-#   W = sum_u S(u) u^-s4 G_{s3,s6}(u).
+# and the shifted pair sum over m3 (the collapsed path):
+#   W = sum_u u^-s4 S_{s1,s2}(u) G_{s3,s6}(u).
+# With s6 = 0, m1 and m3 meet only through m2 (the hub path):
+#   W = sum_u u^-s2 G_{s1,s4}(u) G_{s3,s5}(u).
+# Either way the table is the interval product of two tables, and the tail
+# form the product of their LP brackets.
 # Partial fractions of m1^-a (u-m1)^-b give S in closed form,
 #   S_{a,b}(u) = sum_j w_j u^-(a+b-j) P_j(u-1),   P_j(n) = sum_{m<=n} m^-j,
 # with the weights w_j of ``reduce.pair_sum_weights``: the unsigned G
@@ -789,10 +803,10 @@ def _collapsed_s12_lp(a: int, b: int) -> LogPower:
     )))
 
 
-def _weighted_product_sum(w: np.ndarray, x: tuple, y: tuple) -> Interval:
-    """Enclosure of sum_u w[u] x(u) y(u) for (mid, rad) tables x, y and w >= 0."""
+def _product_table(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(mid, rad) arrays of X(u) Y(u), entry by entry, for (mid, rad) tables x, y."""
     (xm, xr), (ym, yr) = x, y
-    return _dot(w, xm * ym, np.abs(xm) * yr + np.abs(ym) * xr + xr * yr)
+    return xm * ym, np.abs(xm) * yr + np.abs(ym) * xr + xr * yr
 
 
 def _eval_w4_collapsed(s: tuple[int, ...]) -> Evaluation:
@@ -800,43 +814,12 @@ def _eval_w4_collapsed(s: tuple[int, ...]) -> Evaluation:
     c, f = s3, s6
     if c + f < 2 or (f == 0 and c < 2) or (c == 0 and f < 2):
         raise ConvergenceUnverified(f"W{s}: the m3 direction cannot be certified")
-
-    lp_outer = _lp_mul(
-        _lp_shift(_collapsed_s12_lp(s1, s2), float(s4)),
-        _lp_g_bracket(c, f),
+    return _outer_sum(
+        s4,
+        0,
+        lambda n: _product_table(_pair_sum_table(s1, s2, n), _g_tables(c, f, n)),
+        _lp_mul(_collapsed_s12_lp(s1, s2), _lp_g_bracket(c, f)),
     )
-
-    def box_at(U: int) -> Interval:
-        return _weighted_product_sum(
-            _power_array(U, s4), _pair_sum_table(s1, s2, U), _g_tables(c, f, U)
-        )
-
-    return _cutoff(lambda n: _lp_tail(lp_outer, n), box_at)
-
-
-# ---------------------------------------------------------------------------
-# triple sums: the hub path (s6 = 0, s4 > 0, s5 > 0)
-#
-# m1 and m3 interact only through m2:
-#   W = sum_{m2} m2^-s2 G_{s1,s4}(m2) G_{s3,s5}(m2).
-
-def _eval_w4_hub(s: tuple[int, ...]) -> Evaluation:
-    s1, s2, s3, s4, s5, _s6 = s
-    for cc, ff in ((s1, s4), (s3, s5)):
-        if cc + ff < 2 or (cc == 0 and ff < 2):
-            raise ConvergenceUnverified(f"W{s}: an arm of the split sum diverges")
-
-    lp = _lp_mul(
-        _lp_shift(_lp_g_bracket(s1, s4), float(s2)),
-        _lp_g_bracket(s3, s5),
-    )
-
-    def box_at(M: int) -> Interval:
-        return _weighted_product_sum(
-            _power_array(M, s2), _g_tables(s1, s4, M), _g_tables(s3, s5, M)
-        )
-
-    return _cutoff(lambda n: _lp_tail(lp, n), box_at)
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +852,13 @@ def _witten4(atom: WittenSl4) -> Evaluation:
             "below the certifiable range"
         )
     if s6 == 0:
-        return _eval_w4_hub(s)
+        # the hub path; the gate (s1 + s4, s3 + s5 >= 3) makes both G converge
+        return _outer_sum(
+            s2,
+            0,
+            lambda n: _product_table(_g_tables(s1, s4, n), _g_tables(s3, s5, n)),
+            _lp_mul(_lp_g_bracket(s1, s4), _lp_g_bracket(s3, s5)),
+        )
     if s1 == s2 == s3 == 0 and s6 < 2:
         # convergent, but its Euler sums would lead with a 1
         raise ToleranceUnreachable(f"W{s}: a triangle with s6 = 1 has no certified evaluator")
@@ -921,7 +910,11 @@ def _combination(lc: LinearCombination, term_value) -> Evaluation:
     mid = absmid = rad = 0.0
     terms = 0
     for term, coef in entries:
-        c = float(coef)
+        try:
+            c = float(coef)
+        except OverflowError:
+            # as a finite coefficient whose product overflows: radius inf
+            raise ToleranceUnreachable(f"coefficient {coef} is beyond the float64 range") from None
         ev = term_value(term)
         mid += c * ev.midpoint
         absmid += abs(c * ev.midpoint)

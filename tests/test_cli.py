@@ -83,6 +83,12 @@ def test_eval_radius_above_tolerance_exits_three(capsys):
     assert "TOLERANCE_UNREACHABLE" in capsys.readouterr().err
 
 
+def test_eval_coefficient_beyond_float64_exits_three(capsys):
+    # refused like 10**308 * Z(2) + -10**308 * Z(3), whose radius is inf
+    assert main(["eval", f"{2 * 10**308} * Z(2)"]) == 3
+    assert capsys.readouterr().err.startswith("TOLERANCE_UNREACHABLE: coefficient 2000")
+
+
 def test_eval_parse_error_exits_two(capsys):
     assert main(["eval", "Q(3)"]) == 2
     assert "INADMISSIBLE_INDEX" in capsys.readouterr().err

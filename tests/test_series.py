@@ -287,6 +287,27 @@ def test_only_the_check_helper_reads_the_tolerance():
     assert handed - public - allowed == set()
 
 
+def test_only_the_outer_sum_kernel_and_zeta_cut_a_sum():
+    # every sum but zeta's ends in one outer sum over u of u^-e T(u), so
+    # the cutoff ladder has two callers
+    import ast
+    import inspect
+
+    from wreduce import series
+
+    tree = ast.parse(inspect.getsource(series))
+    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert not defined & {"_eval_w4_hub", "_weighted_product_sum"}
+    callers = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "_cutoff"
+    }
+    assert callers == {"_zeta", "_outer_sum"}
+
+
 def test_a_cached_refusal_is_replayed_without_recomputing(monkeypatch, cfg6):
     # the outcome cache holds a refusal as its class and message, and raises
     # it again without evaluating the atom a second time
@@ -432,13 +453,81 @@ def test_general_witten_grid_refusals_and_brute_force(cfg6):
     assert divergent == 33
 
 
-def test_witten_hub_mirror_agree(cfg6):
+def test_witten_mirror_dispatch_agrees(cfg6):
     # s4 = 0 dispatches via the mirror image; both spellings of the same
     # sum must agree
     w = WittenSl4((2, 1, 2, 0, 2, 2))
     ev = eval_atom(w, cfg6)
     em = eval_atom(w.mirror(), cfg6)
     assert abs(ev.midpoint - em.midpoint) <= ev.radius + em.radius
+
+
+def _hub_grid():
+    """Every W(s1,s2,s3,s4,s5,0) with s1..s3 <= 3, 1 <= s4, s5 <= 3 and weight <= 10."""
+    import itertools
+
+    axes = (range(4),) * 3 + (range(1, 4),) * 2 + ((0,),)
+    grid = [s for s in itertools.product(*axes) if sum(s) <= 10]
+    assert len(grid) == 465
+    return grid
+
+
+def test_hub_agrees_with_the_partial_fraction_rewrite(cfg8):
+    # each rule of the general rewrite multiplies the summand by
+    # x/z + m3/z = 1 or a sibling of it, whatever s6 is, so it also holds
+    # at s6 = 0, where the hub sums W directly; PASS is verify.check's
+    # rule, gap <= the sum of the two radii
+    from wreduce.errors import InadmissibleOutput
+    from wreduce.reduce import _general_rewrite
+
+    clear_caches()
+    gated, passed, refused = 0, 0, []
+    for s in _hub_grid():
+        try:
+            hub = eval_atom(WittenSl4(s), cfg8)
+        except ConvergenceUnverified as exc:
+            assert "directional exponents" in str(exc), s
+            gated += 1
+            continue
+        try:
+            rewrite = eval_lincomb(_general_rewrite(s), cfg8)
+        except InadmissibleOutput:
+            refused.append(s)
+            continue
+        assert abs(hub.midpoint - rewrite.midpoint) <= hub.radius + rewrite.radius, s
+        passed += 1
+    assert (gated, passed) == (252, 207)
+    # the rewrite reaches a triangle W(0,0,0,a,b,c) with c <= 1, whose
+    # Euler sums would lead with c
+    assert refused == [(0, 0, 0, 3, 3, 0), (0, 0, 1, 3, 2, 0), (0, 0, 1, 3, 3, 0),
+                       (0, 1, 0, 3, 3, 0), (1, 0, 0, 2, 3, 0), (1, 0, 0, 3, 3, 0)]
+    clear_caches()
+
+
+# sha256 over the hub grid above, in one cold workspace at the floor: the
+# hex midpoint, hex radius and cutoff of each atom, or its refusal code.
+# Computed with numpy's float64 pow on x86-64; another pow can move the
+# last bits
+_HUB_DIGEST = "ffb1b1b73fa81e533dbbbb5015dd957a9185d86046ecd74be4e9c6be4bae1c9b"
+
+
+def test_hub_values_golden():
+    import hashlib
+
+    from wreduce.errors import WreduceError
+
+    cfg = SummationConfig(tolerance=1e-12)
+    clear_caches()
+    lines = []
+    for s in _hub_grid():
+        try:
+            ev = eval_atom(WittenSl4(s), cfg)
+        except WreduceError as exc:
+            lines.append(f"{s!r}|{exc.code}\n")
+        else:
+            lines.append(f"{s!r}|{ev.midpoint.hex()}|{ev.radius.hex()}|{ev.terms}\n")
+    clear_caches()
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == _HUB_DIGEST
 
 
 def test_convergence_gate_rejects_thin_exponents(cfg6):
@@ -491,6 +580,22 @@ def test_eval_lincomb_constant_term(cfg6):
     ev = eval_lincomb(lc, cfg6)
     assert abs(ev.midpoint - 5 / 3) < 1e-12
     assert ev.radius < 1e-12
+
+
+def test_a_coefficient_beyond_float64_is_refused(cfg6):
+    # refused as 10**308 * Z(2) + -10**308 * Z(3) is, through a radius of inf
+    from fractions import Fraction
+
+    for coef in (2 * 10**308, Fraction(10**400, 3)):
+        lc = LinearCombination.from_term(Term((SingleZeta(2),)), coef)
+        with pytest.raises(ToleranceUnreachable, match=f"coefficient {coef} is beyond"):
+            eval_lincomb(lc, cfg6)
+
+
+def test_a_zeta_atom_takes_the_zeta_value():
+    from wreduce import series
+
+    assert series._atom_value(SingleZeta(3)) is series._zeta_value(3)
 
 
 def test_eval_lincomb_empty_is_zero(cfg6):
@@ -577,7 +682,7 @@ def _lp_form_builders():
         "LPtzp": series._lp_tailzeta_prev,
         "LPpp": series._lp_prefix_prev,
         "LPe2": series._euler2_tail_lp,
-        "LPe3": lambda s2, s3: series._euler3_tail_lp(2, s2, s3),
+        "LPe3": series._lp_d_prev,
         "G": series._lp_g_bracket,
         "S12": series._collapsed_s12_lp,
     }
