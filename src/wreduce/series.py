@@ -29,9 +29,11 @@ form is bit for bit the form a rebuild would give.
 
 Every sum but zeta's ends in one kernel, ``_outer_sum``: the 1-D sum over
 u of u^-e T(u), cut by the ladder, with T(u) a certified table for the box
-and an LP enclosure of T(u) for the tail.  For MT, T is a shifted pair sum
-G; for the Euler sums of depth 2 and 3, a prefix power sum and a running
-sum of them.  The triple-sum evaluator picks T from the zero pattern of the
+and an LP enclosure of T(u), shifted by e, for the tail.  For MT, T is a
+shifted pair sum G; for the Euler sums of depth 2 and 3, a prefix power sum
+and a running sum D of them, whose tail is summed by parts: D(n) from the
+box times a zeta tail, plus the terms of D past n, each times the zeta tail
+past it.  The triple-sum evaluator picks T from the zero pattern of the
 composite exponents.  With ``s5 = 0`` (or ``s4 = 0``, mirrored) it collapses
 (m1, m2) to their sum u, whose pair sum has a closed form in prefix power
 sums (the partial fractions of Huard, Williams and Zhang, eq. 3), and T is
@@ -47,8 +49,8 @@ first cutoff whose tail radius is no larger than its box radius (or at the
 fixed cap ``MAX_TERMS``).  That puts most atoms near 1e-14, well below the
 1e-12 floor of the requests.  The value, or a refusal that no tolerance can
 lift, is memoized under the atom alone, and the constants inside other
-atoms (zetas in the tail forms and tables, the depth-2 limits of the
-depth-3 tails, the terminals of the general rewrite) are those same values.
+atoms (zetas in the tail forms and tables, the terminals of the general
+rewrite) are those same values.
 Terms and combinations are interval arithmetic on them, and the public
 evaluators compare the result with the request's tolerance in one place,
 ``_checked``.  So a result never depends on which requests came before it,
@@ -534,22 +536,25 @@ def _cutoff(tail_at, box_at, cap: int = MAX_TERMS, start: int = 32) -> Evaluatio
         n = min(2 * n, cap)
 
 
-def _outer_sum(e: int, first: int, table, lp: LogPower, start: int = 32) -> Evaluation:
+def _outer_sum(e: int, first: int, table, tail, start: int = 32) -> Evaluation:
     """sum_{u>=first} u^-e T(u), cut by ``_cutoff``: the outer sum that
     every sum but zeta's ends in.
 
-    ``table(n)`` gives the (mid, rad) arrays of T(first..n), and ``lp`` is
-    an LP enclosure of T(u) for u past the first cutoff.  The box is one
-    ``_dot`` of those arrays against the powers u^-e; the tail is ``lp``
-    shifted by e, summed by the tail engine.  With ``first = 0`` the unused
-    zero slot of the powers weights T(0) by zero.
+    ``table(n)`` gives the (mid, rad) arrays of T(first..n), and ``tail(n)``
+    encloses the sum past n.  The box is one ``_dot`` of those arrays
+    against the powers u^-e.  With ``first = 0`` the unused zero slot of the
+    powers weights T(0) by zero.
     """
-    lp = _lp_shift(lp, float(e))
     return _cutoff(
-        lambda n: _lp_tail(lp, n),
-        lambda n: _dot(_power_array(n, e)[first:], *table(n)),
-        start=start,
+        tail, lambda n: _dot(_power_array(n, e)[first:], *table(n)), start=start
     )
+
+
+def _shifted_tail(lp: LogPower, e: int):
+    """n |-> enclosure of sum_{u>n} u^-e T(u), for ``lp`` an LP enclosure of
+    T(u) past the first cutoff: ``lp`` shifted by e, summed by the tail engine."""
+    lp = _lp_shift(lp, float(e))
+    return lambda n: _lp_tail(lp, n)
 
 
 # ---------------------------------------------------------------------------
@@ -685,76 +690,56 @@ def _mt(a: int, b: int, c: int) -> Evaluation:
     # the outer sum over m2 of m2^-b G_{a,c}(m2); MT's own convergence
     # conditions are those of G_{a,c}
     return _outer_sum(
-        b, 1, lambda n: tuple([t[1:] for t in _g_tables(a, c, n)]), _lp_g_bracket(a, c)
+        b, 1, lambda n: tuple([t[1:] for t in _g_tables(a, c, n)]),
+        _shifted_tail(_lp_g_bracket(a, c), b),
     )
 
 
 # ---------------------------------------------------------------------------
 # Euler sums: the outer sums over x of x^-s1 P_{s2}(x-1) and x^-s1 D(x-1)
 
-def _euler2_tail_lp(s1: int, s2: int) -> LogPower:
-    """LP form (in x) of x^-s1 * P_{s2}(x-1), the double-sum tail summand
-    (shared: do not mutate)."""
-    return _memo(("LPe2", s1, s2), lambda: _lp_shift(_lp_prefix_prev(s2), float(s1)))
-
-
 def _euler2(s1: int, s2: int) -> Evaluation:
     # P_{s2}(0) = 0, so the outer sum starts at x = 2
     return _outer_sum(
-        s1, 2, lambda n: tuple([t[1:-1] for t in _prefix_table(s2, n)]), _lp_prefix_prev(s2)
+        s1, 2, lambda n: tuple([t[1:-1] for t in _prefix_table(s2, n)]),
+        _shifted_tail(_lp_prefix_prev(s2), s1),
     )
 
 
-def _lp_d_prev(s2: int, s3: int) -> LogPower:
-    """LP form (in x) of D(x-1) where D(n) = sum_{y<=n} y^-s2 P_{s3}(y-1).
-
-    The form, with the best values of its constants D_inf, E(s3,1) and
-    zeta(s3+1), is built once per workspace (shared: do not mutate).
-    """
-
-    def d_form() -> LogPower:
-        if s2 >= 2:
-            # D(x-1) = D_inf - sum_{y>=x} y^-s2 P_{s3}(y-1)
-            dinf = _atom_value(EulerSum((s2, s3)))
-            summand = _euler2_tail_lp(s2, s3)  # y^-s2 P_{s3}(y-1) in y
-            ge_x = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x} + at x
-            return _lp_sum(_lp_const(dinf.midpoint, dinf.radius), _lp_scale(ge_x, (-1.0, 0.0)))
-        if s3 >= 2:
-            # D(n) = zeta(s3) H_n - kappa + sum_{y>n} y^-1 tailzeta(y-1, s3)
-            # with kappa = sum_m m^-s3 H_m = E(s3,1) + zeta(s3+1)
-            e_part = _atom_value(EulerSum((s3, 1)))
-            summand = _lp_shift(_lp_tailzeta_prev(s3), 1.0)  # y^-1 tailzeta(y-1,s3)
-            gt_prev = _lp_sum(_lp_resum(summand), summand)  # sum_{y>=x} = sum_{y>x-1}
-            return _lp_sum(
-                _lp_mul(_lp_prefix_prev(1), _lp_zeta(s3)),
-                _lp_const(-e_part.midpoint, e_part.radius),
-                _lp_scale(_lp_zeta(s3 + 1), (-1.0, 0.0)),
-                gt_prev,
-            )
-        # s2 = s3 = 1: D(n) = (H_n^2 - H_n^(2)) / 2 exactly
-        h_prev = _lp_prefix_prev(1)
-        h2_prev = _lp_prefix_prev(2)
-        hh = _lp_sum(_lp_mul(h_prev, h_prev), _lp_scale(h2_prev, (-1.0, 0.0)))
-        return _lp_scale(hh, (0.5, 0.0))
-
-    return _memo(("LPe3", s2, s3), d_form)
+def _lp_e3_parts(s1: int, s2: int, s3: int) -> LogPower:
+    """LP form (in y) of y^-s2 P_{s3}(y-1) t_{s1}(y), t_j(y) = sum_{x>y} x^-j;
+    every entry has p >= s1 + s2 - 1 >= 2 (shared: do not mutate)."""
+    return _memo(
+        ("LPe3", s1, s2, s3),
+        lambda: _lp_shift(_lp_mul(_lp_prefix_prev(s3), _lp_tailzeta(s1)), float(s2)),
+    )
 
 
 def _euler3(s1: int, s2: int, s3: int) -> Evaluation:
     def d_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+        # D(u) = sum_{y<=u} y^-s2 P_{s3}(y-1) for u = 0..n
         q, qrad = _prefix_table(s3, n)
         w = _power_array(n, s2)[1:]
         return _prefix_sums(w * q[:-1], w * qrad[:-1])
 
+    unit = {(float(s1), 0): (1.0, 0.0)}
+    parts = _lp_e3_parts(s1, s2, s3)
+
+    def tail(n: int) -> Interval:
+        # past n, D(x-1) = D(n) + sum_{n<y<x} y^-s2 P_{s3}(y-1), all terms
+        # nonnegative, so by parts the tail is D(n) t_{s1}(n) plus the sum
+        # over y > n of y^-s2 P_{s3}(y-1) t_{s1}(y)
+        d, drad = (float(t[n]) for t in _table(("D", s2, s3), n, d_table))
+        hm, hr = _imul((d, drad), _lp_tail(unit, n))
+        pm, pr = _lp_tail(parts, n)
+        return hm + pm, hr + pr + EPS * abs(hm + pm)
+
     # D(0) = D(1) = 0, so the outer sum starts at x = 3.  At 32 the tail
-    # radius is above the box radius for every depth-3 sum of the default
-    # sweep and the THM22 grid, so the ladder starts one rung up
+    # radius is above the box radius for all but 126 of the 2985 depth-3
+    # sums of the THM22 full reductions, so the ladder starts one rung up
     return _outer_sum(
-        s1,
-        3,
-        lambda n: tuple([t[2:-1] for t in _table(("D", s2, s3), n, d_table)]),
-        _lp_d_prev(s2, s3),
-        start=64,
+        s1, 3, lambda n: tuple([t[2:-1] for t in _table(("D", s2, s3), n, d_table)]),
+        tail, start=64,
     )
 
 
@@ -818,7 +803,7 @@ def _eval_w4_collapsed(s: tuple[int, ...]) -> Evaluation:
         s4,
         0,
         lambda n: _product_table(_pair_sum_table(s1, s2, n), _g_tables(c, f, n)),
-        _lp_mul(_collapsed_s12_lp(s1, s2), _lp_g_bracket(c, f)),
+        _shifted_tail(_lp_mul(_collapsed_s12_lp(s1, s2), _lp_g_bracket(c, f)), s4),
     )
 
 
@@ -857,7 +842,7 @@ def _witten4(atom: WittenSl4) -> Evaluation:
             s2,
             0,
             lambda n: _product_table(_g_tables(s1, s4, n), _g_tables(s3, s5, n)),
-            _lp_mul(_lp_g_bracket(s1, s4), _lp_g_bracket(s3, s5)),
+            _shifted_tail(_lp_mul(_lp_g_bracket(s1, s4), _lp_g_bracket(s3, s5)), s2),
         )
     if s1 == s2 == s3 == 0 and s6 < 2:
         # convergent, but its Euler sums would lead with a 1
@@ -918,7 +903,10 @@ def _combination(lc: LinearCombination, term_value) -> Evaluation:
         ev = term_value(term)
         mid += c * ev.midpoint
         absmid += abs(c * ev.midpoint)
-        rad += abs(c) * ev.radius
+        # gamma covers relative error only: below the normal range the
+        # conversion of c errs by up to half a subnormal ulp, and each product
+        # by as much again
+        rad += abs(c) * ev.radius + math.ulp(0.0) * (abs(ev.midpoint) + ev.radius + 2.0)
         terms = max(terms, ev.terms)
     rad += _gamma(len(entries)) * (absmid + rad)
     return Evaluation(mid, rad, terms)

@@ -89,6 +89,20 @@ def test_eval_coefficient_beyond_float64_exits_three(capsys):
     assert capsys.readouterr().err.startswith("TOLERANCE_UNREACHABLE: coefficient 2000")
 
 
+def test_eval_subnormal_coefficient_is_enclosed(capsys):
+    # the coefficient's float is subnormal: the printed enclosure must hold
+    # the exact value zeta(2) / (3 * 10**320), checked in rationals
+    from fractions import Fraction
+
+    assert main(["eval", f"1/3{'0' * 320} * Z(2)", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    mid, rad = Fraction(out["midpoint"]), Fraction(out["radius"])
+    scale = Fraction(1, 3 * 10**320)
+    lo = scale * Fraction(16449340668482264, 10**16)
+    hi = scale * Fraction(16449340668482265, 10**16)
+    assert mid - rad <= lo < hi <= mid + rad
+
+
 def test_eval_parse_error_exits_two(capsys):
     assert main(["eval", "Q(3)"]) == 2
     assert "INADMISSIBLE_INDEX" in capsys.readouterr().err

@@ -359,6 +359,53 @@ def test_euler_triple_against_reference(cfg8):
         assert overlap(ev, oracles.euler3_ref(*s)), s
 
 
+def test_depth3_sums_against_closed_forms():
+    # the sum theorem: the depth-3 Euler sums of weight w add up to zeta(w);
+    # and two closed forms.  Each weight in a cold workspace, the enclosures
+    # summed exactly in rationals
+    from fractions import Fraction
+
+    from wreduce import series
+
+    mp = pytest.importorskip("mpmath").mp
+
+    def encloses(evs, ref):
+        mid = sum(Fraction(ev.midpoint) for ev in evs)
+        rad = sum(Fraction(ev.radius) for ev in evs)
+        gap = abs(mp.mpf(mid.numerator) / mid.denominator - ref)
+        return gap <= mp.mpf(rad.numerator) / rad.denominator
+
+    with mp.workdps(50):
+        for w in range(5, 15):
+            clear_caches()
+            evs = [
+                series._atom_value(EulerSum((s1, s2, w - s1 - s2)))
+                for s1 in range(2, w - 1)
+                for s2 in range(1, w - s1)
+            ]
+            assert len(evs) == (w - 2) * (w - 3) // 2
+            assert encloses(evs, mp.zeta(w)), w
+        clear_caches()
+        assert encloses([series._atom_value(EulerSum((2, 2, 2)))], mp.pi**6 / 5040)
+        e311 = series._atom_value(EulerSum((3, 1, 1)))
+        assert encloses([e311], 2 * mp.zeta(5) - mp.zeta(2) * mp.zeta(3))
+    clear_caches()
+
+
+def test_a_depth3_value_needs_no_depth2_atom(cfg8):
+    # the tail is summed by parts, so no limit D(inf) enters it: with
+    # s2 >= 2 it would be E(s2,s3), with s2 = 1 < s3 it would need E(s3,1),
+    # and with s2 = s3 = 1 it diverges
+    from wreduce import series
+
+    clear_caches()
+    for s in ((2, 3, 2), (3, 1, 2), (2, 1, 1)):
+        eval_atom(EulerSum(s), cfg8)
+    euler = [key for key in series._WS.atoms if key[0] == "E"]
+    assert sorted(euler) == [("E", 2, 1, 1), ("E", 2, 3, 2), ("E", 3, 1, 2)]
+    clear_caches()
+
+
 def test_euler_inadmissible_leading_one_rejected(cfg6):
     from wreduce.errors import WreduceError
 
@@ -592,6 +639,19 @@ def test_a_coefficient_beyond_float64_is_refused(cfg6):
             eval_lincomb(lc, cfg6)
 
 
+def test_a_subnormal_coefficient_is_enclosed(cfg6):
+    # float(1/(3*10**320)) is subnormal, so its conversion errs by far more
+    # than the relative charge; the enclosure must still hold the exact value
+    from fractions import Fraction
+
+    coef = Fraction(1, 3 * 10**320)
+    ev = eval_lincomb(LinearCombination.from_term(Term((SingleZeta(2),)), coef), cfg6)
+    zeta2 = (Fraction(16449340668482264, 10**16), Fraction(16449340668482265, 10**16))
+    lo, hi = (coef * z for z in zeta2)
+    mid, rad = Fraction(ev.midpoint), Fraction(ev.radius)
+    assert mid - rad <= lo < hi <= mid + rad
+
+
 def test_a_zeta_atom_takes_the_zeta_value():
     from wreduce import series
 
@@ -638,7 +698,7 @@ def test_em_forms_survive_clear_caches():
 # and radius of each side, or its refusal code.  Computed with numpy's
 # float64 pow on x86-64 when every atom was first evaluated once, whatever
 # the tolerance; another pow can move the last bits
-_FULL_REDUCTION_DIGEST = "175837f76af296e0c7f4aea54d05ab6ae50c731c50ca71db7fe7049a9a1b2400"
+_FULL_REDUCTION_DIGEST = "99eca09f6e751cc7b95b7b93f9a34ff499de68c95fc42b39599025333d27fb5b"
 
 
 def _full_reduction_outcomes(tol):
@@ -681,8 +741,7 @@ def _lp_form_builders():
         "LPtz": series._lp_tailzeta,
         "LPtzp": series._lp_tailzeta_prev,
         "LPpp": series._lp_prefix_prev,
-        "LPe2": series._euler2_tail_lp,
-        "LPe3": series._lp_d_prev,
+        "LPe3": series._lp_e3_parts,
         "G": series._lp_g_bracket,
         "S12": series._collapsed_s12_lp,
     }
@@ -703,7 +762,7 @@ def test_shared_lp_forms_are_read_only_and_independent_of_order():
 
     builders = _lp_form_builders()
     # W(6,1,1,1,0,1) is a collapsed atom whose reduction holds 27 depth-3
-    # Euler sums over all three branches of the E3 tail
+    # Euler sums, each summing its tail by parts on its own form
     clear_caches()
     cfg = SummationConfig(tolerance=1e-8)
     atom = WittenSl4((6, 1, 1, 1, 0, 1))

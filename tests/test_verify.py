@@ -439,8 +439,8 @@ def test_region_evaluator_uses_no_engine_code():
 # bit for bit.  No atom's value depends on the tolerance, and every record
 # passes at both, so both tolerances give the same digest
 _GENERAL_W_SWEEP_DIGESTS = {
-    1e-8: "cb73d47113cc5d7d9a6326f0135ed1f5c2083badad50bee1b3275e9030f1d743",
-    1e-10: "cb73d47113cc5d7d9a6326f0135ed1f5c2083badad50bee1b3275e9030f1d743",
+    1e-8: "332fc0bcafb6d20b90f6ca325d42ec8e373e5741d140e8189df53c1345d2d226",
+    1e-10: "332fc0bcafb6d20b90f6ca325d42ec8e373e5741d140e8189df53c1345d2d226",
 }
 
 
@@ -466,8 +466,8 @@ def test_general_w_records_of_the_default_sweep_golden(tol):
 # with numpy's float64 pow on x86-64 when every atom was first evaluated
 # once under its caps; the same caveat as the digests above
 _DEFAULT_SWEEP_DIGESTS = {
-    1e-8: "ea7aefc7e55f3dfb4c316c97d6a8c35498948b91d4b37c8f17d18f195586fbcc",
-    1e-10: "87e0fa7f4c548952414dd745b73f41b6c891dfc04f139f2f3741d895a4dd1335",
+    1e-8: "5e2951d6c1a28d92055ff37f469aabefe9bae76a08b6a68bcbcbad5ab341ac19",
+    1e-10: "bc56466121958a62dd200e45b599b12e315050b421f67523390465e3e3fc873e",
 }
 
 
