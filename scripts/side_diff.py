@@ -17,6 +17,8 @@ and of a change (B), and counts, per grid and tolerance and in total:
 
 * PASS verdicts in each dump, and lost and gained ones: records that PASS
   in one dump only;
+* identical sides: same hex midpoint, hex radius and cutoff, or refused in
+  both, so a change that claims no numeric change shows every side here;
 * disjoint enclosures: sides whose two enclosures share no point, checked
   exactly in rationals;
 * wider, tighter and equal sides, by radius, and the largest and the
@@ -104,6 +106,7 @@ def compare(path_a: str, path_b: str) -> int:
             count["lost"] += verdict_a == "PASS" != verdict_b
             count["gained"] += verdict_b == "PASS" != verdict_a
         count["sides"] += 1
+        count["identical"] += _bits(va) == _bits(vb)
         if va is None or vb is None:
             count["valued in A only"] += vb is None and va is not None
             count["valued in B only"] += va is None and vb is not None
@@ -118,8 +121,8 @@ def compare(path_a: str, path_b: str) -> int:
             lo_hi[0] = min(lo_hi[0], (ratio, key))
             lo_hi[1] = max(lo_hi[1], (ratio, key))
     total = Counter()
-    fields = ("records", "PASS in A", "PASS in B", "lost", "gained", "sides", "disjoint", "wider", "tighter",
-              "equal radius", "valued in A only", "valued in B only")
+    fields = ("records", "PASS in A", "PASS in B", "lost", "gained", "sides", "identical", "disjoint", "wider",
+              "tighter", "equal radius", "valued in A only", "valued in B only")
     for group, count in stats.items():
         total.update(count)
         (lo, lo_key), (hi, hi_key) = extremes.get(group, [(1.0, None), (1.0, None)])
@@ -129,6 +132,11 @@ def compare(path_a: str, path_b: str) -> int:
                   f"smallest {lo:.4f} ({_name(lo_key)})")
     print("total: " + ", ".join(f"{f} {total[f]}" for f in fields))
     return 1 if total["lost"] or total["disjoint"] else 0
+
+
+def _bits(value):
+    """A side's (mid, rad, terms) as the hex text and cutoff of its dump line."""
+    return value and (value[0].hex(), value[1].hex(), value[2])
 
 
 def _name(key: tuple) -> str:

@@ -21,11 +21,11 @@ per entry.  The remainder is bounded entry by entry with ``ln >= 0``, so the
 engine holds for integer ``u >= 1``.  All bracketing facts used here
 (harmonic numbers, zeta tails, prefix power sums) are encoded once as small
 LP builders and composed with interval arithmetic, so each evaluator is an
-assembly of audited pieces rather than a bespoke estimate.  Each builder's
-form is built once per workspace and shared, read-only, by every later
-request in it, and ``clear_caches()`` drops every form.  The form arithmetic
-multiplies intervals inline with the expressions of ``_imul``, so a shared
-form is bit for bit the form a rebuild would give.
+assembly of audited pieces rather than a bespoke estimate.  A form depends
+on its integers alone, so each builder's form is built once per process and
+shared, read-only, by every later request; ``clear_caches()`` keeps it.
+The form arithmetic multiplies intervals inline with the expressions of
+``_imul``, so a shared form is bit for bit the form a rebuild would give.
 
 Every sum but zeta's ends in one kernel, ``_outer_sum``: the 1-D sum over
 u of u^-e T(u), cut by the ladder, with T(u) a certified table for the box
@@ -59,6 +59,7 @@ and no private function is handed a ``SummationConfig``.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -297,18 +298,14 @@ def _lp_integral(f: Exact) -> Exact:
     return out
 
 
-# (p, k) -> the form of _unit_resum, and U -> (p, k) -> its value at U;
-# they depend on nothing else, so they outlive clear_caches().  Callers
-# only read the forms.
-_EM_FORMS: dict[tuple[float, int], LogPower] = {}
+# U -> (p, k) -> the value at U of the form of _unit_resum; it depends on
+# nothing else, so it outlives clear_caches()
 _EM_TAILS: dict[int, dict[tuple[float, int], Interval]] = {}
 
 
+@functools.cache
 def _unit_resum(p: float, k: int) -> LogPower:
     """u |-> sum_{y>u} y^-p ln(y)^k as an LP form, valid for integer u >= 1."""
-    hit = _EM_FORMS.get((p, k))
-    if hit is not None:
-        return hit
     if p != int(p):
         raise UnsupportedParams(f"tail exponent {p} is not an integer")
     derivs = [{(int(p), k): 1}]  # f, f', ..., f^(2m)
@@ -326,7 +323,6 @@ def _unit_resum(p: float, k: int) -> LogPower:
     for key in sorted(exact.keys() | rem.keys()):
         c, r = exact[key], rem[key]
         out[(float(key[0]), key[1])] = (float(c), float(r) + EPS * float(abs(c) + r))
-    _EM_FORMS[(p, k)] = out
     return out
 
 
@@ -360,20 +356,22 @@ def _lp_resum(lp: LogPower) -> LogPower:
     return out
 
 
-# LP building blocks.  All are pointwise-valid enclosures for u >= 2.  The
-# builders are pure, so each form is built once per workspace and shared:
-# do not mutate.
+# LP building blocks.  All are pointwise-valid enclosures for u >= 2.  Each
+# cached builder's form is a pure function of its integers (a zeta in it is
+# that zeta's one certified value), so it is built once per process and
+# shared, read-only, by every later request: do not mutate.  ``_lp_mul``
+# runs only inside these builders.
 
+@functools.cache
 def _lp_tailzeta(j: int) -> LogPower:
     """tailzeta(u, j) = sum_{n>u} n^-j as an LP form in u, j >= 2."""
-    return _memo(("LPtz", j), lambda: _lp_resum({(float(j), 0): (1.0, 0.0)}))
+    return _lp_resum({(float(j), 0): (1.0, 0.0)})
 
 
+@functools.cache
 def _lp_tailzeta_prev(j: int) -> LogPower:
     """tailzeta(u-1, j) = tailzeta(u, j) + u^-j."""
-    return _memo(
-        ("LPtzp", j), lambda: _lp_sum(_lp_tailzeta(j), {(float(j), 0): (1.0, 0.0)})
-    )
+    return _lp_sum(_lp_tailzeta(j), {(float(j), 0): (1.0, 0.0)})
 
 
 def _lp_harmonic() -> LogPower:
@@ -391,17 +389,14 @@ def _lp_harmonic() -> LogPower:
     }
 
 
+@functools.cache
 def _lp_prefix_prev(j: int) -> LogPower:
     """P_j(u-1) = sum_{m<u} m^-j as an LP form in u, j >= 0."""
-
-    def build() -> LogPower:
-        if j == 0:
-            return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
-        if j == 1:
-            return _lp_sum(_lp_harmonic(), {(1.0, 0): (-1.0, 0.0)})  # H_{u-1} = H_u - 1/u
-        return _lp_sum(_lp_zeta(j), _lp_scale(_lp_tailzeta_prev(j), (-1.0, 0.0)))
-
-    return _memo(("LPpp", j), build)
+    if j == 0:
+        return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
+    if j == 1:
+        return _lp_sum(_lp_harmonic(), {(1.0, 0): (-1.0, 0.0)})  # H_{u-1} = H_u - 1/u
+    return _lp_sum(_lp_zeta(j), _lp_scale(_lp_tailzeta_prev(j), (-1.0, 0.0)))
 
 
 def _lp_zeta(j: int) -> LogPower:
@@ -436,26 +431,21 @@ _WS = _Workspace()
 
 
 def clear_caches() -> None:
-    """Drop memoized atom values, tables and LP tail forms (used for cold
-    timing runs).  Each is keyed by its atom or its integers alone, so
-    until this is called a later request reads what an earlier one built.
+    """Drop memoized atom values and tables (used for cold timing runs).
+    Each is keyed by its atom or its integers alone, so until this is
+    called a later request reads what an earlier one built.
 
-    The Euler-Maclaurin forms of ``_unit_resum`` and their values at each
-    cutoff depend on (p, k) and the cutoff alone; the exact rewrites of
+    The LP tail forms of the cached builders, the Euler-Maclaurin forms of
+    ``_unit_resum`` and their values at each cutoff depend on their
+    integers (and the cutoff) alone; the exact rewrites of
     ``reduce.reduce_general_witten``, ``reduce.reduce_unit_witten`` (and
     its rows) and ``reduce.reduce_mt``, the interned Euler-sum atoms and
     terms, and the atom, term and coefficient literals of ``exact.parse``,
-    on their integers or literal alone.  They are kept.
+    on their integers or literal alone.  They are kept, so a process that
+    patches the engine (``EPS``, say) must do so before the first form is
+    built.
     """
     _WS.clear()
-
-
-def _memo(key: tuple, build):
-    """The cached table under ``key``, built on first use."""
-    hit = _WS.tables.get(key)
-    if hit is None:
-        hit = _WS.tables[key] = build()
-    return hit
 
 
 # Every ladder stops by 256 on the default sweep, and numpy costs per call,
@@ -661,24 +651,21 @@ def _g_tables(c: int, f: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     return _table(("Gt", c, f), U, build)
 
 
+@functools.cache
 def _lp_g_bracket(c: int, f: int) -> LogPower:
     """Two-sided LP enclosure of G_{c,f}(u), valid for u >= 2 (shared: do not mutate)."""
-
-    def build() -> LogPower:
-        if c == 0:
-            return _lp_tailzeta(f)
-        if f == 0:
-            return _lp_zeta(c)
-        A, B = _g_pf_coeffs(c, f)
-        # A_1 H_u absorbs the divergent B_1 piece; the rest are zetas and zeta tails
-        parts = [(A[0], _lp_harmonic())]
-        parts += [((coef, pw), _lp_zeta(c + f - pw)) for coef, pw in A[1:]]
-        parts += [(B[j - 1], _lp_tailzeta(j)) for j in range(2, f + 1)]
-        return _lp_sum(*(
-            _lp_scale(_lp_shift(lp, float(pw)), (float(coef), 0.0)) for (coef, pw), lp in parts
-        ))
-
-    return _memo(("G", c, f), build)
+    if c == 0:
+        return _lp_tailzeta(f)
+    if f == 0:
+        return _lp_zeta(c)
+    A, B = _g_pf_coeffs(c, f)
+    # A_1 H_u absorbs the divergent B_1 piece; the rest are zetas and zeta tails
+    parts = [(A[0], _lp_harmonic())]
+    parts += [((coef, pw), _lp_zeta(c + f - pw)) for coef, pw in A[1:]]
+    parts += [(B[j - 1], _lp_tailzeta(j)) for j in range(2, f + 1)]
+    return _lp_sum(*(
+        _lp_scale(_lp_shift(lp, float(pw)), (float(coef), 0.0)) for (coef, pw), lp in parts
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -706,13 +693,11 @@ def _euler2(s1: int, s2: int) -> Evaluation:
     )
 
 
+@functools.cache
 def _lp_e3_parts(s1: int, s2: int, s3: int) -> LogPower:
     """LP form (in y) of y^-s2 P_{s3}(y-1) t_{s1}(y), t_j(y) = sum_{x>y} x^-j;
     every entry has p >= s1 + s2 - 1 >= 2 (shared: do not mutate)."""
-    return _memo(
-        ("LPe3", s1, s2, s3),
-        lambda: _lp_shift(_lp_mul(_lp_prefix_prev(s3), _lp_tailzeta(s1)), float(s2)),
-    )
+    return _lp_shift(_lp_mul(_lp_prefix_prev(s3), _lp_tailzeta(s1)), float(s2))
 
 
 def _euler3(s1: int, s2: int, s3: int) -> Evaluation:
@@ -780,12 +765,25 @@ def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     return _table(("S", a, b), U, build)
 
 
+@functools.cache
 def _collapsed_s12_lp(a: int, b: int) -> LogPower:
     """Two-sided LP enclosure of S_{a,b}(u), term by term (shared: do not mutate)."""
-    return _memo(("S12", a, b), lambda: _lp_sum(*(
+    return _lp_sum(*(
         _lp_scale(_lp_shift(_lp_prefix_prev(j), float(a + b - j)), (float(w), 0.0))
         for j, w in pair_sum_weights(a, b).items()
-    )))
+    ))
+
+
+@functools.cache
+def _lp_collapsed_product(a: int, b: int, c: int, f: int) -> LogPower:
+    """LP enclosure of S_{a,b}(u) G_{c,f}(u) (shared: do not mutate)."""
+    return _lp_mul(_collapsed_s12_lp(a, b), _lp_g_bracket(c, f))
+
+
+@functools.cache
+def _lp_hub_product(a: int, b: int, c: int, f: int) -> LogPower:
+    """LP enclosure of G_{a,b}(u) G_{c,f}(u) (shared: do not mutate)."""
+    return _lp_mul(_lp_g_bracket(a, b), _lp_g_bracket(c, f))
 
 
 def _product_table(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -803,7 +801,7 @@ def _eval_w4_collapsed(s: tuple[int, ...]) -> Evaluation:
         s4,
         0,
         lambda n: _product_table(_pair_sum_table(s1, s2, n), _g_tables(c, f, n)),
-        _shifted_tail(_lp_mul(_collapsed_s12_lp(s1, s2), _lp_g_bracket(c, f)), s4),
+        _shifted_tail(_lp_collapsed_product(s1, s2, c, f), s4),
     )
 
 
@@ -842,7 +840,7 @@ def _witten4(atom: WittenSl4) -> Evaluation:
             s2,
             0,
             lambda n: _product_table(_g_tables(s1, s4, n), _g_tables(s3, s5, n)),
-            _shifted_tail(_lp_mul(_lp_g_bracket(s1, s4), _lp_g_bracket(s3, s5)), s2),
+            _shifted_tail(_lp_hub_product(s1, s4, s3, s5), s2),
         )
     if s1 == s2 == s3 == 0 and s6 < 2:
         # convergent, but its Euler sums would lead with a 1

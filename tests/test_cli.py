@@ -210,6 +210,22 @@ def test_reduce_json_then_eval_round_trip(capsys):
     assert abs(reduced["midpoint"] - direct["midpoint"]) <= tol
 
 
+def test_reduce_csv_row_parses_back(capsys):
+    import csv
+    import io
+
+    from wreduce.exact import WittenSl4, parse
+    from wreduce.reduce import reduce_witten
+
+    assert main(["reduce", "2", "1", "2", "1", "2", "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["input", "variant", "reduction"]
+    assert len(rows) == 1
+    source, variant, reduction = rows[0]
+    assert (source, variant) == ("W(2,1,2,1,0,2)", "eq22")
+    assert parse(reduction) == reduce_witten(WittenSl4((2, 1, 2, 1, 0, 2)), variant)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -378,6 +394,26 @@ def test_verify_inconclusive_exit_logic(capsys):
     assert main(argv) == 1
     assert "|INCONCLUSIVE|" in capsys.readouterr().out
     assert main(argv + ["--allow-inconclusive"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verdict, allowed_exit", [("INCONCLUSIVE", 0), ("FAIL", 1)])
+def test_verify_exit_on_a_report_that_does_not_pass(capsys, monkeypatch, verdict, allowed_exit):
+    # the verdict alone decides the exit status; --allow-inconclusive
+    # forgives an INCONCLUSIVE one, never a FAIL
+    import dataclasses
+
+    from wreduce import verify
+
+    real = verify.check
+    monkeypatch.setattr(
+        verify, "check",
+        lambda record, cfg=None: dataclasses.replace(real(record, cfg), verdict=verdict),
+    )
+    argv = ["verify", "HWZ_EQ3", "2", "2", "2"]
+    assert main(argv) == 1
+    assert f"|{verdict}|" in capsys.readouterr().out
+    assert main(argv + ["--allow-inconclusive"]) == allowed_exit
     capsys.readouterr()
 
 

@@ -682,8 +682,10 @@ def test_em_forms_survive_clear_caches():
 
     form = series._unit_resum(3.0, 1)
     snapshot = dict(form)
+    parts = series._lp_e3_parts(2, 3, 2)
     clear_caches()
     assert series._unit_resum(3.0, 1) is form
+    assert series._lp_e3_parts(2, 3, 2) is parts
     # one full-reduction request reads the forms and must leave them as they were
     cfg = SummationConfig(tolerance=1e-8)
     atom = WittenSl4((2, 1, 2, 1, 0, 2))
@@ -732,58 +734,111 @@ def test_full_reductions_golden():
     assert hashlib.sha256(outcomes.encode()).hexdigest() == _FULL_REDUCTION_DIGEST
 
 
-# tag of a per-workspace LP form -> a call that builds the form under the
-# key (tag, *args)
+# the process-wide LP form builders, by name
 def _lp_form_builders():
     from wreduce import series
 
-    return {
-        "LPtz": series._lp_tailzeta,
-        "LPtzp": series._lp_tailzeta_prev,
-        "LPpp": series._lp_prefix_prev,
-        "LPe3": series._lp_e3_parts,
-        "G": series._lp_g_bracket,
-        "S12": series._collapsed_s12_lp,
-    }
+    names = ("_lp_tailzeta", "_lp_tailzeta_prev", "_lp_prefix_prev", "_lp_e3_parts",
+             "_lp_g_bracket", "_collapsed_s12_lp", "_lp_collapsed_product", "_lp_hub_product")
+    return {name: getattr(series, name) for name in names}
 
 
-def _lp_bits(entry):
-    """An LP form (or a tuple of them) as its keys and hex coefficients, in order."""
-    if isinstance(entry, tuple):
-        return [_lp_bits(part) for part in entry]
-    return [(key, m.hex(), r.hex()) for key, (m, r) in entry.items()]
+def _lp_bits(form):
+    """An LP form as its keys and hex coefficients, in order."""
+    return [(key, m.hex(), r.hex()) for key, (m, r) in form.items()]
 
 
-def test_shared_lp_forms_are_read_only_and_independent_of_order():
+def _full_request(atom, cfg):
+    """W against its complete Euler-sum reduction: each side's hex midpoint and radius."""
+    from wreduce.reduce import reduce_witten
+
+    lc = reduce_witten(atom, expand_remainder=True, expand_mt=True)
+    return [(ev.midpoint.hex(), ev.radius.hex()) for ev in (eval_atom(atom, cfg), eval_lincomb(lc, cfg))]
+
+
+def test_a_repeated_cold_request_builds_no_form(monkeypatch):
+    # every LP form depends on its integers alone, so a request after
+    # clear_caches() reads the forms an earlier one built
+    from wreduce import series
+
+    cfg = SummationConfig(tolerance=1e-8)
+    atom = WittenSl4((2, 1, 2, 1, 0, 2))
+    first = _full_request(atom, cfg)
+    clear_caches()
+    calls = []
+    for name in ("_lp_mul", "_lp_resum"):
+        real = getattr(series, name)
+        monkeypatch.setattr(
+            series, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
+        )
+    assert _full_request(atom, cfg) == first
+    assert calls == []
+    clear_caches()
+
+
+def test_shared_lp_forms_are_read_only_and_independent_of_order(monkeypatch):
+    import ast
     import copy
+    import os
+    import subprocess
+    import sys
 
     from wreduce import series
     from wreduce.reduce import reduce_witten
 
     builders = _lp_form_builders()
+    # empty the process-wide caches, so that the request below builds every
+    # form it reads, each nested build passing a recorder: (name, args) ->
+    # the form, which must be the same object on every call
+    shared = {}
+
+    def recorder(name, builder):
+        def record(*args):
+            form = builder(*args)
+            assert shared.setdefault((name, args), form) is form, (name, args)
+            return form
+
+        return record
+
+    for name, builder in builders.items():
+        builder.cache_clear()
+        monkeypatch.setattr(series, name, recorder(name, builder))
+
     # W(6,1,1,1,0,1) is a collapsed atom whose reduction holds 27 depth-3
-    # Euler sums, each summing its tail by parts on its own form
+    # Euler sums, each summing its tail by parts on its own form;
+    # W(2,1,2,1,1,0) takes the hub path
     clear_caches()
     cfg = SummationConfig(tolerance=1e-8)
     atom = WittenSl4((6, 1, 1, 1, 0, 1))
     eval_atom(atom, cfg)
+    eval_atom(WittenSl4((2, 1, 2, 1, 1, 0)), cfg)
     eval_lincomb(reduce_witten(atom, expand_remainder=True, expand_mt=True), cfg)
-    shared = {k: v for k, v in series._WS.tables.items() if k[0] in builders}
-    assert {k[0] for k in shared} == set(builders)
+    assert {name for name, _ in shared} == set(builders)
     frozen = copy.deepcopy(shared)
 
-    # further requests in the same workspace read the forms and leave them be
+    # later requests, cold ones too, read the forms and leave them be
     eval_lincomb(reduce_witten(atom, expand_remainder=True, expand_mt=True),
                  SummationConfig(tolerance=1e-10))
+    clear_caches()
     other = WittenSl4((1, 6, 1, 1, 0, 1))
     eval_lincomb(reduce_witten(other, expand_remainder=True, expand_mt=True), cfg)
-    for key, entry in shared.items():
-        assert series._WS.tables[key] is entry, key
-        assert _lp_bits(entry) == _lp_bits(frozen[key]), key
+    for (name, args), entry in frozen.items():
+        assert builders[name](*args) is shared[name, args], (name, args)
+        assert _lp_bits(shared[name, args]) == _lp_bits(entry), (name, args)
 
-    # each form equals its builder's output in a fresh workspace
-    for key, entry in frozen.items():
-        clear_caches()
-        builders[key[0]](*key[1:])
-        assert _lp_bits(series._WS.tables[key]) == _lp_bits(entry), key
+    # each form equals its builder's output in a fresh interpreter, where no
+    # request came before it
+    keys = sorted(frozen)
+    code = (
+        "import ast, sys\n"
+        "from wreduce import series\n"
+        "print([[(key, m.hex(), r.hex()) for key, (m, r) in getattr(series, name)(*args).items()]\n"
+        "       for name, args in ast.literal_eval(sys.argv[1])])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(series.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code, repr(keys)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert ast.literal_eval(done.stdout) == [_lp_bits(frozen[key]) for key in keys]
     clear_caches()
