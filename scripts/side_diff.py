@@ -2,18 +2,21 @@
 
 Run from the repository root:
 
-    python scripts/side_diff.py dump OUT
+    python scripts/side_diff.py dump OUT [WEIGHT_CAP]
     python scripts/side_diff.py compare A B
 
-``dump`` evaluates the default sweep at 1e-8, 1e-10 and 1e-12, each in a
-cold workspace, and W(a,b,c,d,0,f) against its complete Euler-sum reduction
-on the THM22 grid at 1e-8.  It writes one line per side of each record: the
-grid, the tolerance, the identity and its parameters, the side, the hex
-midpoint and hex radius (empty when the side is refused), the cutoff and
-the record's verdict.
+``dump`` evaluates the default sweep's families at 1e-8, 1e-10 and 1e-12,
+each in a cold workspace, and W(a,b,c,d,0,f) against its complete Euler-sum
+reduction on the THM22 grid at 1e-8.  Every grid is cut at WEIGHT_CAP,
+``verify.DEFAULT_WEIGHT_CAP`` by default; a larger cap gives the held-out
+grids above it (weight 12: 1345 sweep records, weight 14: 2858).  It writes
+one line per side of each record: the grid, the tolerance, the identity and
+its parameters, the side, the hex midpoint and hex radius (empty when the
+side is refused), the cutoff and the record's verdict.
 
-``compare`` reads two dumps of the same grids, say of a parent commit (A)
-and of a change (B), and counts, per grid and tolerance and in total:
+``compare`` reads two dumps of the same grids and cap, say of a parent
+commit (A) and of a change (B), and counts, per grid and tolerance and in
+total:
 
 * PASS verdicts in each dump, and lost and gained ones: records that PASS
   in one dump only;
@@ -50,30 +53,40 @@ def _lines(grid, tol, reports):
             yield "|".join(fields + value + [rep.verdict]) + "\n"
 
 
-def _thm22_reports(cfg):
+def _sweep_reports(cfg, weight_cap):
+    """The default sweep's records up to ``weight_cap``, built and checked as
+    ``verify.sweep`` does, which refuses a cap above its default."""
+    from wreduce.verify import DEFAULT_SWEEP_IDS, build_identity, check, default_parameters
+
+    records = [build_identity(i, p) for i in DEFAULT_SWEEP_IDS for p in default_parameters(i, weight_cap)]
+    return [check(record, cfg) for record in records]
+
+
+def _thm22_reports(cfg, weight_cap):
     """W(a,b,c,d,0,f) against its complete reduction, checked by ``verify.check``."""
     from wreduce.exact import LinearCombination, WittenSl4
     from wreduce.reduce import reduce_witten
     from wreduce.verify import IdentityRecord, check, default_parameters
 
-    for a, b, c, d, f in default_parameters("THM22_FINAL"):
+    for a, b, c, d, f in default_parameters("THM22_FINAL", weight_cap):
         atom = WittenSl4((a, b, c, d, 0, f))
         full = reduce_witten(atom, expand_remainder=True, expand_mt=True)
         record = IdentityRecord("THM22_FULL", (a, b, c, d, f), LinearCombination.from_atom(atom), full)
         yield check(record, cfg)
 
 
-def dump(out: str) -> None:
+def dump(out: str, weight_cap: int | None = None) -> None:
     from wreduce.series import SummationConfig, clear_caches
-    from wreduce.verify import sweep
+    from wreduce.verify import DEFAULT_WEIGHT_CAP
 
+    cap = DEFAULT_WEIGHT_CAP if weight_cap is None else weight_cap
     with open(out, "w") as fh:
         for tol in SWEEP_TOLERANCES:
             clear_caches()
-            fh.writelines(_lines("sweep", tol, sweep(cfg=SummationConfig(tolerance=tol))))
+            fh.writelines(_lines("sweep", tol, _sweep_reports(SummationConfig(tolerance=tol), cap)))
         clear_caches()
         cfg = SummationConfig(tolerance=THM22_TOLERANCE)
-        fh.writelines(_lines("thm22", THM22_TOLERANCE, _thm22_reports(cfg)))
+        fh.writelines(_lines("thm22", THM22_TOLERANCE, _thm22_reports(cfg, cap)))
         clear_caches()
 
 
@@ -144,8 +157,8 @@ def _name(key: tuple) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "dump":
-        dump(argv[1])
+    if len(argv) in (2, 3) and argv[0] == "dump" and all(a.isdigit() for a in argv[2:]):
+        dump(argv[1], *map(int, argv[2:]))
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])

@@ -67,7 +67,7 @@ def _resolve(args: argparse.Namespace, name: str, default):
 def _config(args: argparse.Namespace) -> SummationConfig:
     from .series import SummationConfig
 
-    return SummationConfig(tolerance=_resolve(args, "tol", 1e-6)).validated()
+    return SummationConfig(tolerance=_resolve(args, "tol", 1e-6))
 
 
 def _format(args: argparse.Namespace) -> str:
@@ -277,6 +277,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ids = None
     if ids_text:
         ids = [piece.strip() for piece in ids_text.split(",") if piece.strip()]
+        if not ids:
+            # a sweep of nothing would pass a health check that checks nothing
+            raise _UsageError(f"identity ids {ids_text!r} name no family")
         unknown = [i for i in ids if i not in verify.IDENTITY_IDS]
         if unknown:
             raise _UsageError(

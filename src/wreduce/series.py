@@ -18,14 +18,14 @@ applied to each entry ``y^-p ln(y)^k`` (p > 1), with the integral, ``-f/2``,
 the B_2, B_4 and B_6 derivative terms and the remainder bound
 ``|B_6|/6! * integral_u^inf |f^(6)|``, each in closed form and derived once
 per entry.  The remainder is bounded entry by entry with ``ln >= 0``, so the
-engine holds for integer ``u >= 1``.  All bracketing facts used here
-(harmonic numbers, zeta tails, prefix power sums) are encoded once as small
-LP builders and composed with interval arithmetic, so each evaluator is an
-assembly of audited pieces rather than a bespoke estimate.  A form depends
-on its integers alone, so each builder's form is built once per process and
-shared, read-only, by every later request; ``clear_caches()`` keeps it.
-The form arithmetic multiplies intervals inline with the expressions of
-``_imul``, so a shared form is bit for bit the form a rebuild would give.
+engine holds for integer ``u >= 1``.  The bracketing facts (harmonic
+numbers, zeta tails, prefix power sums) are small LP builders composed with
+interval arithmetic.  A form depends on its integers alone, so each
+builder's form is built once per process and shared, read-only, by every
+later request; ``clear_caches()`` keeps it.  Forms are multiplied in one
+loop, ``_lp_mul``, with the expressions of ``_imul`` inline, so a shared
+form is bit for bit what a rebuild would give; ``_lp_tail``, which runs on
+every rung, has the one other such loop.
 
 Every sum but zeta's ends in one kernel, ``_outer_sum``: the 1-D sum over
 u of u^-e T(u), cut by the ladder, with T(u) a certified table for the box
@@ -44,8 +44,9 @@ Euler sums.  The slot order given is the slot order summed; relabeling
 twins are computed by genuinely different loops, which is what makes the
 symmetry check in ``verify`` meaningful.
 
-Each atom has one certified value per workspace: its ladder stops at the
-first cutoff whose tail radius is no larger than its box radius (or at the
+The workspace is two dicts: ``_ATOMS``, one outcome per atom, and
+``_TABLES``, the certified tables.  An atom's ladder stops at the first
+cutoff whose tail radius is no larger than its box radius (or at the
 fixed cap ``MAX_TERMS``).  That puts most atoms near 1e-14, well below the
 1e-12 floor of the requests.  The value, or a refusal that no tolerance can
 lift, is memoized under the atom alone, and the constants inside other
@@ -100,19 +101,19 @@ class SummationConfig:
 
     ``tolerance`` is the largest radius a request accepts.  It never steers
     an evaluation: each atom is evaluated once, and a result whose radius
-    is above the tolerance is refused.
+    is above the tolerance is refused.  A tolerance that is not positive,
+    or is below ``TOLERANCE_FLOOR``, is refused when the config is built.
     """
 
     tolerance: float = 1e-6
 
-    def validated(self) -> "SummationConfig":
+    def __post_init__(self) -> None:
         if not (self.tolerance > 0):
             raise ToleranceUnreachable(f"tolerance {self.tolerance} is not positive")
         if self.tolerance < TOLERANCE_FLOOR:
             raise ToleranceUnreachable(
                 f"tolerance {self.tolerance} is below the float64 floor {TOLERANCE_FLOOR}"
             )
-        return self
 
 
 @dataclass(frozen=True)
@@ -193,20 +194,11 @@ def _prefix_sums(x: np.ndarray, xrad=None) -> tuple[np.ndarray, np.ndarray]:
 
 LogPower = dict[tuple[float, int], Interval]
 
-# The loops below multiply intervals inline with the expressions of
-# ``_imul`` (the form's coefficient as its first factor) and accumulate into
-# the output dict, a fresh entry starting from (0.0, 0.0), so that every
-# coefficient and every -0.0 comes out as it would from ``_imul`` calls.
-
-
-def _lp_scale(lp: LogPower, coef: Interval) -> LogPower:
-    bm, br = coef
-    abm = abs(bm)
-    out: LogPower = {}
-    for key, (am, ar) in lp.items():
-        m = am * bm
-        out[key] = (0.0 + m, 0.0 + (abs(am) * br + abm * ar + ar * br + EPS * abs(m)))
-    return out
+# ``_lp_mul`` multiplies intervals inline with ``_imul``'s expressions (lp1's
+# coefficient first) into fresh (0.0, 0.0) entries, so each value and -0.0 is
+# what ``_imul`` would give.  ``_lp_scale`` and ``_lp_resum`` call it.  It keeps
+# its own loop because the builders run inside a request, where scalings
+# summed by ``_lp_sum`` were slower; ``_lp_tail``, run on every rung, has one too.
 
 
 def _lp_shift(lp: LogPower, dp: float) -> LogPower:
@@ -226,6 +218,10 @@ def _lp_mul(lp1: LogPower, lp2: LogPower) -> LogPower:
     return out
 
 
+def _lp_scale(lp: LogPower, coef: Interval) -> LogPower:
+    return _lp_mul(lp, {(0.0, 0): coef})
+
+
 def _lp_sum(*lps: LogPower) -> LogPower:
     out: LogPower = {}
     for lp in lps:
@@ -233,10 +229,6 @@ def _lp_sum(*lps: LogPower) -> LogPower:
             om, orad = out.get(key, (0.0, 0.0))
             out[key] = (om + cm, orad + cr)
     return out
-
-
-def _lp_const(cm: float, cr: float = 0.0) -> LogPower:
-    return {(0.0, 0): (cm, cr)}
 
 
 def _lp_eval(lp: LogPower, u: float) -> Interval:
@@ -345,15 +337,7 @@ def _lp_tail(lp: LogPower, U: int) -> Interval:
 
 def _lp_resum(lp: LogPower) -> LogPower:
     """The LP form of u |-> sum_{y>u} f(y), where f is the given LP form."""
-    out: LogPower = {}
-    for key, (am, ar) in lp.items():
-        aam = abs(am)
-        for tkey, (bm, br) in _unit_resum(*key).items():
-            m = am * bm
-            r = aam * br + abs(bm) * ar + ar * br + EPS * abs(m)
-            om, orad = out.get(tkey, (0.0, 0.0))
-            out[tkey] = (om + m, orad + r)
-    return out
+    return _lp_sum(*(_lp_scale(_unit_resum(*key), c) for key, c in lp.items()))
 
 
 # LP building blocks.  All are pointwise-valid enclosures for u >= 2.  Each
@@ -366,12 +350,6 @@ def _lp_resum(lp: LogPower) -> LogPower:
 def _lp_tailzeta(j: int) -> LogPower:
     """tailzeta(u, j) = sum_{n>u} n^-j as an LP form in u, j >= 2."""
     return _lp_resum({(float(j), 0): (1.0, 0.0)})
-
-
-@functools.cache
-def _lp_tailzeta_prev(j: int) -> LogPower:
-    """tailzeta(u-1, j) = tailzeta(u, j) + u^-j."""
-    return _lp_sum(_lp_tailzeta(j), {(float(j), 0): (1.0, 0.0)})
 
 
 def _lp_harmonic() -> LogPower:
@@ -396,44 +374,27 @@ def _lp_prefix_prev(j: int) -> LogPower:
         return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
     if j == 1:
         return _lp_sum(_lp_harmonic(), {(1.0, 0): (-1.0, 0.0)})  # H_{u-1} = H_u - 1/u
-    return _lp_sum(_lp_zeta(j), _lp_scale(_lp_tailzeta_prev(j), (-1.0, 0.0)))
+    tail_prev = _lp_sum(_lp_tailzeta(j), {(float(j), 0): (1.0, 0.0)})  # tailzeta(u-1, j)
+    return _lp_sum(_lp_zeta(j), _lp_scale(tail_prev, (-1.0, 0.0)))  # zeta(j) - tail_prev
 
 
 def _lp_zeta(j: int) -> LogPower:
     """The constant zeta(j) at its best value."""
     z = _zeta_value(j)
-    return _lp_const(z.midpoint, z.radius)
+    return {(0.0, 0): (z.midpoint, z.radius)}
 
 
 # ---------------------------------------------------------------------------
 # the workspace, certified tables, the cutoff ladder and the outer sum
 
-class _Workspace:
-    """Per-process cache of atom outcomes and certified tables.
-
-    An atom's outcome is its best certified value, or a refusal that no
-    tolerance can lift, and it is keyed by the atom alone.  So every
-    request gets the same answer whatever was evaluated before it, and a
-    sweep's output does not depend on record order or on how records are
-    dealt to worker processes.
-    """
-
-    def __init__(self):
-        self.atoms: dict[tuple, Evaluation] = {}
-        self.tables: dict[tuple, object] = {}
-
-    def clear(self):
-        self.atoms.clear()
-        self.tables.clear()
-
-
-_WS = _Workspace()
+_ATOMS: dict[tuple, object] = {}  # atom -> its value, or a refusal no tolerance lifts
+_TABLES: dict[tuple, tuple] = {}  # (tag, integers) -> certified arrays
 
 
 def clear_caches() -> None:
-    """Drop memoized atom values and tables (used for cold timing runs).
-    Each is keyed by its atom or its integers alone, so until this is
-    called a later request reads what an earlier one built.
+    """Empty the workspace, ``_ATOMS`` and ``_TABLES`` (used for cold timing
+    runs).  Each entry is keyed by its atom or its integers alone, so until
+    this is called a later request reads what an earlier one built.
 
     The LP tail forms of the cached builders, the Euler-Maclaurin forms of
     ``_unit_resum`` and their values at each cutoff depend on their
@@ -445,7 +406,8 @@ def clear_caches() -> None:
     patches the engine (``EPS``, say) must do so before the first form is
     built.
     """
-    _WS.clear()
+    _ATOMS.clear()
+    _TABLES.clear()
 
 
 # Every ladder stops by 256 on the default sweep, and numpy costs per call,
@@ -461,9 +423,9 @@ def _table(key: tuple, U: int, build) -> tuple[np.ndarray, ...]:
     a longer cached table answers a shorter request and the rungs of a
     ladder read slices of one table.
     """
-    hit = _WS.tables.get(key)
+    hit = _TABLES.get(key)
     if hit is None or hit[0].size <= U:
-        hit = _WS.tables[key] = build(max(U, _TABLE_LEN))
+        hit = _TABLES[key] = build(max(U, _TABLE_LEN))
     n = U + 1
     return tuple([a[:n] for a in hit])
 
@@ -483,15 +445,15 @@ def _cached_atom(kind: str, indices: tuple, compute) -> Evaluation:
     """The outcome of ``compute()`` memoized under ``(kind,) + indices``:
     its value, or its refusal, raised again on every later request."""
     key = (kind,) + indices
-    hit = _WS.atoms.get(key)
+    hit = _ATOMS.get(key)
     if hit is None:
         try:
             hit = compute()
         except WreduceError as exc:
             # the class and message only: a traceback would pin the frames
-            _WS.atoms[key] = (type(exc), exc.message)
+            _ATOMS[key] = (type(exc), exc.message)
             raise
-        _WS.atoms[key] = hit
+        _ATOMS[key] = hit
     if isinstance(hit, Evaluation):
         return hit
     kind, message = hit
@@ -911,22 +873,18 @@ def _combination(lc: LinearCombination, term_value) -> Evaluation:
 
 
 def eval_zeta(s: int, cfg: SummationConfig) -> Evaluation:
-    cfg = cfg.validated()
     return _checked(_zeta_value(s), cfg, lambda: f"zeta({s})")
 
 
 def eval_euler(atom: EulerSum, cfg: SummationConfig) -> Evaluation:
-    cfg = cfg.validated()
     return _checked(_atom_value(atom), cfg, atom.render)
 
 
 def eval_mt(atom: MordellTornheim3, cfg: SummationConfig) -> Evaluation:
-    cfg = cfg.validated()
     return _checked(_atom_value(atom), cfg, atom.render)
 
 
 def eval_witten4(atom: WittenSl4, cfg: SummationConfig) -> Evaluation:
-    cfg = cfg.validated()
     return _checked(_atom_value(atom), cfg, atom.render)
 
 
@@ -943,11 +901,9 @@ def eval_atom(atom: Atom, cfg: SummationConfig) -> Evaluation:
 
 
 def eval_term(term: Term, cfg: SummationConfig) -> Evaluation:
-    cfg = cfg.validated()
     return _checked(_product([eval_atom(f, cfg) for f in term.factors]), cfg, term.render)
 
 
 def eval_lincomb(lc: LinearCombination, cfg: SummationConfig) -> Evaluation:
-    cfg = cfg.validated()
     ev = _combination(lc, lambda term: eval_term(term, cfg))
     return _checked(ev, cfg, lambda: f"combination of {len(lc)} terms")

@@ -736,7 +736,7 @@ def _region_value(identity_id: str, params: tuple[int, ...], cfg: SummationConfi
 
 def check(record: IdentityRecord, cfg: Optional[SummationConfig] = None) -> Report:
     """Evaluate both sides of a record and compare with certified radii."""
-    cfg = (cfg or SummationConfig()).validated()
+    cfg = cfg or SummationConfig()
     t0 = time.perf_counter()
     lhs_eval = rhs_eval = None
     detail = ""
@@ -793,7 +793,7 @@ def sweep(
         raise UnsupportedParams(
             f"weight cap {weight_cap} exceeds the configured limit {DEFAULT_WEIGHT_CAP}"
         )
-    cfg = (cfg or SummationConfig()).validated()
+    cfg = cfg or SummationConfig()
     chosen = list(ids) if ids is not None else list(DEFAULT_SWEEP_IDS)
     seen: set[str] = set()
     records: list[IdentityRecord] = []

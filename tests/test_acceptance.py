@@ -290,7 +290,7 @@ def test_criterion_8_oracle_containment(cfg6):
 
 
 def test_criterion_9_performance_and_determinism():
-    cfg = SummationConfig().validated()
+    cfg = SummationConfig()
     t0 = time.perf_counter()
     serial = sweep(cfg=cfg, threads=1)
     t_serial = time.perf_counter() - t0

@@ -475,6 +475,28 @@ def test_sweep_unknown_ids_exit_two(capsys):
     assert "BOGUS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, env", [(["--ids", ","], None), (["--ids", " , "], None), ([], ",")])
+def test_sweep_ids_naming_no_family_exit_two(capsys, monkeypatch, argv, env):
+    # a sweep of no record would report 0 records and pass
+    if env is not None:
+        monkeypatch.setenv("WREDUCE_IDS", env)
+    assert main(["sweep"] + argv) == 2
+    assert "name no family" in capsys.readouterr().err
+
+
+def test_sweep_empty_ids_means_unset(capsys, monkeypatch):
+    # an empty value is unset, as for every flag with an environment fallback
+    import wreduce.verify as verify
+
+    seen = []
+    monkeypatch.setattr(verify, "sweep", lambda ids, weight_cap, cfg: seen.append(ids) or [])
+    assert main(["sweep", "--ids", ""]) == 0
+    monkeypatch.setenv("WREDUCE_IDS", "")
+    assert main(["sweep"]) == 0
+    assert seen == [None, None]
+    capsys.readouterr()
+
+
 def test_sweep_negative_weight_exits_two(capsys):
     assert main(["sweep", "--weight", "-1"]) == 2
     assert "UNSUPPORTED_PARAMS: weight cap -1 is negative" in capsys.readouterr().err

@@ -177,3 +177,20 @@ def test_parse_term_products():
 def test_canonicalize_is_idempotent():
     lc = parse("2 * Z(2)*MT(1,1,2) + -1/2 * E(3,1,1)")
     assert canonicalize(lc) == canonicalize(canonicalize(lc))
+
+
+def test_canonicalize_folds_relabeling_twins():
+    w = WittenSl4((3, 1, 2, 2, 1, 4))
+    twin = w.mirror()
+    assert twin != w
+    lc = canonicalize(LinearCombination.from_atom(w) + LinearCombination.from_atom(twin))
+    assert len(lc) == 1
+    ((term, coef),) = lc.items()
+    assert term.factors == (min(w, twin, key=lambda a: a.s),)
+    assert coef == 2
+
+
+def test_iteration_and_repr():
+    lc = parse("2 * Z(2)*MT(1,1,2) + -1/2 * E(3,1,1) + Z(3)")
+    assert list(lc) == lc.items()
+    assert repr(lc) == f"LinearCombination({lc.render()})"

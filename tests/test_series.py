@@ -32,12 +32,12 @@ def overlap(ev, ref):
 
 def test_config_validation():
     with pytest.raises(ToleranceUnreachable):
-        SummationConfig(tolerance=0.0).validated()
+        SummationConfig(tolerance=0.0)
     with pytest.raises(ToleranceUnreachable):
-        SummationConfig(tolerance=-1e-6).validated()
+        SummationConfig(tolerance=-1e-6)
     with pytest.raises(ToleranceUnreachable):
-        SummationConfig(tolerance=1e-18).validated()
-    SummationConfig().validated()
+        SummationConfig(tolerance=1e-18)
+    SummationConfig()
 
 
 def test_ladders_stop_far_inside_the_cap():
@@ -255,32 +255,36 @@ def test_only_the_check_helper_reads_the_tolerance():
     from wreduce import series
 
     tree = ast.parse(inspect.getsource(series))
-    functions = []
+    # each function under its qualified name, so that only the config's own
+    # __post_init__ is exempt, not Evaluation's
+    functions = {}
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            functions += [fn for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            functions.update(
+                (f"{node.name}.{fn.name}", fn) for fn in node.body if isinstance(fn, ast.FunctionDef)
+            )
         elif isinstance(node, ast.FunctionDef):
-            functions.append(node)
-    names = {fn.name for fn in functions}
-    allowed = {"validated", "_checked"}
-    assert allowed <= names
-    assert not names & {"_with_tol", "_zeta_getter", "_evaluate"}
+            functions[node.name] = node
+    allowed = {"SummationConfig.__post_init__", "_checked"}
+    assert allowed <= functions.keys()
+    assert "Evaluation.__post_init__" in functions
+    assert not functions.keys() & {"_with_tol", "_zeta_getter", "_evaluate"}
     offenders = set()
-    for fn in functions:
-        if fn.name in allowed:
+    for name, fn in functions.items():
+        if name in allowed:
             continue
         for node in ast.walk(fn):
             called = node.func if isinstance(node, ast.Call) else None
             if (isinstance(node, ast.Attribute) and node.attr == "tolerance") or (
                 getattr(called, "id", getattr(called, "attr", None)) in {"SummationConfig", "replace"}
             ):
-                offenders.add(fn.name)
+                offenders.add(name)
     assert not offenders
     # and only they and the public evaluators are handed a config at all
-    public = {fn.name for fn in functions if fn.name.startswith("eval_")}
+    public = {name for name in functions if name.startswith("eval_")}
     handed = {
-        fn.name
-        for fn in functions
+        name
+        for name, fn in functions.items()
         for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
         if arg.annotation is not None and "SummationConfig" in ast.unparse(arg.annotation)
     }
@@ -401,7 +405,7 @@ def test_a_depth3_value_needs_no_depth2_atom(cfg8):
     clear_caches()
     for s in ((2, 3, 2), (3, 1, 2), (2, 1, 1)):
         eval_atom(EulerSum(s), cfg8)
-    euler = [key for key in series._WS.atoms if key[0] == "E"]
+    euler = [key for key in series._ATOMS if key[0] == "E"]
     assert sorted(euler) == [("E", 2, 1, 1), ("E", 2, 3, 2), ("E", 3, 1, 2)]
     clear_caches()
 
@@ -738,8 +742,8 @@ def test_full_reductions_golden():
 def _lp_form_builders():
     from wreduce import series
 
-    names = ("_lp_tailzeta", "_lp_tailzeta_prev", "_lp_prefix_prev", "_lp_e3_parts",
-             "_lp_g_bracket", "_collapsed_s12_lp", "_lp_collapsed_product", "_lp_hub_product")
+    names = ("_lp_tailzeta", "_lp_prefix_prev", "_lp_e3_parts", "_lp_g_bracket",
+             "_collapsed_s12_lp", "_lp_collapsed_product", "_lp_hub_product")
     return {name: getattr(series, name) for name in names}
 
 

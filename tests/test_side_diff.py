@@ -37,3 +37,25 @@ def test_compare_counts_bit_identical_sides(tmp_path, capsys):
     _dump(b, [("lhs", (-0.0).hex(), half, 32, "PASS"), ("rhs", one, half, 32, "PASS")])
     assert _side_diff().compare(str(a), str(b)) == 0
     assert "sides 2, identical 1," in capsys.readouterr().out
+
+
+def test_dump_at_a_weight_cap_checks_the_sweep_records_up_to_it(tmp_path):
+    # the records are built and checked as verify.sweep does at that cap, and
+    # the THM22 grid is cut at the same cap
+    from wreduce.series import SummationConfig, clear_caches
+    from wreduce.verify import default_parameters, sweep
+
+    module = _side_diff()
+    out = tmp_path / "dump"
+    module.dump(str(out), 6)
+    lines = out.read_text().splitlines(keepends=True)
+    expected = []
+    for tol in module.SWEEP_TOLERANCES:
+        clear_caches()
+        expected += module._lines("sweep", tol, sweep(weight_cap=6, cfg=SummationConfig(tolerance=tol)))
+    clear_caches()
+    assert len(expected) == 3 * 2 * 67
+    assert lines[:len(expected)] == expected
+    thm22 = lines[len(expected):]
+    assert len(thm22) == 2 * len(default_parameters("THM22_FINAL", 6)) == 12
+    assert all(line.startswith("thm22|1e-08|THM22_FULL|") for line in thm22)
