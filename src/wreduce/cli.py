@@ -44,6 +44,9 @@ _ENV_SPEC = {
     "ids": ("WREDUCE_IDS", str),
 }
 
+# verify's named parameter flags that take one value; --s takes several
+_INT_FLAGS = ("a", "b", "c", "d", "f", "i", "t", "mode")
+
 
 class _UsageError(Exception):
     pass
@@ -189,10 +192,15 @@ def _verify_params(args: argparse.Namespace) -> tuple[int, ...]:
         )
     if args.variant is not None and ident != "TYPO_PROBE":
         raise _UsageError(f"--variant applies to TYPO_PROBE only, not {ident}")
+    given = [name for name in _INT_FLAGS + ("s",) if getattr(args, name) is not None]
+    if args.params and given:
+        raise _UsageError(
+            f"{ident}: give the parameters positionally or by flag, not both (--{given[0]})"
+        )
     if args.params:
         values = list(args.params)
     else:
-        values = _named_params(args, ident, FAMILIES[ident].flags)
+        values = _named_params(args, ident, FAMILIES[ident].flags, given)
     # v comes from --variant or WREDUCE_VARIANT; unset, the builder picks 1.
     # WREDUCE_VARIANT is checked on every identity but used by the probe only.
     variant = _variant(args) if _resolve(args, "variant", None) is not None else None
@@ -207,7 +215,10 @@ def _verify_params(args: argparse.Namespace) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _named_params(args: argparse.Namespace, ident: str, flags) -> list[int]:
+def _named_params(args: argparse.Namespace, ident: str, flags, given: list[str]) -> list[int]:
+    stray = [name for name in given if name not in dict(flags)]
+    if stray:
+        raise _UsageError(f"{ident} takes no --{stray[0]}")
     values: list[int] = []
     for name, arity in flags:
         got = getattr(args, name, None)
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("identity_id", metavar="IDENTITY")
     p_ver.add_argument("params", type=int, nargs="*", metavar="N",
                        help="parameters in catalog order")
-    for name in ("a", "b", "c", "d", "f", "i", "t", "mode"):
+    for name in _INT_FLAGS:
         p_ver.add_argument(f"--{name}", type=int, default=None)
     p_ver.add_argument("--s", type=int, nargs="+", default=None)
     p_ver.add_argument(

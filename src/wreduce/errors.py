@@ -39,8 +39,8 @@ class ConvergenceUnverified(WreduceError):
 
 class ToleranceUnreachable(WreduceError):
     """The certified radius cannot be brought below the requested tolerance
-    within the configured term budget (or the tolerance is below the
-    arithmetic floor)."""
+    within the fixed cutoff cap ``series.MAX_TERMS`` (or the tolerance is
+    below the arithmetic floor)."""
 
     code = "TOLERANCE_UNREACHABLE"
 

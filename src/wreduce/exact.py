@@ -24,21 +24,25 @@ twin, and evaluating both orientations independently is itself one of the
 verified identities, so nothing here may silently fold them together.
 ``canonical_atom`` exposes the folding for callers that want it.
 
-Each distinct term is built once per process: ``intern_term`` shares one
-``Term`` per factor tuple, and a term keeps its hash, sort key and text,
-as an atom keeps its ``atom_key``.  The parsed atom, term and coefficient
-literals are memoized too.  All of these depend only on their integers or
-literals, so ``series.clear_caches`` keeps them.
+An atom stores its indices as plain ``int`` (a bool becomes its int) and
+computes its sort key when it is built, as a ``Term`` does.  Each distinct
+term is built once per process: ``intern_term`` shares one ``Term`` per
+factor tuple, and a term keeps its hash, sort key and text.  The parsed
+atom, term and coefficient literals are memoized too.  All of these depend
+only on their integers or literals, so ``series.clear_caches`` keeps them.
+``LinearCombination.substitute`` is the one atom rewrite: the reductions
+and ``canonicalize`` go through it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InadmissibleIndex, UnsupportedParams
 
@@ -61,6 +65,14 @@ def binomial(n: int, k: int) -> int:
 # atoms
 
 
+def _ints(values: Iterable) -> Optional[tuple[int, ...]]:
+    """``values`` as plain ints, a bool as its int; None if one is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class SingleZeta:
     """zeta(s) = sum_{n>=1} n^-s, admissible for s >= 2."""
@@ -68,8 +80,11 @@ class SingleZeta:
     s: int
 
     def __post_init__(self):
-        if not isinstance(self.s, int) or self.s < 2:
+        s = _ints((self.s,))
+        if s is None or s[0] < 2:
             raise InadmissibleIndex(f"Z({self.s}) diverges or is malformed")
+        object.__setattr__(self, "s", s[0])
+        object.__setattr__(self, "_key", (0, s))
 
     @property
     def weight(self) -> int:
@@ -89,14 +104,16 @@ class EulerSum:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(self.indices)
-        object.__setattr__(self, "indices", idx)
-        if len(idx) not in (2, 3):
-            raise InadmissibleIndex(f"E{idx} must have depth 2 or 3")
-        if any(not isinstance(s, int) or s < 1 for s in idx):
-            raise InadmissibleIndex(f"E{idx} has an index below 1")
+        raw = tuple(self.indices)
+        idx = _ints(raw)
+        if len(raw) not in (2, 3):
+            raise InadmissibleIndex(f"E{raw} must have depth 2 or 3")
+        if idx is None or min(idx) < 1:
+            raise InadmissibleIndex(f"E{raw} has an index below 1")
         if idx[0] < 2:
             raise InadmissibleIndex(f"E{idx} diverges (leading index 1)")
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "_key", (1, (len(idx),) + idx))
 
     @property
     def weight(self) -> int:
@@ -120,14 +137,18 @@ class MordellTornheim3:
     c: int
 
     def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
-        if any(not isinstance(v, int) or v < 0 for v in (a, b, c)):
-            raise InadmissibleIndex(f"MT({a},{b},{c}) is malformed")
+        abc = _ints((self.a, self.b, self.c))
+        if abc is None or min(abc) < 0:
+            raise InadmissibleIndex(f"MT({self.a},{self.b},{self.c}) is malformed")
+        a, b, c = abc
         if a + c < 2 or b + c < 2 or a + b + c < 3:
             raise InadmissibleIndex(f"MT({a},{b},{c}) diverges")
         if a > b:
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+            a, b = b, a
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_key", (2, (a, b, c)))
 
     @property
     def weight(self) -> int:
@@ -144,10 +165,11 @@ class WittenSl4:
     s: tuple[int, int, int, int, int, int]
 
     def __post_init__(self):
-        s = tuple(self.s)
+        s = _ints(self.s)
+        if s is None or len(s) != 6 or min(s) < 0:
+            raise InadmissibleIndex(f"W{tuple(self.s)} is malformed")
         object.__setattr__(self, "s", s)
-        if len(s) != 6 or any(not isinstance(v, int) or v < 0 for v in s):
-            raise InadmissibleIndex(f"W{s} is malformed")
+        object.__setattr__(self, "_key", (3, s))
 
     @property
     def weight(self) -> int:
@@ -164,29 +186,11 @@ class WittenSl4:
 
 Atom = Union[SingleZeta, EulerSum, MordellTornheim3, WittenSl4]
 
-_ATOM_RANK = {SingleZeta: 0, EulerSum: 1, MordellTornheim3: 2, WittenSl4: 3}
-
 
 def atom_key(atom: Atom) -> tuple:
-    """Deterministic sort key used for term ordering and rendering.
-
-    Computed once per atom and kept on it.
-    """
-    try:
-        return atom._key
-    except AttributeError:
-        pass
-    rank = _ATOM_RANK[type(atom)]
-    if isinstance(atom, SingleZeta):
-        key = (rank, (atom.s,))
-    elif isinstance(atom, EulerSum):
-        key = (rank, (len(atom.indices),) + atom.indices)
-    elif isinstance(atom, MordellTornheim3):
-        key = (rank, (atom.a, atom.b, atom.c))
-    else:
-        key = (rank, atom.s)
-    object.__setattr__(atom, "_key", key)
-    return key
+    """Deterministic sort key used for term ordering and rendering: the
+    kind's rank (Z, E, MT, W) and the indices, computed when the atom is built."""
+    return atom._key
 
 
 def canonical_atom(atom: Atom) -> Atom:
@@ -396,6 +400,28 @@ class LinearCombination:
                 _accumulate(out, intern_term(t1.factors + t2.factors), c1 * c2)
         return LinearCombination._wrap(out)
 
+    def substitute(self, rewrite) -> "LinearCombination":
+        """Replace, term by term, every atom that ``rewrite`` maps to a combination.
+
+        ``rewrite(atom)`` returns the combination that replaces ``atom``, or
+        ``None`` to keep it; each term becomes the product of its rewritten
+        factors.  All terms are collected into one combination.
+        """
+        acc: dict[Term, RationalLike] = {}
+        # unsorted: exact sums do not depend on the order, and render() sorts
+        for term, coeff in self._entries.items():
+            partial: list[tuple[tuple, RationalLike]] = [((), coeff)]
+            for factor in term.factors:
+                sub = rewrite(factor)
+                if sub is None:
+                    partial = [(fs + (factor,), c) for fs, c in partial]
+                else:
+                    subs = sub._entries.items()
+                    partial = [(fs + t.factors, c * k) for fs, c in partial for t, k in subs]
+            for fs, c in partial:
+                _accumulate(acc, intern_term(fs), c)
+        return LinearCombination._wrap(acc)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearCombination) and self._entries == other._entries
 
@@ -413,13 +439,15 @@ class LinearCombination:
         return f"LinearCombination({self.render()})"
 
 
+def _fold(atom: Atom) -> Optional[LinearCombination]:
+    """``canonicalize``'s rewrite: None keeps an atom that is already canonical."""
+    twin = canonical_atom(atom)
+    return None if twin is atom else LinearCombination.from_atom(twin)
+
+
 def canonicalize(lc: LinearCombination) -> LinearCombination:
     """Fold every atom to its canonical orientation (may merge terms)."""
-    out: list[tuple[Term, RationalLike]] = []
-    for term, coef in lc.items():
-        folded = intern_term(tuple(canonical_atom(f) for f in term.factors))
-        out.append((folded, coef))
-    return LinearCombination(out)
+    return lc.substitute(_fold)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .exact import (
     SingleZeta,
     Term,
     WittenSl4,
-    _accumulate,
     binomial,
     intern_term,
 )
@@ -318,7 +317,7 @@ def reduce_witten(
             out = LinearCombination.from_term(
                 intern_term((SingleZeta(c), MordellTornheim3(a, b, d)))
             )
-            return _substitute(out, _mt_rewrite) if expand_mt else out
+            return out.substitute(_mt_rewrite) if expand_mt else out
         raise UnsupportedParams(
             "reduction needs positive exponents on the third variable and the total sum"
         )
@@ -351,7 +350,7 @@ def reduce_witten(
     else:
         remainder = LinearCombination.from_atom(WittenSl4((a, b, 1, c + d + f - 2, 0, 1)))
     out = LinearCombination.combine([(LinearCombination(pairs), 1), (remainder, rem_coeff)])
-    return _substitute(out, _mt_rewrite) if expand_mt else out
+    return out.substitute(_mt_rewrite) if expand_mt else out
 
 
 def _variant_binomial(a: int, b: int, j: int, lower: int, variant: str) -> int:
@@ -361,31 +360,8 @@ def _variant_binomial(a: int, b: int, j: int, lower: int, variant: str) -> int:
 
 
 def _mt_rewrite(atom) -> Optional[LinearCombination]:
-    """The double-sum expansion, as a rewrite for ``_substitute``."""
+    """The double-sum expansion, as a rewrite for ``LinearCombination.substitute``."""
     return reduce_mt(atom) if isinstance(atom, MordellTornheim3) else None
-
-
-def _substitute(lc: LinearCombination, rewrite) -> LinearCombination:
-    """Replace, term by term, every atom that ``rewrite`` maps to a combination.
-
-    ``rewrite(atom)`` returns the combination that replaces ``atom``, or
-    ``None`` to keep it; each term becomes the product of its rewritten
-    factors.  All terms are collected into one combination.
-    """
-    acc: dict[Term, RationalLike] = {}
-    # unsorted: exact sums do not depend on the order, and render() sorts
-    for term, coeff in lc._entries.items():
-        partial: list[tuple[tuple, RationalLike]] = [((), coeff)]
-        for factor in term.factors:
-            sub = rewrite(factor)
-            if sub is None:
-                partial = [(fs + (factor,), c) for fs, c in partial]
-            else:
-                subs = sub._entries.items()
-                partial = [(fs + t.factors, c * k) for fs, c in partial for t, k in subs]
-        for fs, c in partial:
-            _accumulate(acc, intern_term(fs), c)
-    return LinearCombination._wrap(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -471,4 +447,4 @@ def reduce_any(
             )
         return _mt_rewrite(atom) if expand_mt else None
 
-    return _substitute(lc, rewrite)
+    return lc.substitute(rewrite)

@@ -39,6 +39,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -49,13 +50,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ToleranceUnreachable, UnsupportedParams, WreduceError
-from .exact import (
-    LinearCombination,
-    MordellTornheim3,
-    SingleZeta,
-    Term,
-    WittenSl4,
-)
+from .exact import LinearCombination, MordellTornheim3, SingleZeta, WittenSl4, intern_term
 from .reduce import (
     VARIANTS,
     four_term_lhs,
@@ -78,13 +73,24 @@ _SYMMETRY_COUNT = 20
 
 @dataclass(frozen=True)
 class IdentityRecord:
-    """A single verifiable equality between two expressions."""
+    """A single verifiable equality between two expressions.
+
+    A record refuses two sides whose nonzero weights differ.  Constants
+    carry weight zero, so an exact rational side matches either side.
+    """
 
     identity_id: str
     parameters: tuple[int, ...]
     lhs: LinearCombination
     rhs: LinearCombination
     note: str = ""
+
+    def __post_init__(self):
+        wl, wr = ({term.weight for term, _ in side.items()} - {0} for side in (self.lhs, self.rhs))
+        if wl and wr and wl != wr:
+            raise UnsupportedParams(
+                f"{self.identity_id}{self.parameters}: sides have different weights {wl} vs {wr}"
+            )
 
 
 @dataclass(frozen=True)
@@ -114,23 +120,6 @@ def expected_fail(record: IdentityRecord) -> bool:
 # ---------------------------------------------------------------------------
 # record builders
 
-def _weights_of(lc: LinearCombination) -> set[int]:
-    return {term.weight for term, _ in lc.items()}
-
-
-def _check_homogeneous(lhs: LinearCombination, rhs: LinearCombination, who: str) -> None:
-    # constants carry weight zero; the comparison is between the
-    # nonzero-weight supports of the two sides
-    wl = _weights_of(lhs) - {0}
-    wr = _weights_of(rhs) - {0}
-    if wl and wr and wl != wr:
-        raise UnsupportedParams(f"{who}: sides have different weights {wl} vs {wr}")
-
-
-def _atom_lc(atom) -> LinearCombination:
-    return LinearCombination.from_atom(atom)
-
-
 def _build_symmetry(params: tuple[int, ...]) -> IdentityRecord:
     if len(params) != 6 or min(params) < 1:
         raise UnsupportedParams(
@@ -140,8 +129,8 @@ def _build_symmetry(params: tuple[int, ...]) -> IdentityRecord:
     return IdentityRecord(
         "SYMMETRY_EQ6",
         tuple(params),
-        _atom_lc(atom),
-        _atom_lc(atom.mirror()),
+        LinearCombination.from_atom(atom),
+        LinearCombination.from_atom(atom.mirror()),
         note="same lattice sum read in the reversed variable order",
     )
 
@@ -154,15 +143,11 @@ def _build_factor(params: tuple[int, ...]) -> IdentityRecord:
         raise UnsupportedParams(
             "factorization check needs a, b, d >= 1 and c >= 2"
         )
-    lhs = _atom_lc(WittenSl4((a, b, c, d, 0, 0)))
-    rhs = LinearCombination.from_term(
-        Term((SingleZeta(c), MordellTornheim3(a, b, d))), 1
-    )
     return IdentityRecord(
         "FACTOR_EQ12",
         params,
-        lhs,
-        rhs,
+        LinearCombination.from_atom(WittenSl4((a, b, c, d, 0, 0))),
+        LinearCombination.from_term(intern_term((SingleZeta(c), MordellTornheim3(a, b, d)))),
         note="third variable decouples when both of its composites vanish",
     )
 
@@ -179,12 +164,12 @@ def _build_region(ident: str, params: tuple[int, ...]) -> IdentityRecord:
         "REGION_EQ14": ((a, 0, b, c, 0, d), "prefix below n1"),
         "REGION_EQ15": ((0, 0, a, b, c, d), "prefix strictly between n1 and n1+n2"),
     }[ident]
-    atom = WittenSl4(slots)
+    side = LinearCombination.from_atom(WittenSl4(slots))
     return IdentityRecord(
         ident,
         params,
-        _atom_lc(atom),
-        _atom_lc(atom),
+        side,
+        side,
         note=f"rhs recomputed as the pair sum weighted by the power {weight}, "
         "independent of the engine dispatch",
     )
@@ -208,13 +193,13 @@ def _build_combine(ident: str, params: tuple[int, ...]) -> IdentityRecord:
         below = WittenSl4((i, 0, s1, s2, 0, t))
         between = WittenSl4((0, 0, s2, s1, i, t))
         shifted = MordellTornheim3(s2 + i, s1, t)
-    lhs = _atom_lc(above) + _atom_lc(below) + _atom_lc(between)
-    rhs = (
-        LinearCombination.from_term(
-            Term((SingleZeta(i), MordellTornheim3(s1, s2, t))), 1
-        )
-        - _atom_lc(shifted)
-        - _atom_lc(MordellTornheim3(s1, s2, t + i))
+    lhs = LinearCombination([(intern_term((w,)), 1) for w in (above, below, between)])
+    rhs = LinearCombination(
+        [
+            (intern_term((SingleZeta(i), MordellTornheim3(s1, s2, t))), 1),
+            (intern_term((shifted,)), -1),
+            (intern_term((MordellTornheim3(s1, s2, t + i),)), -1),
+        ]
     )
     return IdentityRecord(
         ident,
@@ -271,8 +256,8 @@ def _build_lemma21(params: tuple[int, ...]) -> IdentityRecord:
         return IdentityRecord(
             "LEMMA21_INSTANCE",
             params,
-            LinearCombination.from_term(Term(()), fval(a, b, s)),
-            LinearCombination.from_term(Term(()), total),
+            LinearCombination.from_term(intern_term(()), fval(a, b, s)),
+            LinearCombination.from_term(intern_term(()), total),
             note=f"exact surrogate x^a y^b z^s at (p,q)=({p},{q}), z={z}",
         )
     if mode == 2:
@@ -285,17 +270,15 @@ def _build_lemma21(params: tuple[int, ...]) -> IdentityRecord:
             raise UnsupportedParams(
                 "summed telescoping instance needs a, b >= 1 and s1, s2, s3 >= 2"
             )
-        lhs = _atom_lc(WittenSl4((a, 0, s2, s1, b, s3)))
         left, right = pair_recurrence_weights(a, b, 1, 1)
         rhs = LinearCombination(
-            [(Term((WittenSl4((j, 0, s2, s1, 0, s3 + a + b - j)),)), w) for j, w in right]
-            + [(Term((WittenSl4((0, 0, s2, s1, j, s3 + a + b - j)),)), w) for j, w in left]
+            [(intern_term((WittenSl4((j, 0, s2, s1, 0, s3 + a + b - j)),)), w) for j, w in right]
+            + [(intern_term((WittenSl4((0, 0, s2, s1, j, s3 + a + b - j)),)), w) for j, w in left]
         )
-        _check_homogeneous(lhs, rhs, "summed telescoping instance")
         return IdentityRecord(
             "LEMMA21_INSTANCE",
             params,
-            lhs,
+            LinearCombination.from_atom(WittenSl4((a, 0, s2, s1, b, s3))),
             rhs,
             note="telescoping applied to the two composite exponents of a "
             "convergent triple sum",
@@ -310,7 +293,7 @@ def _build_hwz(params: tuple[int, ...]) -> IdentityRecord:
     return IdentityRecord(
         "HWZ_EQ3",
         params,
-        _atom_lc(atom),
+        LinearCombination.from_atom(atom),
         reduce_mt(atom),
         note="double sum with a composite factor against its depth-two basis",
     )
@@ -325,14 +308,11 @@ def _build_thm21(params: tuple[int, ...]) -> IdentityRecord:
             "four-term combination needs a, b >= 1 and s1, s2, s3 >= 2; "
             "smaller exponents leave individual pieces uncertifiable"
         )
-    lhs = four_term_lhs(a, b, (s1, s2, s3))
-    rhs = four_term_rhs(a, b, (s1, s2, s3))
-    _check_homogeneous(lhs, rhs, "four-term combination")
     return IdentityRecord(
         "THM21_EQ5",
         params,
-        lhs,
-        rhs,
+        four_term_lhs(a, b, (s1, s2, s3)),
+        four_term_rhs(a, b, (s1, s2, s3)),
         note="signed four-term combination against its double-sum basis; "
         "the divergent column weights cancel symbolically during the build",
     )
@@ -344,17 +324,15 @@ def _build_lemma24_18(params: tuple[int, ...]) -> IdentityRecord:
     a, b, d = params
     if a < 1 or b < 1 or d < 1:
         raise UnsupportedParams("boundary exchange needs positive (a, b, d)")
-    lhs = _atom_lc(WittenSl4((a, b, 1, d, 0, 1)))
     left, right = pair_recurrence_weights(a, b, 1, 1)
     rhs = LinearCombination(
-        [(Term((WittenSl4((j, 0, 1, a + b + d - j, 0, 1)),)), w) for j, w in right]
-        + [(Term((WittenSl4((0, j, 1, a + b + d - j, 0, 1)),)), w) for j, w in left]
+        [(intern_term((WittenSl4((j, 0, 1, a + b + d - j, 0, 1)),)), w) for j, w in right]
+        + [(intern_term((WittenSl4((0, j, 1, a + b + d - j, 0, 1)),)), w) for j, w in left]
     )
-    _check_homogeneous(lhs, rhs, "boundary exchange")
     return IdentityRecord(
         "LEMMA24_EQ18",
         params,
-        lhs,
+        LinearCombination.from_atom(WittenSl4((a, b, 1, d, 0, 1))),
         rhs,
         note="unit-exponent family telescoped to boundary rows in both "
         "collapsed orientations",
@@ -367,15 +345,12 @@ def _build_lemma24_19(params: tuple[int, ...]) -> IdentityRecord:
     a, d = params
     if a < 1 or d < 1:
         raise UnsupportedParams("row split needs positive (a, d)")
-    lhs = _atom_lc(WittenSl4((a, 0, 1, d, 0, 1)))
     tail, rest = unit_pair_split(a, d)
-    rhs = _atom_lc(tail) + rest
-    _check_homogeneous(lhs, rhs, "row split")
     return IdentityRecord(
         "LEMMA24_EQ19",
         params,
-        lhs,
-        rhs,
+        LinearCombination.from_atom(WittenSl4((a, 0, 1, d, 0, 1))),
+        LinearCombination.from_atom(tail) + rest,
         note="middle composite absorbed into the total one, leaving a tail "
         "triple sum plus explicit depth-three sums",
     )
@@ -387,14 +362,11 @@ def _build_lemma24_20(params: tuple[int, ...]) -> IdentityRecord:
     a, dd = params
     if a < 1 or dd < 2:
         raise UnsupportedParams("tail expansion needs a >= 1 and a cap >= 2")
-    lhs = _atom_lc(WittenSl4((a, 0, 1, 0, 0, dd)))
-    rhs = unit_tail_expand(a, dd)
-    _check_homogeneous(lhs, rhs, "tail expansion")
     return IdentityRecord(
         "LEMMA24_EQ20",
         params,
-        lhs,
-        rhs,
+        LinearCombination.from_atom(WittenSl4((a, 0, 1, 0, 0, dd))),
+        unit_tail_expand(a, dd),
         note="tail triple sum ordered by partial sums into depth-three "
         "Euler sums",
     )
@@ -410,17 +382,18 @@ def _build_reduction(identity_id: str, params: tuple[int, ...]) -> IdentityRecor
     probe = identity_id == "TYPO_PROBE"
     if probe and len(params) == 5:
         params += (1,)
-    who = "transcription probe" if probe else "family reduction"
-    shape = "(a, b, c, d, f[, v]) with v in {0, 1}" if probe else "(a, b, c, d, f)"
     if len(params) != 5 + probe or min(params[:5]) < 1 or params[5:] not in ((), (0,), (1,)):
-        raise UnsupportedParams(f"{who} takes positive {shape}")
+        raise UnsupportedParams(
+            "transcription probe takes positive (a, b, c, d, f[, v]) with v in {0, 1}"
+            if probe
+            else "family reduction takes positive (a, b, c, d, f)"
+        )
     a, b, c, d, f = params[:5]
     variant = VARIANTS[params[5] if probe else 0]
     atom = WittenSl4((a, b, c, d, 0, f))
-    lhs = _atom_lc(atom)
+    lhs = LinearCombination.from_atom(atom)
     # at c = f = 1 peeling returns its input untouched: the display is the identity
     rhs = lhs if c == 1 and f == 1 else reduce_witten(atom, variant=variant)
-    _check_homogeneous(lhs, rhs, who)
     return IdentityRecord(
         identity_id,
         params,
@@ -592,9 +565,18 @@ def _family(identity_id: str) -> Family:
     return FAMILIES[identity_id]
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as a plain int through ``operator.index``: a float or any other
+    non-integer is refused, not truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise UnsupportedParams(f"{what} {x!r} is not an integer") from None
+
+
 def build_identity(identity_id: str, parameters: Sequence[int]) -> IdentityRecord:
-    """Instantiate one catalog identity at concrete parameters."""
-    return _family(identity_id).build(tuple(int(x) for x in parameters))
+    """Instantiate one catalog identity at concrete integer parameters."""
+    return _family(identity_id).build(tuple(_integer(x, "parameter") for x in parameters))
 
 
 def default_parameters(identity_id: str, weight_cap: int = DEFAULT_WEIGHT_CAP) -> list[tuple[int, ...]]:
@@ -602,9 +584,10 @@ def default_parameters(identity_id: str, weight_cap: int = DEFAULT_WEIGHT_CAP) -
 
     Tuples whose total weight exceeds ``weight_cap`` are dropped; exact
     rational records count as weight zero and always survive.  A negative
-    cap is refused.
+    or non-integer cap is refused.
     """
     family = _family(identity_id)
+    weight_cap = _integer(weight_cap, "weight cap")
     if weight_cap < 0:
         raise UnsupportedParams(f"weight cap {weight_cap} is negative")
     return [p for p in family.grid(weight_cap) if family.weight(p) <= weight_cap]
@@ -789,20 +772,18 @@ def sweep(
     INCONCLUSIVE verdicts; the sweep itself never aborts on one record.
     ``threads`` is ignored and kept only for callers that still pass it.
     """
+    weight_cap = _integer(weight_cap, "weight cap")
     if weight_cap > DEFAULT_WEIGHT_CAP:
         raise UnsupportedParams(
             f"weight cap {weight_cap} exceeds the configured limit {DEFAULT_WEIGHT_CAP}"
         )
     cfg = cfg or SummationConfig()
-    chosen = list(ids) if ids is not None else list(DEFAULT_SWEEP_IDS)
-    seen: set[str] = set()
-    records: list[IdentityRecord] = []
-    for ident in chosen:
-        if ident in seen:
-            continue
-        seen.add(ident)
-        for params in default_parameters(ident, weight_cap):
-            records.append(build_identity(ident, params))
+    chosen = DEFAULT_SWEEP_IDS if ids is None else dict.fromkeys(ids)
+    records = [
+        build_identity(ident, params)
+        for ident in chosen
+        for params in default_parameters(ident, weight_cap)
+    ]
     # through the module global, so a patched ``check`` sees every record
     return [check(r, cfg) for r in records]
 

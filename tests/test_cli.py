@@ -291,6 +291,32 @@ def test_verify_wrong_s_arity_exits_two(capsys):
     assert "6 values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "HWZ_EQ3", "2", "2", "2", "--a", "5"], "--a"),
+        (["verify", "THM21_EQ5", "1", "2", "2", "2", "2", "--s", "3", "3", "3"], "--s"),
+        (["verify", "TYPO_PROBE", "2", "1", "2", "1", "2", "--f", "3", "--variant", "eq22"], "--f"),
+    ],
+)
+def test_verify_positional_params_with_a_named_flag_exit_two(capsys, argv, flag):
+    assert main(argv) == 2
+    assert f"not both ({flag})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "FACTOR_EQ12", "--a", "1", "--b", "1", "--c", "2", "--d", "1", "--f", "3"], "--f"),
+        (["verify", "HWZ_EQ3", "--a", "1", "--b", "1", "--c", "1", "--mode", "0"], "--mode"),
+        (["verify", "LEMMA24_EQ19", "--a", "1", "--d", "1", "--s", "2"], "--s"),
+    ],
+)
+def test_verify_named_flag_the_family_does_not_list_exits_two(capsys, argv, flag):
+    assert main(argv) == 2
+    assert f"takes no {flag}" in capsys.readouterr().err
+
+
 def test_verify_unknown_identity_exits_two(capsys):
     assert main(["verify", "NOT_AN_ID", "1", "2"]) == 2
     assert "unknown identity id" in capsys.readouterr().err

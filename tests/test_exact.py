@@ -10,6 +10,7 @@ from wreduce.exact import (
     SingleZeta,
     Term,
     WittenSl4,
+    atom_key,
     canonicalize,
     parse,
     parse_atom,
@@ -194,3 +195,37 @@ def test_iteration_and_repr():
     lc = parse("2 * Z(2)*MT(1,1,2) + -1/2 * E(3,1,1) + Z(3)")
     assert list(lc) == lc.items()
     assert repr(lc) == f"LinearCombination({lc.render()})"
+
+
+# the bool-built atom is interned first, so an int-built twin interned after
+# it would render the bool's text if atoms kept their indices as given
+_BOOL_BUILT = [
+    (lambda one: WittenSl4((one, 0, 1, 0, 0, 97)), "W(1,0,1,0,0,97)"),
+    (lambda one: EulerSum((97, one)), "E(97,1)"),
+    (lambda one: MordellTornheim3(one, 97, 2), "MT(1,97,2)"),
+    (lambda one: MordellTornheim3(97, one, 3), "MT(1,97,3)"),
+]
+
+
+@pytest.mark.parametrize("make, text", _BOOL_BUILT)
+def test_bool_indices_are_stored_as_ints(make, text):
+    flagged = LinearCombination.from_atom(make(True))
+    plain = LinearCombination.from_atom(make(1))
+    assert make(True).render() == make(1).render() == text
+    assert flagged.render() == plain.render() == f"1 * {text}"
+    assert parse(flagged.render()) == flagged == plain
+    assert [type(v) for v in atom_key(make(True))[1]] == [int] * len(atom_key(make(1))[1])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SingleZeta(2.0),
+        lambda: EulerSum((3, 1.0)),
+        lambda: MordellTornheim3(1, "2", 2),
+        lambda: WittenSl4((1, 0, 1, 0, 0, 2.5)),
+    ],
+)
+def test_atoms_refuse_non_integer_indices(make):
+    with pytest.raises(InadmissibleIndex):
+        make()

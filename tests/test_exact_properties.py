@@ -17,7 +17,7 @@ from wreduce.exact import (  # noqa: E402
     intern_term,
     parse,
 )
-from wreduce.reduce import _substitute, reduce_mt  # noqa: E402
+from wreduce.reduce import reduce_mt  # noqa: E402
 
 given = hypothesis.given
 
@@ -109,7 +109,7 @@ def _rewrite(atom):
 def test_substitute_ignores_insertion_order(x):
     y = LinearCombination(reversed(list(x._entries.items())))
     assert list(y._entries) == list(reversed(x._entries))
-    sx, sy = _substitute(x, _rewrite), _substitute(y, _rewrite)
+    sx, sy = x.substitute(_rewrite), y.substitute(_rewrite)
     assert sx == sy and sx.render() == sy.render()
 
 
@@ -143,7 +143,7 @@ def test_integral_coefficients_are_ints(x, y, k):
         x.scale(k),
         x.product(y),
         LinearCombination.combine([(x, k), (y, 1)]),
-        _substitute(x, _rewrite),
+        x.substitute(_rewrite),
         back,
     )
     assert all(_int_when_integral(lc) for lc in results)

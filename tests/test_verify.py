@@ -661,3 +661,54 @@ def test_write_reports_creates_both_files(tmp_path, cfg6):
     with open(csv_path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 2 and rows[1][0] == "HWZ_EQ3"
+
+
+# ---------------------------------------------------------------------------
+# record invariants and parameter types
+
+def test_each_family_weight_is_the_weight_of_the_lhs_it_builds():
+    from wreduce.verify import FAMILIES
+
+    points = {(ident, p) for ident, fam in FAMILIES.items() for cap in range(15) for p in fam.grid(cap)}
+    assert {ident for ident, _ in points} == set(FAMILIES)
+    mismatches = [
+        (ident, p)
+        for ident, p in sorted(points)
+        if {term.weight for term, _ in build_identity(ident, p).lhs} != {FAMILIES[ident].weight(p)}
+    ]
+    assert mismatches == []
+
+
+def test_a_record_refuses_sides_of_different_weights():
+    from wreduce.exact import SingleZeta, intern_term
+
+    z3 = LinearCombination.from_atom(SingleZeta(3))
+    with pytest.raises(UnsupportedParams, match="different weights"):
+        IdentityRecord("HAND_BUILT", (3,), z3, LinearCombination.from_atom(SingleZeta(4)))
+    with pytest.raises(UnsupportedParams, match="different weights"):
+        IdentityRecord("HAND_BUILT", (3,), z3, z3 + LinearCombination.from_atom(SingleZeta(4)))
+    # a constant weighs nothing, so it matches a side of any weight
+    IdentityRecord("HAND_BUILT", (3,), z3, LinearCombination.from_term(intern_term(()), 2))
+
+
+@pytest.mark.parametrize("params", [(2.5, 2, 2), (2.0, 2, 2), ("2", 2, 2), (None, 2, 2)])
+def test_build_identity_refuses_non_integer_parameters(params):
+    with pytest.raises(UnsupportedParams, match="not an integer"):
+        build_identity("HWZ_EQ3", params)
+
+
+def test_build_identity_reads_integer_like_parameters_as_ints():
+    import numpy as np
+
+    for params in (np.array([2, 2, 2]), (True, 2, 2)):
+        rec = build_identity("HWZ_EQ3", params)
+        assert [type(v) for v in rec.parameters] == [int] * 3
+    assert rec.parameters == (1, 2, 2)
+
+
+@pytest.mark.parametrize("cap", [4.5, 10.0, "10", None])
+def test_a_non_integer_weight_cap_is_refused(cap):
+    with pytest.raises(UnsupportedParams, match="not an integer"):
+        default_parameters("HWZ_EQ3", cap)
+    with pytest.raises(UnsupportedParams, match="not an integer"):
+        sweep(ids=["HWZ_EQ3"], weight_cap=cap)
