@@ -4,6 +4,7 @@ Run from the repository root:
 
     python scripts/side_diff.py dump OUT [WEIGHT_CAP]
     python scripts/side_diff.py compare A B
+    python scripts/side_diff.py renders OUT [WEIGHT_CAP]
 
 ``dump`` evaluates the default sweep's families at 1e-8, 1e-10 and 1e-12,
 each in a cold workspace, and W(a,b,c,d,0,f) against its complete Euler-sum
@@ -29,10 +30,18 @@ total:
 
 A disjoint enclosure means one of the two dumps is wrong.  The exit status
 is 1 if a verdict is lost or two enclosures are disjoint, else 0.
+
+``renders`` writes the symbolic layer alone: one line per
+``reduce_witten`` call over W(a,b,c,d,0,f) with a..f in 0..6 and
+a+b+c+d+f <= WEIGHT_CAP (14 by default: 7678 tuples), for both variants and
+all four ``expand_remainder`` / ``expand_mt`` pairs.  A line holds the
+tuple, the variant, the flags and the render, or the error's class and
+message.  ``cmp`` of two trees' outputs checks that layer bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -42,6 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 SWEEP_TOLERANCES = (1e-8, 1e-10, 1e-12)
 THM22_TOLERANCE = 1e-8
+RENDERS_WEIGHT_CAP = 14
 
 
 def _lines(grid, tol, reports):
@@ -88,6 +98,25 @@ def dump(out: str, weight_cap: int | None = None) -> None:
         cfg = SummationConfig(tolerance=THM22_TOLERANCE)
         fh.writelines(_lines("thm22", THM22_TOLERANCE, _thm22_reports(cfg, cap)))
         clear_caches()
+
+
+def renders(out: str, weight_cap: int = RENDERS_WEIGHT_CAP) -> None:
+    from wreduce.errors import WreduceError
+    from wreduce.exact import WittenSl4
+    from wreduce.reduce import VARIANTS, reduce_witten
+
+    with open(out, "w") as fh:
+        for a, b, c, d, f in itertools.product(range(7), repeat=5):
+            if a + b + c + d + f > weight_cap:
+                continue
+            atom = WittenSl4((a, b, c, d, 0, f))
+            for variant in VARIANTS:
+                for flags in itertools.product((False, True), repeat=2):
+                    try:
+                        text = reduce_witten(atom, variant, *flags).render()
+                    except WreduceError as exc:
+                        text = f"{type(exc).__name__}: {exc.message}"
+                    fh.write(f"{atom.s}|{variant}|{flags}|{text}\n")
 
 
 def _read(path: str) -> dict[tuple, tuple]:
@@ -157,8 +186,8 @@ def _name(key: tuple) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) in (2, 3) and argv[0] == "dump" and all(a.isdigit() for a in argv[2:]):
-        dump(argv[1], *map(int, argv[2:]))
+    if len(argv) in (2, 3) and argv[0] in ("dump", "renders") and all(a.isdigit() for a in argv[2:]):
+        (dump if argv[0] == "dump" else renders)(argv[1], *map(int, argv[2:]))
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])

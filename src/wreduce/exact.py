@@ -27,9 +27,13 @@ verified identities, so nothing here may silently fold them together.
 An atom stores its indices as plain ``int`` (a bool becomes its int) and
 computes its sort key when it is built, as a ``Term`` does.  Each distinct
 term is built once per process: ``intern_term`` shares one ``Term`` per
-factor tuple, and a term keeps its hash, sort key and text.  The parsed
-atom, term and coefficient literals are memoized too.  All of these depend
-only on their integers or literals, so ``series.clear_caches`` keeps them.
+factor tuple, and a term keeps its hash, sort key and text.  A term's sort
+key is one flat tuple, (weight, number of factors, rank1, indices1...,
+rank2, ...), which orders as the nested (weight, number, atom keys) would
+but compares without recursing.  The parsed atom, term and coefficient
+literals, and each ``coef * term`` piece of ``parse``, are memoized too.
+All of these depend only on their integers or literals, so
+``series.clear_caches`` keeps them.
 ``LinearCombination.substitute`` is the one atom rewrite: the reductions
 and ``canonicalize`` go through it.
 """
@@ -221,13 +225,16 @@ class Term:
             factors = tuple(sorted(factors, key=atom_key))
         object.__setattr__(self, "factors", factors)
         # terms are the dict keys of every accumulation and the sort keys of
-        # every render: hash and key them once, render them at most once
+        # every render: hash and key them once, render them at most once.
+        # The key is flat, (weight, len, rank1, *indices1, rank2, ...): atoms
+        # of one rank have index tuples of one length, or of E's depth, which
+        # leads its tuple, so it orders as the nested key does
+        key = (sum(f.weight for f in factors), len(factors))
+        for f in factors:
+            rank, indices = atom_key(f)
+            key += (rank,) + indices
         object.__setattr__(self, "_hash", hash(factors))
-        object.__setattr__(
-            self,
-            "_key",
-            (sum(f.weight for f in factors), len(factors), tuple(atom_key(f) for f in factors)),
-        )
+        object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_text", None)
 
     def __hash__(self) -> int:
@@ -519,11 +526,18 @@ def parse(text: str) -> LinearCombination:
         return LinearCombination.zero()
     acc: dict[Term, RationalLike] = {}
     for piece in text.split(" + "):
-        piece = piece.strip()
-        if " * " in piece:
-            coeftext, termtext = piece.split(" * ", 1)
-            coef = _parse_coefficient(coeftext)
-            _accumulate(acc, parse_term(termtext), coef)
-        else:
-            _accumulate(acc, parse_term(piece), 1)
+        _accumulate(acc, *_parse_piece(piece))
     return LinearCombination._wrap(acc)
+
+
+@functools.cache
+def _parse_piece(piece: str) -> tuple[Term, RationalLike]:
+    """One ``coef * term`` piece of ``parse`` (or a bare term, coefficient
+    1), memoized per literal over the term and coefficient caches; a
+    literal that raises is not cached."""
+    piece = piece.strip()
+    if " * " in piece:
+        coeftext, termtext = piece.split(" * ", 1)
+        coef = _parse_coefficient(coeftext)
+        return parse_term(termtext), coef
+    return parse_term(piece), 1

@@ -33,8 +33,13 @@ the Euler-sum atoms are memoized per process, and every term is built
 through ``exact.intern_term``: each depends only on its integers, so a
 full reduction rewrites each remainder, row and double sum once, builds
 each distinct atom and term once, and ``series.clear_caches`` keeps them.
-Callers share the returned combinations, which no method of
-``LinearCombination`` mutates.
+``reduce_witten`` is one ``LinearCombination.combine`` of memoized pieces
+of the same kind: the columns Z(i)*MT(a,b,k) (``_column``, per
+``(i, a, b, k, expand_mt)``, already rewritten by ``reduce_mt`` when
+``expand_mt`` is set), the Euler blocks of each i (``_euler_block``, per
+``(i, w, a, b, variant)``) and the remainder, so a repeated reduction
+with ``expand_remainder`` builds no atom and no term.  Callers share the
+returned combinations, which no method of ``LinearCombination`` mutates.
 """
 
 from __future__ import annotations
@@ -295,7 +300,8 @@ def reduce_witten(
     ``expand_mt`` additionally rewrites every double sum through
     ``reduce_mt``.  ``variant`` selects which published transcription of
     the inner binomial family to use; "eq22" is the one every
-    cross-check in the verifier confirms.
+    cross-check in the verifier confirms.  The result sums the memoized
+    columns, Euler blocks and remainder with their outer binomials.
     """
     if variant not in VARIANTS:
         raise UnsupportedParams(
@@ -314,10 +320,7 @@ def reduce_witten(
     if c < 1 or f < 1:
         if f == 0 and c >= 2:
             # no total-sum factor: the third variable separates off
-            out = LinearCombination.from_term(
-                intern_term((SingleZeta(c), MordellTornheim3(a, b, d)))
-            )
-            return out.substitute(_mt_rewrite) if expand_mt else out
+            return _column(c, a, b, d, expand_mt)
         raise UnsupportedParams(
             "reduction needs positive exponents on the third variable and the total sum"
         )
@@ -329,28 +332,46 @@ def reduce_witten(
 
     w = a + b + c + d + f
     sign_c = (-1) ** c
-    pairs: list[tuple[Term, int]] = [
+    parts: list[tuple[LinearCombination, int]] = [
         (
-            intern_term((SingleZeta(i), MordellTornheim3(a, b, c + d + f - i))),
+            _column(i, a, b, c + d + f - i, expand_mt),
             binomial(c + f - i - 1, f - 1) * sign_c * (-1) ** i,
         )
         for i in range(2, c + 1)
     ]
-    for i in range(2, f + 1):
-        outer = binomial(c + f - i - 1, c - 1) * sign_c
-        for j in range(1, a + 1):
-            inner = _variant_binomial(a, b, j, b - 1, variant)
-            pairs.append((intern_term((_euler((i, w - i - j, j)),)), outer * inner))
-        for j in range(1, b + 1):
-            inner = _variant_binomial(a, b, j, a - 1, variant)
-            pairs.append((intern_term((_euler((i, w - i - j, j)),)), outer * inner))
-    rem_coeff = -sign_c * binomial(c + f - 2, c - 1)
+    parts += [
+        (_euler_block(i, w, a, b, variant), binomial(c + f - i - 1, c - 1) * sign_c)
+        for i in range(2, f + 1)
+    ]
     if expand_remainder:
         remainder = reduce_unit_witten(a, b, c + d + f - 2)
     else:
         remainder = LinearCombination.from_atom(WittenSl4((a, b, 1, c + d + f - 2, 0, 1)))
-    out = LinearCombination.combine([(LinearCombination(pairs), 1), (remainder, rem_coeff)])
+    parts.append((remainder, -sign_c * binomial(c + f - 2, c - 1)))
+    return LinearCombination.combine(parts)
+
+
+@functools.cache
+def _column(i: int, a: int, b: int, k: int, expand_mt: bool) -> LinearCombination:
+    """Z(i)*MT(a,b,k), with the double sum rewritten by ``reduce_mt`` when
+    ``expand_mt`` is set."""
+    out = LinearCombination.from_term(intern_term((SingleZeta(i), MordellTornheim3(a, b, k))))
     return out.substitute(_mt_rewrite) if expand_mt else out
+
+
+@functools.cache
+def _euler_block(i: int, w: int, a: int, b: int, variant: str) -> LinearCombination:
+    """The depth-three Euler sums E(i, w-i-j, j) of column i, weighted by
+    the inner binomials of ``variant``."""
+    pairs = [
+        (intern_term((_euler((i, w - i - j, j)),)), _variant_binomial(a, b, j, b - 1, variant))
+        for j in range(1, a + 1)
+    ]
+    pairs += [
+        (intern_term((_euler((i, w - i - j, j)),)), _variant_binomial(a, b, j, a - 1, variant))
+        for j in range(1, b + 1)
+    ]
+    return LinearCombination(pairs)
 
 
 def _variant_binomial(a: int, b: int, j: int, lower: int, variant: str) -> int:

@@ -400,11 +400,12 @@ def clear_caches() -> None:
     ``_unit_resum`` and their values at each cutoff depend on their
     integers (and the cutoff) alone; the exact rewrites of
     ``reduce.reduce_general_witten``, ``reduce.reduce_unit_witten`` (and
-    its rows) and ``reduce.reduce_mt``, the interned Euler-sum atoms and
-    terms, and the atom, term and coefficient literals of ``exact.parse``,
-    on their integers or literal alone.  They are kept, so a process that
-    patches the engine (``EPS``, say) must do so before the first form is
-    built.
+    its rows) and ``reduce.reduce_mt``, the columns and Euler blocks
+    ``reduce.reduce_witten`` combines, the interned Euler-sum atoms and
+    terms, and the atom, term, coefficient and ``coef * term`` literals of
+    ``exact.parse``, on their integers or literal alone.  They are kept,
+    so a process that patches the engine (``EPS``, say) must do so before
+    the first form is built.
     """
     _ATOMS.clear()
     _TABLES.clear()

@@ -14,6 +14,7 @@ from wreduce.exact import (  # noqa: E402
     SingleZeta,
     Term,
     WittenSl4,
+    atom_key,
     intern_term,
     parse,
 )
@@ -92,6 +93,35 @@ def test_interned_term_is_the_fresh_term(fs, data):
     assert t.weight == fresh.weight == sum(f.weight for f in fs)
     perm = tuple(data.draw(st.permutations(fs)))
     assert Term(perm) == t and intern_term(perm) is t
+
+
+def _nested_key(t):
+    return (t.weight, len(t.factors), tuple(atom_key(f) for f in t.factors))
+
+
+# small indices, so that terms often share a weight and their keys are
+# compared past it
+small_atoms = st.one_of(
+    st.integers(2, 4).map(SingleZeta),
+    st.tuples(st.integers(2, 3), st.integers(1, 2)).map(EulerSum),
+    st.tuples(st.integers(2, 3), st.integers(1, 2), st.integers(1, 2)).map(EulerSum),
+    st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)).map(
+        lambda t: MordellTornheim3(*t)
+    ),
+    st.tuples(*[st.integers(0, 1)] * 6).map(WittenSl4),
+)
+small_terms = st.lists(small_atoms, max_size=3).map(lambda fs: Term(tuple(fs)))
+
+
+@given(st.lists(small_terms, min_size=2, max_size=24))
+def test_flat_term_key_orders_as_the_nested_key(ts):
+    # every pair of terms of 0-3 factors: atoms of every kind, E of depth 2 and 3
+    for t1 in ts:
+        n1 = _nested_key(t1)
+        for t2 in ts:
+            n2 = _nested_key(t2)
+            assert (t1.sort_key() < t2.sort_key()) == (n1 < n2), (t1, t2)
+            assert (t1.sort_key() == t2.sort_key()) == (n1 == n2) == (t1 == t2), (t1, t2)
 
 
 def _rewrite(atom):

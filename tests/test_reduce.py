@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from wreduce.errors import InadmissibleIndex, InadmissibleOutput, UnsupportedParams
+from wreduce.errors import InadmissibleIndex, InadmissibleOutput, UnsupportedParams, WreduceError
 from wreduce.exact import (
     EulerSum,
     LinearCombination,
@@ -22,6 +22,8 @@ from wreduce.exact import (
     SingleZeta,
     Term,
     WittenSl4,
+    _parse_piece,
+    binomial,
     intern_term,
     parse,
     parse_atom,
@@ -29,7 +31,9 @@ from wreduce.exact import (
 )
 from wreduce.reduce import (
     VARIANTS,
+    _column,
     _euler,
+    _euler_block,
     _unit_row,
     exchange_weights,
     four_term_lhs,
@@ -404,6 +408,9 @@ _MEMOIZED = (
     intern_term,
     _euler,
     parse_term,
+    _column,
+    _euler_block,
+    _parse_piece,
 )
 
 
@@ -429,6 +436,8 @@ def test_memoized_rewrites_render_the_same_warm_as_cold():
     assert reduce_mt.cache_info().hits > 0 and parse_atom.cache_info().hits > 0
     assert intern_term.cache_info().hits > 0 and _euler.cache_info().hits > 0
     assert parse_term.cache_info().hits > 0
+    assert _column.cache_info().hits > 0 and _euler_block.cache_info().hits > 0
+    assert _parse_piece.cache_info().hits > 0
     assert warm == cold
     renders = "\n".join(cold[params] for params in grid)
     assert hashlib.sha256(renders.encode()).hexdigest() == FULL_REDUCTION_DIGEST
@@ -440,6 +449,9 @@ def test_memoized_results_survive_edits_of_their_items():
         lambda: reduce_unit_witten(0, 2, 2),
         lambda: reduce_mt(MordellTornheim3(2, 1, 3)),
         lambda: reduce_witten(WittenSl4((2, 1, 2, 1, 0, 2)), expand_remainder=True, expand_mt=True),
+        lambda: _column(3, 2, 1, 2, True),
+        lambda: _euler_block(2, 8, 2, 1, "paper-final"),
+        lambda: reduce_witten(WittenSl4((2, 2, 3, 2, 0, 0)), expand_mt=True),  # a column as is
     ]
     for call in calls:
         want = call().render()
@@ -468,6 +480,120 @@ def test_memoized_rewrites_raise_on_every_call():
             parse_term("Z(2)*")
         with pytest.raises(InadmissibleOutput):
             _euler((1, 2))
+
+
+def test_memoized_pieces_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(InadmissibleIndex, match="diverges"):
+            _column(2, 1, 1, 0, True)  # MT(1,1,0)
+        with pytest.raises(InadmissibleIndex, match="bad coefficient"):
+            _parse_piece("1/0 * Z(2)")
+        with pytest.raises(InadmissibleIndex, match="bad coefficient"):
+            _parse_piece("x * Z(1)")  # the coefficient is read first
+        with pytest.raises(InadmissibleIndex, match="diverges"):
+            _parse_piece("2 * Z(1)")
+    assert _parse_piece(" 3/2 * Z(2) ") == (parse_term("Z(2)"), Fraction(3, 2))
+    assert _parse_piece("MT(2,2,2)") == (parse_term("MT(2,2,2)"), 1)
+
+
+def _pair_route(atom, variant="eq22", expand_remainder=False, expand_mt=False):
+    """``reduce_witten`` as written before it combined memoized pieces: every
+    term built as a (term, coefficient) pair, one ``combine`` with the
+    remainder, then one ``substitute`` of every double sum."""
+    if variant not in VARIANTS:
+        raise UnsupportedParams(f"variant must be one of {VARIANTS!r}, got {variant!r}")
+    a, b, c, d, e5, f = atom.s
+    if e5 != 0:
+        raise UnsupportedParams("reduction covers the family with a vanishing fifth exponent only")
+    if a < 1 or b < 1:
+        raise UnsupportedParams("reduction needs positive exponents on both collapsed variables")
+
+    def mt_rewrite(x):
+        return reduce_mt(x) if isinstance(x, MordellTornheim3) else None
+
+    if c < 1 or f < 1:
+        if f == 0 and c >= 2:
+            out = LinearCombination.from_term(
+                intern_term((SingleZeta(c), MordellTornheim3(a, b, d)))
+            )
+            return out.substitute(mt_rewrite) if expand_mt else out
+        raise UnsupportedParams(
+            "reduction needs positive exponents on the third variable and the total sum"
+        )
+    if c == 1 and f == 1:
+        return reduce_unit_witten(a, b, d)
+
+    def inner(j, lower):
+        if variant == "eq22":
+            return binomial(a + b - j - 1, lower)
+        return binomial(a + b + j - 1, lower)
+
+    w = a + b + c + d + f
+    sign_c = (-1) ** c
+    pairs = [
+        (
+            intern_term((SingleZeta(i), MordellTornheim3(a, b, c + d + f - i))),
+            binomial(c + f - i - 1, f - 1) * sign_c * (-1) ** i,
+        )
+        for i in range(2, c + 1)
+    ]
+    for i in range(2, f + 1):
+        outer = binomial(c + f - i - 1, c - 1) * sign_c
+        for j in range(1, a + 1):
+            pairs.append((intern_term((_euler((i, w - i - j, j)),)), outer * inner(j, b - 1)))
+        for j in range(1, b + 1):
+            pairs.append((intern_term((_euler((i, w - i - j, j)),)), outer * inner(j, a - 1)))
+    rem_coeff = -sign_c * binomial(c + f - 2, c - 1)
+    if expand_remainder:
+        remainder = reduce_unit_witten(a, b, c + d + f - 2)
+    else:
+        remainder = LinearCombination.from_atom(WittenSl4((a, b, 1, c + d + f - 2, 0, 1)))
+    out = LinearCombination.combine([(LinearCombination(pairs), 1), (remainder, rem_coeff)])
+    return out.substitute(mt_rewrite) if expand_mt else out
+
+
+def _outcome(route, atom, variant, flags):
+    try:
+        lc = route(atom, variant, *flags)
+    except WreduceError as exc:
+        return type(exc), exc.message
+    return dict(lc.items()), lc.render()
+
+
+def test_reduce_witten_equals_the_pair_route():
+    # every tuple with a..f in 0..5 up to weight 10, refusals included, for
+    # both variants and all four expand_remainder / expand_mt pairs
+    calls = 0
+    for a, b, c, d, f in itertools.product(range(6), repeat=5):
+        if a + b + c + d + f > 10:
+            continue
+        atom = WittenSl4((a, b, c, d, 0, f))
+        for variant in VARIANTS:
+            for flags in itertools.product((False, True), repeat=2):
+                want = _outcome(_pair_route, atom, variant, flags)
+                got = _outcome(reduce_witten, atom, variant, flags)
+                assert got == want, (atom.s, variant, flags)
+                calls += 1
+    assert calls == 8 * 2373
+
+
+def test_a_repeated_reduction_builds_nothing(monkeypatch):
+    # every piece of a full reduction is memoized: the second request builds
+    # no atom and no term, and returns an equal combination
+    atom = WittenSl4((2, 1, 3, 2, 0, 2))
+    first = reduce_witten(atom, expand_remainder=True, expand_mt=True)
+    built = []
+    for cls in (SingleZeta, EulerSum, MordellTornheim3, WittenSl4, Term):
+        def counted(self, _post_init=cls.__post_init__):
+            built.append(type(self).__name__)
+            _post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    again = reduce_witten(atom, expand_remainder=True, expand_mt=True)
+    assert built == []
+    assert again == first and again.render() == first.render()
+    Term((SingleZeta(2),))  # the counters are live
+    assert built == ["SingleZeta", "Term"]
 
 
 def test_parse_atom_strips_before_the_cache_decides():

@@ -59,3 +59,22 @@ def test_dump_at_a_weight_cap_checks_the_sweep_records_up_to_it(tmp_path):
     thm22 = lines[len(expected):]
     assert len(thm22) == 2 * len(default_parameters("THM22_FINAL", 6)) == 12
     assert all(line.startswith("thm22|1e-08|THM22_FULL|") for line in thm22)
+
+
+def test_renders_at_a_weight_cap_write_every_reduce_witten_call(tmp_path):
+    # one line per tuple with a..f in 0..6 up to the cap, variant and flag
+    # pair: the render, or the error's class and message
+    from wreduce.exact import WittenSl4
+    from wreduce.reduce import reduce_witten
+
+    out = tmp_path / "renders"
+    assert _side_diff().main(["renders", str(out), "4"]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 126 * 2 * 4
+    assert lines[0] == (
+        "(0, 0, 0, 0, 0, 0)|eq22|(False, False)|UnsupportedParams: "
+        "reduction needs positive exponents on both collapsed variables"
+    )
+    full = reduce_witten(WittenSl4((1, 1, 1, 0, 0, 1)), "paper-final", True, True)
+    assert "(1, 1, 1, 0, 0, 1)|paper-final|(True, True)|" + full.render() in lines
+    assert len({line.rsplit("|", 1)[0] for line in lines}) == len(lines)
