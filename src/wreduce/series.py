@@ -19,9 +19,9 @@ the B_2, B_4 and B_6 derivative terms and the remainder bound
 ``|B_6|/6! * integral_u^inf |f^(6)|``, each in closed form and derived once
 per entry.  The remainder is bounded entry by entry with ``ln >= 0``, so the
 engine holds for integer ``u >= 1``.  The bracketing facts (harmonic
-numbers, zeta tails, prefix power sums) are small LP builders composed with
+numbers, zeta tails, prefix power sums) are small LP forms composed with
 interval arithmetic.  A form depends on its integers alone, so each
-builder's form is built once per process and shared, read-only, by every
+cached form is built once per process and shared, read-only, by every
 later request; ``clear_caches()`` keeps it.  Forms are multiplied in one
 loop, ``_lp_mul``, with the expressions of ``_imul`` inline, so a shared
 form is bit for bit what a rebuild would give; ``_lp_tail``, which runs on
@@ -29,20 +29,24 @@ every rung, has the one other such loop.
 
 Every sum but zeta's ends in one kernel, ``_outer_sum``: the 1-D sum over
 u of u^-e T(u), cut by the ladder, with T(u) a certified table for the box
-and an LP enclosure of T(u), shifted by e, for the tail.  For MT, T is a
-shifted pair sum G; for the Euler sums of depth 2 and 3, a prefix power sum
-and a running sum D of them, whose tail is summed by parts: D(n) from the
-box times a zeta tail, plus the terms of D past n, each times the zeta tail
+and an LP enclosure of T(u), shifted by e, for the tail.  Every function
+of u that T is made of has a key: H_u, zeta(j), the zeta tail t_j(u), the
+prefix power sum P_j(u-1), the shifted pair sum G_{c,f}(u) and the pair sum
+S_{a,b}(u).  Its table (``_fn_table``) and its LP bracket (``_fn_lp``) are
+both built from the key, and the partial fractions of G and of S (Huard,
+Williams and Zhang, eq. 3) are written once, in ``_pieces``.  ``_fn_sum``
+is the outer sum over one function or the product of two.  For MT, T is a
+G; for the Euler sums of depth 2, a P_j(u-1).  Depth 3 sums a running sum
+D of prefix power sums, whose tail is summed by parts: D(n) from the box
+times a zeta tail, plus the terms of D past n, each times the zeta tail
 past it.  The triple-sum evaluator picks T from the zero pattern of the
 composite exponents.  With ``s5 = 0`` (or ``s4 = 0``, mirrored) it collapses
-(m1, m2) to their sum u, whose pair sum has a closed form in prefix power
-sums (the partial fractions of Huard, Williams and Zhang, eq. 3), and T is
-that pair sum times a G.  With ``s6 = 0``, m1 and m3 meet only through m2,
-and T is the product of two G.  The general case is evaluated as the exact
-combination of ``reduce.reduce_general_witten``: collapsed triple sums and
-Euler sums.  The slot order given is the slot order summed; relabeling
-twins are computed by genuinely different loops, which is what makes the
-symmetry check in ``verify`` meaningful.
+(m1, m2) to their sum u, and T is S times a G.  With ``s6 = 0``, m1 and m3
+meet only through m2, and T is the product of two G.  The general case is
+evaluated as the exact combination of ``reduce.reduce_general_witten``:
+collapsed triple sums and Euler sums.  The slot order given is the slot
+order summed; relabeling twins are computed by genuinely different loops,
+which is what makes the symmetry check in ``verify`` meaningful.
 
 The workspace is two dicts: ``_ATOMS``, one outcome per atom, and
 ``_TABLES``, the certified tables.  An atom's ladder stops at the first
@@ -62,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,13 +106,22 @@ class SummationConfig:
 
     ``tolerance`` is the largest radius a request accepts.  It never steers
     an evaluation: each atom is evaluated once, and a result whose radius
-    is above the tolerance is refused.  A tolerance that is not positive,
-    or is below ``TOLERANCE_FLOOR``, is refused when the config is built.
+    is above the tolerance is refused.  A tolerance that is not a real
+    number (a bool included), is beyond the float64 range, is not positive
+    or is below ``TOLERANCE_FLOOR`` is refused when the config is built;
+    any other is stored as a float.
     """
 
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise UnsupportedParams(f"tolerance {tol!r} is not a real number")
+        try:
+            object.__setattr__(self, "tolerance", float(tol))
+        except OverflowError:
+            raise UnsupportedParams(f"tolerance {tol!r} is beyond the float64 range") from None
         if not (self.tolerance > 0):
             raise ToleranceUnreachable(f"tolerance {self.tolerance} is not positive")
         if self.tolerance < TOLERANCE_FLOOR:
@@ -340,18 +354,6 @@ def _lp_resum(lp: LogPower) -> LogPower:
     return _lp_sum(*(_lp_scale(_unit_resum(*key), c) for key, c in lp.items()))
 
 
-# LP building blocks.  All are pointwise-valid enclosures for u >= 2.  Each
-# cached builder's form is a pure function of its integers (a zeta in it is
-# that zeta's one certified value), so it is built once per process and
-# shared, read-only, by every later request: do not mutate.  ``_lp_mul``
-# runs only inside these builders.
-
-@functools.cache
-def _lp_tailzeta(j: int) -> LogPower:
-    """tailzeta(u, j) = sum_{n>u} n^-j as an LP form in u, j >= 2."""
-    return _lp_resum({(float(j), 0): (1.0, 0.0)})
-
-
 def _lp_harmonic() -> LogPower:
     """H_u = ln u + gamma + 1/(2u) - 1/(12u^2) + [0, 1/(120u^4)], u >= 1.
 
@@ -367,23 +369,6 @@ def _lp_harmonic() -> LogPower:
     }
 
 
-@functools.cache
-def _lp_prefix_prev(j: int) -> LogPower:
-    """P_j(u-1) = sum_{m<u} m^-j as an LP form in u, j >= 0."""
-    if j == 0:
-        return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
-    if j == 1:
-        return _lp_sum(_lp_harmonic(), {(1.0, 0): (-1.0, 0.0)})  # H_{u-1} = H_u - 1/u
-    tail_prev = _lp_sum(_lp_tailzeta(j), {(float(j), 0): (1.0, 0.0)})  # tailzeta(u-1, j)
-    return _lp_sum(_lp_zeta(j), _lp_scale(tail_prev, (-1.0, 0.0)))  # zeta(j) - tail_prev
-
-
-def _lp_zeta(j: int) -> LogPower:
-    """The constant zeta(j) at its best value."""
-    z = _zeta_value(j)
-    return {(0.0, 0): (z.midpoint, z.radius)}
-
-
 # ---------------------------------------------------------------------------
 # the workspace, certified tables, the cutoff ladder and the outer sum
 
@@ -396,7 +381,8 @@ def clear_caches() -> None:
     runs).  Each entry is keyed by its atom or its integers alone, so until
     this is called a later request reads what an earlier one built.
 
-    The LP tail forms of the cached builders, the Euler-Maclaurin forms of
+    The partial fractions of ``_pieces``, the LP brackets of ``_fn_lp``,
+    ``_lp_product`` and ``_lp_e3_parts``, the Euler-Maclaurin forms of
     ``_unit_resum`` and their values at each cutoff depend on their
     integers (and the cutoff) alone; the exact rewrites of
     ``reduce.reduce_general_witten``, ``reduce.reduce_unit_witten`` (and
@@ -471,10 +457,10 @@ def _checked(ev: Evaluation, cfg: SummationConfig, what) -> Evaluation:
     return ev
 
 
-def _cutoff(tail_at, box_at, cap: int = MAX_TERMS, start: int = 32) -> Evaluation:
+def _cutoff(tail_at, box_at, start: int = 32) -> Evaluation:
     """The sum cut at the first of start, 2 start, 4 start, ... whose tail
-    radius is no larger than its box radius, or at ``cap``, which clamps
-    the ladder.
+    radius is no larger than its box radius, or at ``MAX_TERMS``, which
+    clamps the ladder.
 
     ``tail_at(n)`` and ``box_at(n)`` enclose the sum past n and up to n.  The
     box radius, the rounding of a longer sum, only grows with n, so a later
@@ -484,9 +470,9 @@ def _cutoff(tail_at, box_at, cap: int = MAX_TERMS, start: int = 32) -> Evaluatio
     while True:
         tail = tail_at(n)
         box = box_at(n)
-        if tail[1] <= box[1] or n >= cap:
+        if tail[1] <= box[1] or n >= MAX_TERMS:
             return Evaluation(box[0] + tail[0], tail[1] + box[1], n)
-        n = min(2 * n, cap)
+        n = min(2 * n, MAX_TERMS)
 
 
 def _outer_sum(e: int, first: int, table, tail, start: int = 32) -> Evaluation:
@@ -501,13 +487,6 @@ def _outer_sum(e: int, first: int, table, tail, start: int = 32) -> Evaluation:
     return _cutoff(
         tail, lambda n: _dot(_power_array(n, e)[first:], *table(n)), start=start
     )
-
-
-def _shifted_tail(lp: LogPower, e: int):
-    """n |-> enclosure of sum_{u>n} u^-e T(u), for ``lp`` an LP enclosure of
-    T(u) past the first cutoff: ``lp`` shifted by e, summed by the tail engine."""
-    lp = _lp_shift(lp, float(e))
-    return lambda n: _lp_tail(lp, n)
 
 
 # ---------------------------------------------------------------------------
@@ -540,27 +519,29 @@ def _prefix_table(j: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     return _table(("P", j), U, build)
 
 
-def _tailzeta_table(j: int, U: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mid, rad) arrays of t[u] = sum_{m>u} m^-j for u = 0..U."""
-
-    def build(n: int) -> tuple[np.ndarray, np.ndarray]:
-        z = _zeta_value(j)
-        P, prad = _prefix_table(j, n)
-        t = z.midpoint - P
-        return (t, z.radius + prad + EPS * np.abs(t))
-
-    return _table(("tz", j), U, build)
-
-
 # ---------------------------------------------------------------------------
-# the shifted pair sum G_{c,f}(u) = sum_{m>=1} m^-c (u+m)^-f
+# the functions of u that the outer sums weight
 #
-# Partial fractions turn it into harmonic numbers and zeta tails:
+# Each is named by a key, and its two views are built from that key alone:
+# ``_fn_table`` gives its certified table, ``_fn_lp`` its LP bracket.
+#   ("H",)       H_u = sum_{m<=u} 1/m
+#   ("Z", j)     the constant zeta(j), at its best value
+#   ("t", j)     the zeta tail t_j(u) = sum_{m>u} m^-j
+#   ("P-", j)    the prefix power sum P_j(u-1) = sum_{m<u} m^-j
+#   ("G", c, f)  the shifted pair sum G_{c,f}(u) = sum_{m>=1} m^-c (u+m)^-f,
+#                c, f >= 1; ``_g`` names G_{0,f} = t_f and G_{c,0} = zeta(c)
+#   ("S", a, b)  the pair sum S_{a,b}(u) = sum_{m1+m2=u} m1^-a m2^-b
+# G and S are sums of pieces coef * u^-pw * base(u) over the first four,
+# their partial fractions (``_pieces``).  For G,
 #   1/(m^c (u+m)^f) = sum_{j<=c} A_j/m^j + sum_{j<=f} B_j/(u+m)^j
 #   A_j = (-1)^(c-j) C(c+f-j-1, f-1) u^-(c+f-j)
 #   B_j = (-1)^c     C(c+f-j-1, c-1) u^-(c+f-j)
 # The j = 1 pieces are individually divergent but pair into A_1 * H_u; the
 # pairing is exact because the two binomials coincide, which is asserted.
+# For S, those of m1^-a (u-m1)^-b (Huard, Williams and Zhang, eq. 3):
+#   S_{a,b}(u) = sum_j w_j u^-(a+b-j) P_j(u-1)
+# with the weights w_j of ``reduce.pair_sum_weights``: the unsigned G
+# weights, since both halves of the split sum to the same prefix.
 
 def _g_pf_coeffs(c: int, f: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     # x = 1/m and y = 1/(u+m) obey xy = (x - y)/u: x^c y^f telescopes at
@@ -575,60 +556,114 @@ def _g_pf_coeffs(c: int, f: int) -> tuple[list[tuple[int, int]], list[tuple[int,
     return A, B
 
 
-def _g_tables(c: int, f: int, U: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mid, rad) arrays of G_{c,f}(u) for u = 1..U (index 0 unused; shared: do not mutate).
+def _g(c: int, f: int) -> tuple:
+    """The key of G_{c,f}, which must converge: every caller checks
+    c + f >= 2, c >= 2 when f = 0 and f >= 2 when c = 0 first."""
+    return ("t", f) if c == 0 else ("Z", c) if f == 0 else ("G", c, f)
 
-    The sum must converge: every caller checks c + f >= 2, c >= 2 when
-    f = 0 and f >= 2 when c = 0 first.
-    """
-    if c == 0:
-        return _tailzeta_table(f, U)
+
+@functools.cache
+def _pieces(key: tuple) -> tuple[tuple[int, int, tuple], ...]:
+    """G or S as (coef, pw, base): the sum of coef * u^-pw * base(u)."""
+    tag, x, y = key
+    if tag == "S":
+        return tuple([(w, x + y - j, ("P-", j)) for j, w in pair_sum_weights(x, y).items()])
+    A, B = _g_pf_coeffs(x, y)
+    # A_1 H_u absorbs the divergent B_1 piece; the rest are zetas and zeta tails
+    return (
+        ((*A[0], ("H",)),)
+        + tuple([(coef, pw, ("Z", x + y - pw)) for coef, pw in A[1:]])
+        + tuple([(coef, pw, ("t", j)) for j, (coef, pw) in enumerate(B[1:], start=2)])
+    )
+
+
+def _fn_table(key: tuple, U: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mid, rad) arrays of the function ``key`` names for u = 0..U (shared:
+    do not mutate).  Slot 0 of G is unused; P_j(-1) = 0, so S(0) = S(1) = 0
+    exactly."""
+    tag = key[0]
+    if tag == "H":
+        return _prefix_table(1, U)
 
     def build(n: int) -> tuple[np.ndarray, np.ndarray]:
-        if f == 0:
-            z = _zeta_value(c)
+        if tag == "Z":
+            z = _zeta_value(key[1])
             return np.full(n + 1, z.midpoint), np.full(n + 1, z.radius)
+        if tag == "t":
+            z = _zeta_value(key[1])
+            P, prad = _prefix_table(key[1], n)
+            t = z.midpoint - P
+            return t, z.radius + prad + EPS * np.abs(t)
+        if tag == "P-":
+            return tuple([np.concatenate(([0.0], a[:-1])) for a in _prefix_table(key[1], n)])
         u = np.arange(0, n + 1, dtype=float)
-        u[0] = 1.0  # avoid 0^-k warnings; slot 0 is unused
-        A, B = _g_pf_coeffs(c, f)
-        # (coef, power, (mid, rad) of the piece): A_1 H_u (B_1 is paired into
-        # it), the zetas of A_2.. and the zeta tails of B_2..
-        parts = [A[0] + (_prefix_table(1, n),)]
-        for coef, pw in A[1:]:
-            z = _zeta_value(c + f - pw)
-            parts.append((coef, pw, (z.midpoint, z.radius)))
-        for j, (coef, pw) in enumerate(B[1:], start=2):
-            parts.append((coef, pw, _tailzeta_table(j, n)))
-
+        u[0] = 1.0  # avoid 0^-k warnings; slot 0 is unused or weighs P_j(-1) = 0
+        pieces = _pieces(key)
         mid, absmid, rad = np.zeros((3, n + 1))
-        for coef, pw, (pmid, prad) in parts:
+        for coef, pw, base in pieces:
+            pmid, prad = _fn_table(base, n)
             scale = coef * u ** float(-pw)
             term = scale * pmid
             mid += term
             absmid += np.abs(term)
             rad += np.abs(scale) * prad
-        # the signs alternate, so the rounding is charged against the pieces
-        rad += _gamma(len(parts)) * (absmid + rad)
+        # G's signs alternate, so the rounding is charged against the pieces
+        rad += _gamma(len(pieces)) * (absmid + rad)
         return mid, rad
 
-    return _table(("Gt", c, f), U, build)
+    return _table(key, U, build)
+
+
+# Each LP bracket is a pure function of its key (a zeta in it is that zeta's
+# one certified value), so it is built once per process and shared,
+# read-only, by every later request: do not mutate.  ``_lp_mul`` runs only
+# inside these builders and ``_lp_e3_parts``.
+
+@functools.cache
+def _fn_lp(key: tuple) -> LogPower:
+    """Two-sided LP enclosure of the function ``key`` names, valid for u >= 2."""
+    tag = key[0]
+    if tag == "H":
+        return _lp_harmonic()
+    if tag == "Z":
+        z = _zeta_value(key[1])
+        return {(0.0, 0): (z.midpoint, z.radius)}
+    if tag == "t":
+        return _lp_resum({(float(key[1]), 0): (1.0, 0.0)})
+    if tag == "P-":
+        j = key[1]
+        if j == 0:
+            return {(-1.0, 0): (1.0, 0.0), (0.0, 0): (-1.0, 0.0)}  # u - 1
+        if j == 1:
+            return _lp_sum(_fn_lp(("H",)), {(1.0, 0): (-1.0, 0.0)})  # H_{u-1} = H_u - 1/u
+        tail_prev = _lp_sum(_fn_lp(("t", j)), {(float(j), 0): (1.0, 0.0)})  # t_j(u-1)
+        return _lp_sum(_fn_lp(("Z", j)), _lp_scale(tail_prev, (-1.0, 0.0)))  # zeta(j) - t_j(u-1)
+    return _lp_sum(*(
+        _lp_scale(_lp_shift(_fn_lp(base), float(pw)), (float(coef), 0.0))
+        for coef, pw, base in _pieces(key)
+    ))
 
 
 @functools.cache
-def _lp_g_bracket(c: int, f: int) -> LogPower:
-    """Two-sided LP enclosure of G_{c,f}(u), valid for u >= 2 (shared: do not mutate)."""
-    if c == 0:
-        return _lp_tailzeta(f)
-    if f == 0:
-        return _lp_zeta(c)
-    A, B = _g_pf_coeffs(c, f)
-    # A_1 H_u absorbs the divergent B_1 piece; the rest are zetas and zeta tails
-    parts = [(A[0], _lp_harmonic())]
-    parts += [((coef, pw), _lp_zeta(c + f - pw)) for coef, pw in A[1:]]
-    parts += [(B[j - 1], _lp_tailzeta(j)) for j in range(2, f + 1)]
-    return _lp_sum(*(
-        _lp_scale(_lp_shift(lp, float(pw)), (float(coef), 0.0)) for (coef, pw), lp in parts
-    ))
+def _lp_product(x: tuple, y: tuple) -> LogPower:
+    """LP enclosure of the product of the functions ``x`` and ``y`` name."""
+    return _lp_mul(_fn_lp(x), _fn_lp(y))
+
+
+def _fn_sum(e: int, first: int, *keys: tuple) -> Evaluation:
+    """sum_{u>=first} u^-e T(u), T the function one key names, or the product
+    of the two that two keys name: the outer sum of E2, MT and the
+    collapsed and hub W.  The tail sums T's LP bracket shifted by e."""
+    lp = _lp_shift(_fn_lp(*keys) if len(keys) == 1 else _lp_product(*keys), float(e))
+
+    def table(n: int) -> tuple[np.ndarray, np.ndarray]:
+        (xm, xr), *other = [_fn_table(key, n) for key in keys]
+        for ym, yr in other:
+            # the interval product, entry by entry
+            xm, xr = xm * ym, np.abs(xm) * yr + np.abs(ym) * xr + xr * yr
+        return xm[first:], xr[first:]
+
+    return _outer_sum(e, first, table, lambda n: _lp_tail(lp, n))
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +674,7 @@ def _mt(a: int, b: int, c: int) -> Evaluation:
         return _product([_zeta_value(a), _zeta_value(b)])
     # the outer sum over m2 of m2^-b G_{a,c}(m2); MT's own convergence
     # conditions are those of G_{a,c}
-    return _outer_sum(
-        b, 1, lambda n: tuple([t[1:] for t in _g_tables(a, c, n)]),
-        _shifted_tail(_lp_g_bracket(a, c), b),
-    )
+    return _fn_sum(b, 1, _g(a, c))
 
 
 # ---------------------------------------------------------------------------
@@ -650,17 +682,14 @@ def _mt(a: int, b: int, c: int) -> Evaluation:
 
 def _euler2(s1: int, s2: int) -> Evaluation:
     # P_{s2}(0) = 0, so the outer sum starts at x = 2
-    return _outer_sum(
-        s1, 2, lambda n: tuple([t[1:-1] for t in _prefix_table(s2, n)]),
-        _shifted_tail(_lp_prefix_prev(s2), s1),
-    )
+    return _fn_sum(s1, 2, ("P-", s2))
 
 
 @functools.cache
 def _lp_e3_parts(s1: int, s2: int, s3: int) -> LogPower:
     """LP form (in y) of y^-s2 P_{s3}(y-1) t_{s1}(y), t_j(y) = sum_{x>y} x^-j;
     every entry has p >= s1 + s2 - 1 >= 2 (shared: do not mutate)."""
-    return _lp_shift(_lp_mul(_lp_prefix_prev(s3), _lp_tailzeta(s1)), float(s2))
+    return _lp_shift(_lp_mul(_fn_lp(("P-", s3)), _fn_lp(("t", s1))), float(s2))
 
 
 def _euler3(s1: int, s2: int, s3: int) -> Evaluation:
@@ -694,78 +723,18 @@ def _euler3(s1: int, s2: int, s3: int) -> Evaluation:
 # ---------------------------------------------------------------------------
 # triple sums with a zero composite exponent: one outer sum of two factors
 #
-# With s5 = 0 and u = m1 + m2 the sum factors through the pair sum
-#   S_{a,b}(u) = sum_{m1+m2=u} m1^-a m2^-b
-# and the shifted pair sum over m3 (the collapsed path):
+# With s5 = 0 and u = m1 + m2 the sum factors through the pair sum over
+# (m1, m2) and the shifted pair sum over m3 (the collapsed path):
 #   W = sum_u u^-s4 S_{s1,s2}(u) G_{s3,s6}(u).
 # With s6 = 0, m1 and m3 meet only through m2 (the hub path):
 #   W = sum_u u^-s2 G_{s1,s4}(u) G_{s3,s5}(u).
-# Either way the table is the interval product of two tables, and the tail
-# form the product of their LP brackets.
-# Partial fractions of m1^-a (u-m1)^-b give S in closed form,
-#   S_{a,b}(u) = sum_j w_j u^-(a+b-j) P_j(u-1),   P_j(n) = sum_{m<=n} m^-j,
-# with the weights w_j of ``reduce.pair_sum_weights``: the unsigned G
-# weights, since both halves of the split sum to the same prefix.
-
-
-def _pair_sum_table(a: int, b: int, U: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mid, rad) arrays of S_{a,b}(u) for u = 0..U; S(0) = S(1) = 0 exactly."""
-
-    def build(n: int) -> tuple[np.ndarray, np.ndarray]:
-        u = np.arange(2, n + 1, dtype=float)
-        mid = np.zeros(n + 1)
-        rad = np.zeros(n + 1)
-        weights = pair_sum_weights(a, b)
-        for j, w in weights.items():
-            P, prad = _prefix_table(j, n)
-            scale = w * u ** float(j - a - b)
-            mid[2:] += scale * P[1:-1]
-            rad[2:] += scale * prad[1:-1]
-        # every summand is nonnegative, so mid bounds their absolute sum
-        rad += _gamma(len(weights)) * (mid + rad)
-        return mid, rad
-
-    return _table(("S", a, b), U, build)
-
-
-@functools.cache
-def _collapsed_s12_lp(a: int, b: int) -> LogPower:
-    """Two-sided LP enclosure of S_{a,b}(u), term by term (shared: do not mutate)."""
-    return _lp_sum(*(
-        _lp_scale(_lp_shift(_lp_prefix_prev(j), float(a + b - j)), (float(w), 0.0))
-        for j, w in pair_sum_weights(a, b).items()
-    ))
-
-
-@functools.cache
-def _lp_collapsed_product(a: int, b: int, c: int, f: int) -> LogPower:
-    """LP enclosure of S_{a,b}(u) G_{c,f}(u) (shared: do not mutate)."""
-    return _lp_mul(_collapsed_s12_lp(a, b), _lp_g_bracket(c, f))
-
-
-@functools.cache
-def _lp_hub_product(a: int, b: int, c: int, f: int) -> LogPower:
-    """LP enclosure of G_{a,b}(u) G_{c,f}(u) (shared: do not mutate)."""
-    return _lp_mul(_lp_g_bracket(a, b), _lp_g_bracket(c, f))
-
-
-def _product_table(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(mid, rad) arrays of X(u) Y(u), entry by entry, for (mid, rad) tables x, y."""
-    (xm, xr), (ym, yr) = x, y
-    return xm * ym, np.abs(xm) * yr + np.abs(ym) * xr + xr * yr
-
 
 def _eval_w4_collapsed(s: tuple[int, ...]) -> Evaluation:
     s1, s2, s3, s4, _s5, s6 = s
     c, f = s3, s6
     if c + f < 2 or (f == 0 and c < 2) or (c == 0 and f < 2):
         raise ConvergenceUnverified(f"W{s}: the m3 direction cannot be certified")
-    return _outer_sum(
-        s4,
-        0,
-        lambda n: _product_table(_pair_sum_table(s1, s2, n), _g_tables(c, f, n)),
-        _shifted_tail(_lp_collapsed_product(s1, s2, c, f), s4),
-    )
+    return _fn_sum(s4, 0, ("S", s1, s2), _g(c, f))
 
 
 # ---------------------------------------------------------------------------
@@ -799,12 +768,7 @@ def _witten4(atom: WittenSl4) -> Evaluation:
         )
     if s6 == 0:
         # the hub path; the gate (s1 + s4, s3 + s5 >= 3) makes both G converge
-        return _outer_sum(
-            s2,
-            0,
-            lambda n: _product_table(_g_tables(s1, s4, n), _g_tables(s3, s5, n)),
-            _shifted_tail(_lp_hub_product(s1, s4, s3, s5), s2),
-        )
+        return _fn_sum(s2, 0, _g(s1, s4), _g(s3, s5))
     if s1 == s2 == s3 == 0 and s6 < 2:
         # convergent, but its Euler sums would lead with a 1
         raise ToleranceUnreachable(f"W{s}: a triangle with s6 = 1 has no certified evaluator")

@@ -777,6 +777,9 @@ def sweep(
         raise UnsupportedParams(
             f"weight cap {weight_cap} exceeds the configured limit {DEFAULT_WEIGHT_CAP}"
         )
+    if isinstance(ids, str):
+        # a string is a sequence too, of one-letter ids
+        raise UnsupportedParams(f"ids {ids!r} is one string; give a list of ids, such as [{ids!r}]")
     cfg = cfg or SummationConfig()
     chosen = DEFAULT_SWEEP_IDS if ids is None else dict.fromkeys(ids)
     records = [

@@ -40,6 +40,23 @@ def test_config_validation():
     SummationConfig()
 
 
+def test_config_takes_only_a_real_tolerance():
+    from fractions import Fraction
+
+    import numpy as np
+
+    from wreduce.errors import UnsupportedParams
+
+    for bad in ("1e-8", None, 1e-8 + 0j, True):
+        with pytest.raises(UnsupportedParams, match="not a real number"):
+            SummationConfig(tolerance=bad)
+    with pytest.raises(UnsupportedParams, match="float64 range"):
+        SummationConfig(tolerance=10**400)
+    for good in (1, Fraction(1, 10**8), np.float64(1e-8)):
+        tol = SummationConfig(tolerance=good).tolerance
+        assert type(tol) is float and tol == float(good)
+
+
 def test_ladders_stop_far_inside_the_cap():
     # every 1-D ladder starts at 32, and these stop by 512, far inside the
     # cap MAX_TERMS
@@ -77,7 +94,7 @@ def test_em_tail_refuses_divergent_exponent():
 
 
 def test_cutoff_ladder_stops_at_max_terms():
-    from wreduce.series import _cutoff
+    from wreduce.series import MAX_TERMS, _cutoff
 
     cfg = SummationConfig(tolerance=1e-6)
     clear_caches()
@@ -87,9 +104,9 @@ def test_cutoff_ladder_stops_at_max_terms():
         assert ev.terms <= 3000, atom
     clear_caches()
     # a tail that never gets below its box radius ends on the clamp itself;
-    # 3000 is not a power of two, so a plain doubling ladder overshoots it
-    ev = _cutoff(lambda n: (0.0, 1.0), lambda n: (0.0, 0.0), 3000)
-    assert ev.terms == 3000
+    # 10^6 is not a power of two, so a plain doubling ladder overshoots it
+    ev = _cutoff(lambda n: (0.0, 1.0), lambda n: (0.0, 0.0))
+    assert ev.terms == MAX_TERMS
     assert (ev.midpoint, ev.radius) == (0.0, 1.0)
 
 
@@ -141,9 +158,10 @@ def test_tables_are_prefix_stable():
 
     builds = (
         lambda U: series._prefix_table(3, U),
-        lambda U: series._tailzeta_table(4, U),
-        lambda U: series._g_tables(2, 5, U),
-        lambda U: series._pair_sum_table(2, 3, U),
+        lambda U: series._fn_table(("t", 4), U),
+        lambda U: series._fn_table(("P-", 3), U),
+        lambda U: series._fn_table(("G", 2, 5), U),
+        lambda U: series._fn_table(("S", 2, 3), U),
         lambda U: (series._power_array(U, 5),),
     )
     for build in builds:
@@ -156,11 +174,11 @@ def test_tables_are_prefix_stable():
 
 
 def test_pair_sum_table_contains_direct_convolution():
-    from wreduce.series import _pair_sum_table
+    from wreduce.series import _fn_table
 
     for a in range(6):
         for b in range(6):
-            mid, rad = _pair_sum_table(a, b, 300)
+            mid, rad = _fn_table(("S", a, b), 300)
             for u in (2, 3, 7, 50, 299, 300):
                 # int / int rounds correctly: each summand and the fsum are
                 # off by at most half an ulp of the total
@@ -742,8 +760,7 @@ def test_full_reductions_golden():
 def _lp_form_builders():
     from wreduce import series
 
-    names = ("_lp_tailzeta", "_lp_prefix_prev", "_lp_e3_parts", "_lp_g_bracket",
-             "_collapsed_s12_lp", "_lp_collapsed_product", "_lp_hub_product")
+    names = ("_fn_lp", "_lp_product", "_lp_e3_parts")
     return {name: getattr(series, name) for name in names}
 
 

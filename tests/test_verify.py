@@ -516,6 +516,13 @@ def test_sweep_deduplicates_ids_and_keeps_order(cfg6):
     ]
 
 
+def test_sweep_refuses_one_string_of_ids(cfg6):
+    # a bare string would be read as one-letter ids, 'H' refused as unknown
+    with pytest.raises(UnsupportedParams, match="list of ids"):
+        sweep(ids="HWZ_EQ3", weight_cap=6, cfg=cfg6)
+    assert len(sweep(ids=("HWZ_EQ3",), weight_cap=6, cfg=cfg6)) == 20
+
+
 def test_sweep_empty_ids_gives_empty_report(cfg6):
     assert sweep(ids=[], cfg=cfg6) == []
     assert format_report_lines([]) == ""
